@@ -27,10 +27,10 @@ use phom_engine::{
 use phom_graph::{DiGraph, NodeId};
 use phom_service::{
     GraphInfo, LatencyHistogram, PlanHistograms, QueryResponse, Request, Response, ServiceError,
-    ServiceStats, UpdateSummary, HISTOGRAM_BUCKETS,
+    ServiceStats, UpdateSummary,
 };
 use phom_sim::{NodeWeights, SimMatrix};
-use phom_trace::{ObjectiveStatus, SloStatus};
+use phom_trace::{ObjectiveStatus, SloStatus, WINDOW_BUCKETS};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -1130,15 +1130,15 @@ fn decode_query_response(d: &mut Dec) -> Result<QueryResponse, CodecError> {
 }
 
 fn encode_histogram(buf: &mut BytesMut, h: &LatencyHistogram) {
-    for b in h.buckets() {
-        put_usize(buf, *b);
+    for &b in h.buckets() {
+        buf.put_u64(b);
     }
 }
 
 fn decode_histogram(d: &mut Dec) -> Result<LatencyHistogram, CodecError> {
-    let mut buckets = [0usize; HISTOGRAM_BUCKETS];
+    let mut buckets = [0u64; WINDOW_BUCKETS];
     for b in &mut buckets {
-        *b = d.usize_()?;
+        *b = d.u64()?;
     }
     Ok(LatencyHistogram::from_buckets(buckets))
 }

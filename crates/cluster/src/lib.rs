@@ -15,12 +15,11 @@
 //! * [`worker`] — the worker process mode behind `phom worker --listen`:
 //!   a [`phom_service::Service`] hosted behind a socket accept loop, one
 //!   framed request/response exchange at a time per connection.
-//! * [`router`] — the front-end: owns the shard map (component-group
-//!   assignment reusing [`phom_graph::component_groups`]), fans queries
-//!   out to the candidate-holding workers, merges per pattern component
-//!   **exactly** as the in-process sharded path does (routed answers are
-//!   bit-identical to a single-process `Service` run), routes updates to
-//!   the owning workers, and keeps read replicas hydrated from service
+//! * [`router`] — the front-end: holds the in-process registry's
+//!   [`phom_service::ShardMap`] for each graph and runs its shards on the
+//!   workers, so queries route and merge, and updates route, through the
+//!   same code as a single-process `Service` (routed answers are
+//!   bit-identical); it keeps read replicas hydrated from service
 //!   snapshots — with heartbeat failure detection, retry/backoff, and
 //!   replica promotion on primary death.
 

@@ -1,19 +1,20 @@
-//! The routing front-end: owns the shard map, fans queries out to the
-//! workers that hold candidates, merges per pattern component **exactly**
-//! as the in-process sharded path does, routes updates to the owning
-//! workers, and keeps read replicas hydrated from service snapshots.
+//! The routing front-end: places each shard of a registered graph on
+//! worker processes, runs queries and updates across them, and keeps
+//! read replicas hydrated from service snapshots.
 //!
 //! ## Result identity
 //!
-//! The router reproduces `phom_service`'s sharded execution bit for bit:
-//! the shard map is the same [`component_groups`] assignment, the
-//! compression decision is pinned graph-wide before any worker prepares
-//! a shard, the query plan is chosen once on the full candidate set and
-//! forced onto every worker, shards are consulted in ascending order
-//! under one shared deadline, and the per-component merge is a verbatim
-//! transcription of the registry's. A routed answer therefore equals the
-//! answer a single-process [`phom_service::Service`] (same configs)
-//! would give — the property the cluster identity proptests pin down.
+//! A routed graph holds the same [`ShardMap`] an in-process
+//! `GraphEntry` does, so the split, the graph-wide compression pin, the
+//! query check, routing, the forced sub-query, the per-component merge
+//! and update routing are the registry's own code. What the router
+//! adds is where a shard runs: its sub-queries and
+//! update batches go to a worker over the wire (a
+//! [`SpanKind::WorkerMatch`] span per consulted shard), and its graph is
+//! prepared there through `RegisterPinned`. A routed answer therefore
+//! equals the answer a single-process [`phom_service::Service`] (same
+//! configs) would give — the property the cluster identity proptests pin
+//! down.
 //!
 //! ## Replication and failover
 //!
@@ -30,20 +31,16 @@
 use crate::codec::{self, WireMessage};
 use crate::transport::Transport;
 use bytes::Bytes;
-use phom_core::PHomMapping;
 use phom_dynamic::GraphUpdate;
-use phom_engine::{
-    plan_query_with, CompressionPolicy, PlannerConfig, Query, QueryTrace, SpanKind, UpdateStats,
-};
+use phom_engine::{CompressionPolicy, PlannerConfig, PrepareStats, Query, SpanKind};
 use phom_graph::serialize::to_snapshot;
-use phom_graph::{component_groups, tarjan_scc, weakly_connected_components, DiGraph, NodeId};
+use phom_graph::DiGraph;
 use phom_service::{
-    GraphInfo, QueryResponse, Request, Response, ServiceError, ServiceStats, ShardingConfig,
-    UpdateSummary,
+    GraphInfo, QueryResponse, Request, Response, RoutedUpdates, ServiceError, ServiceStats,
+    ShardAnswer, ShardMap, ShardingConfig, UpdateSummary,
 };
-use phom_sim::SimMatrix;
 use phom_trace::{EventJournal, EventKind, MetricsRegistry, Severity};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -156,10 +153,9 @@ struct WorkerHandle {
     alive: AtomicBool,
 }
 
-/// One shard of a routed graph: its global node list and the member
-/// ring (`members[0]` is the primary, the rest are read replicas).
+/// Where one shard of a routed graph lives: the member ring
+/// (`members[0]` is the primary, the rest are read replicas).
 struct RoutedShard {
-    nodes: Vec<NodeId>,
     members: Mutex<Vec<usize>>,
     rr: AtomicUsize,
 }
@@ -173,16 +169,12 @@ impl RoutedShard {
     }
 }
 
-/// The router's view of one registered graph: the authoritative full
-/// graph (kept in sync for routing, re-shards, and pin-flip checks),
-/// the global→(shard, local) locator, and the shard member rings.
+/// The router's view of one registered graph: its shard map (the
+/// authoritative full graph, kept in sync for routing, re-shards and
+/// pin-flip checks) and each shard's member ring, in map order.
 struct RoutedGraph {
-    graph: Arc<DiGraph<String>>,
-    locator: Vec<(u32, u32)>,
+    map: ShardMap<String>,
     shards: Vec<RoutedShard>,
-    /// The compression override sent at registration (`Some` iff the
-    /// graph actually sharded under an `Auto` base policy).
-    pinned: Option<CompressionPolicy>,
 }
 
 #[derive(Default)]
@@ -659,11 +651,11 @@ impl Router {
 
     // ---- registration ----------------------------------------------
 
-    /// Registers `graph` under `name`: splits it per the sharding policy
-    /// (the same [`component_groups`] assignment as the in-process
-    /// registry, with the same graph-wide compression pin), registers
-    /// each shard on its primary worker, and hydrates `replicas` read
-    /// replicas per shard from the primary's snapshot.
+    /// Registers `graph` under `name`: splits it with
+    /// [`ShardMap::split`] (the in-process registry's split and
+    /// graph-wide compression pin), registers each shard on its primary
+    /// worker, and hydrates `replicas` read replicas per shard from the
+    /// primary's snapshot.
     pub fn register(
         &self,
         name: String,
@@ -683,7 +675,7 @@ impl Router {
         let (routed, info) = self.build_routed(&name, graph)?;
         let mut graphs = self.graphs.write().unwrap_or_else(|e| e.into_inner());
         if graphs.contains_key(&name) {
-            self.evict_routed(&name, &routed);
+            self.evict_shards(&name, &routed.shards);
             return Err(ServiceError::AlreadyRegistered { graph: name }.into());
         }
         graphs.insert(name, routed);
@@ -702,7 +694,7 @@ impl Router {
             .into());
         };
         drop(graphs);
-        self.evict_routed(name, &routed);
+        self.evict_shards(name, &routed.shards);
         Ok(())
     }
 
@@ -713,49 +705,15 @@ impl Router {
         name: &str,
         graph: Arc<DiGraph<String>>,
     ) -> Result<(RoutedGraph, GraphInfo), RouterError> {
-        let n = graph.node_count();
-        let sharding = &self.config.sharding;
-        // The exact group assignment `GraphEntry::build` makes.
-        let groups: Vec<Vec<NodeId>> = if sharding.max_shards > 1 && n >= sharding.min_shard_nodes {
-            component_groups(&graph, sharding.max_shards)
-        } else if n == 0 {
-            Vec::new()
-        } else {
-            vec![graph.nodes().collect()]
-        };
-        // The graph-wide compression pin (same rule as the registry):
-        // only an actually-sharded graph under an `Auto` base policy
-        // needs the whole-graph decision forced onto its shards.
-        let pinned =
-            if groups.len() > 1 && self.config.planner.compression == CompressionPolicy::Auto {
-                Some(CompressionPolicy::pinned(n, tarjan_scc(&*graph).count()))
-            } else {
-                None
-            };
-        let mut locator = vec![(0u32, 0u32); n];
-        let mut specs: Vec<(Vec<NodeId>, Bytes)> = Vec::with_capacity(groups.len());
-        if groups.len() == 1 {
-            for v in graph.nodes() {
-                locator[v.index()] = (0, v.0);
-            }
-            specs.push((graph.nodes().collect(), to_snapshot(&graph)));
-        } else {
-            for (si, nodes) in groups.iter().enumerate() {
-                let keep: BTreeSet<NodeId> = nodes.iter().copied().collect();
-                let (sub, old_ids) = graph.induced_subgraph(&keep);
-                for (local, &global) in old_ids.iter().enumerate() {
-                    locator[global.index()] = (si as u32, local as u32);
-                }
-                specs.push((old_ids, to_snapshot(&sub)));
-            }
-        }
-
+        let base = self.config.planner.compression;
+        let (map, shard_graphs) = ShardMap::split(graph, &self.config.sharding, base);
+        let pinned = map.pin(base);
         let live: Vec<usize> = (0..self.workers.len())
             .filter(|&w| self.worker_alive(w))
             .collect();
-        let mut shards = Vec::with_capacity(specs.len());
-        let mut infos = Vec::with_capacity(specs.len());
-        for (si, (nodes, snapshot)) in specs.into_iter().enumerate() {
+        let mut shards = Vec::with_capacity(shard_graphs.len());
+        let mut stats = Vec::with_capacity(shard_graphs.len());
+        for (si, shard_graph) in shard_graphs.iter().enumerate() {
             // Primary on the ring, replicas on the next distinct workers.
             let want = if live.is_empty() {
                 Vec::new()
@@ -763,41 +721,22 @@ impl Router {
                 let take = 1 + self.config.replicas.min(live.len() - 1);
                 (0..take).map(|k| live[(si + k) % live.len()]).collect()
             };
-            match self.register_shard(name, si, snapshot, pinned, want) {
-                Ok((shard_members, info)) => {
-                    infos.push(info);
+            match self.register_shard(name, si, to_snapshot(shard_graph), pinned, want) {
+                Ok((members, info)) => {
+                    stats.push(prepare_stats(info));
                     shards.push(RoutedShard {
-                        nodes,
-                        members: Mutex::new(shard_members),
+                        members: Mutex::new(members),
                         rr: AtomicUsize::new(0),
                     });
                 }
                 Err(e) => {
-                    let partial = RoutedGraph {
-                        graph: Arc::clone(&graph),
-                        locator: Vec::new(),
-                        shards,
-                        pinned,
-                    };
-                    self.evict_routed(name, &partial);
+                    self.evict_shards(name, &shards);
                     return Err(e);
                 }
             }
         }
-        let compression = pinned
-            .unwrap_or(self.config.planner.compression)
-            .name()
-            .to_owned();
-        let info = aggregate_info(name, &graph, &shards, &infos, compression);
-        Ok((
-            RoutedGraph {
-                graph,
-                locator,
-                shards,
-                pinned,
-            },
-            info,
-        ))
+        let info = map.info(name, &stats);
+        Ok((RoutedGraph { map, shards }, info))
     }
 
     /// Registers one shard on its primary and hydrates the replicas from
@@ -881,8 +820,8 @@ impl Router {
         }
     }
 
-    fn evict_routed(&self, name: &str, routed: &RoutedGraph) {
-        for (si, shard) in routed.shards.iter().enumerate() {
+    fn evict_shards(&self, name: &str, shards: &[RoutedShard]) {
+        for (si, shard) in shards.iter().enumerate() {
             let msg = WireMessage::Request(Request::EvictGraph {
                 name: shard_graph_name(name, si),
             });
@@ -894,10 +833,11 @@ impl Router {
 
     // ---- queries ---------------------------------------------------
 
-    /// Routes one query: plans once on the full candidate set, fans the
-    /// forced plan out to the candidate-holding shards' workers, and
-    /// merges per pattern component — the verbatim transcription of the
-    /// in-process sharded path, so the answer is bit-identical to a
+    /// Routes one query. On an unsharded graph the one worker plans and
+    /// runs the original query itself; otherwise
+    /// [`ShardMap::scatter_gather`] plans once on the full candidate set
+    /// and sends each candidate-holding shard's forced sub-query to one
+    /// of its workers, so the answer is bit-identical to a
     /// single-process service run.
     pub fn query(
         &self,
@@ -913,35 +853,8 @@ impl Router {
             }
             .into());
         };
-        let n1 = query.pattern.node_count();
-        if query.matrix.n1() != n1 {
-            return Err(ServiceError::InvalidRequest(format!(
-                "similarity matrix has {} pattern rows, pattern has {} nodes",
-                query.matrix.n1(),
-                n1
-            ))
-            .into());
-        }
-        if query.matrix.n2() != routed.graph.node_count() {
-            return Err(ServiceError::InvalidRequest(format!(
-                "similarity matrix has {} data columns, graph {:?} has {} nodes",
-                query.matrix.n2(),
-                graph,
-                routed.graph.node_count()
-            ))
-            .into());
-        }
-        if let Some(w) = &query.weights {
-            if w.len() != n1 {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "{} weights for {} pattern nodes",
-                    w.len(),
-                    n1
-                ))
-                .into());
-            }
-        }
-        if routed.shards.len() == 1 {
+        routed.map.check(graph, query)?;
+        if let [only] = routed.shards.as_slice() {
             // Unsharded: the worker holds the full graph and plans the
             // original query itself (its planner matches the router's) —
             // the same fast path the in-process registry takes.
@@ -950,15 +863,29 @@ impl Router {
                 query: query.clone(),
                 trace,
             });
-            let (resp, _) = self.shard_request(graph, 0, &routed.shards[0], &msg)?;
-            return match resp {
-                Response::Answer(r) => Ok(r),
-                _ => Err(RouterError::Protocol(
-                    "query answered with a non-answer response".into(),
-                )),
-            };
+            let (resp, _) = self.shard_request(graph, 0, only, &msg)?;
+            return answer_of(resp);
         }
-        self.query_sharded(graph, routed, query, trace)
+        routed
+            .map
+            .scatter_gather(query, &self.config.planner, trace, |si, sub, traced| {
+                let msg = WireMessage::Request(Request::Query {
+                    graph: shard_graph_name(graph, si),
+                    query: sub,
+                    trace: traced,
+                });
+                let (resp, worker) = self.shard_request(graph, si, &routed.shards[si], &msg)?;
+                let r = answer_of(resp)?;
+                Ok(ShardAnswer {
+                    mapping: r.mapping,
+                    timed_out: r.timed_out,
+                    trace: r.trace,
+                    span: SpanKind::WorkerMatch {
+                        shard: si as u32,
+                        worker: worker as u32,
+                    },
+                })
+            })
     }
 
     /// Routes a batch: each query takes the routed single-query path, in
@@ -975,210 +902,13 @@ impl Router {
             .collect()
     }
 
-    /// The multi-shard fan-out. Mirrors the registry's `execute_sharded`
-    /// stage for stage; the only difference is *where* each shard's
-    /// forced sub-query executes (a worker process instead of an
-    /// in-process prepared shard), recorded as a
-    /// [`SpanKind::WorkerMatch`] span per consulted shard.
-    fn query_sharded(
-        &self,
-        graph: &str,
-        routed: &RoutedGraph,
-        query: &Query<String>,
-        trace: bool,
-    ) -> Result<QueryResponse, RouterError> {
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for routed query latency; no wall-clock semantics")
-        let started = Instant::now();
-        let mut tr = trace.then(|| Box::new(QueryTrace::new()));
-        let plan_open = tr.as_ref().map(|t| t.begin());
-        let plan = plan_query_with(query, &self.config.planner);
-        if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
-            t.end(SpanKind::Plan, open);
-        }
-        // One deadline for the whole routed query, however many workers
-        // it consults (same rule as the in-process sharded path).
-        let deadline = query
-            .config
-            .timeout
-            .or(self.config.planner.timeout)
-            // phom-lint: allow(clock, "monotonic deadline for the per-request time budget; no wall-clock semantics")
-            .map(|t| Instant::now() + t);
-
-        let n1 = query.pattern.node_count();
-        let xi = query.config.xi;
-        let mut sub_config = query.config.clone();
-        sub_config.force_plan = Some(plan.kind);
-        sub_config.restarts = Some(plan.restarts);
-        sub_config.partition = true;
-
-        let route_open = tr.as_ref().map(|t| t.begin());
-        let relevant: Vec<bool> = routed
-            .shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .nodes
-                    .iter()
-                    .any(|&g| (0..n1 as u32).any(|v| query.matrix.score(NodeId(v), g) >= xi))
-            })
-            .collect();
-        if let (Some(t), Some(open)) = (tr.as_mut(), route_open) {
-            t.end(SpanKind::Route, open);
-        }
-
-        let mut timed_out = false;
-        let mut consulted = 0usize;
-        let mut all_cache_hits = true;
-        let mut backends: Vec<String> = Vec::new();
-        let mut shard_maps: Vec<(usize, PHomMapping)> = Vec::new();
-        for (si, shard) in routed.shards.iter().enumerate() {
-            if !relevant[si] {
-                continue;
-            }
-            let mut remaining = None;
-            if let Some(d) = deadline {
-                // phom-lint: allow(clock, "monotonic deadline check for the per-request time budget; no wall-clock semantics")
-                let left = d.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    timed_out = true;
-                    break;
-                }
-                remaining = Some(left);
-            }
-            consulted += 1;
-            let shard_open = tr.as_ref().map(|t| t.begin());
-            let local_matrix = SimMatrix::from_fn(n1, shard.nodes.len(), |v, lu| {
-                query.matrix.score(v, shard.nodes[lu.index()])
-            });
-            let mut sub = Query::new(Arc::clone(&query.pattern), local_matrix);
-            sub.weights = query.weights.clone();
-            sub.config = sub_config.clone();
-            if remaining.is_some() {
-                sub.config.timeout = remaining;
-            }
-            let msg = WireMessage::Request(Request::Query {
-                graph: shard_graph_name(graph, si),
-                query: sub,
-                trace: tr.is_some(),
-            });
-            let (resp, worker) = self.shard_request(graph, si, shard, &msg)?;
-            let Response::Answer(r) = resp else {
-                return Err(RouterError::Protocol(
-                    "query answered with a non-answer response".into(),
-                ));
-            };
-            timed_out |= r.timed_out;
-            let global = PHomMapping::from_pairs(
-                n1,
-                r.mapping
-                    .pairs()
-                    .map(|(v, lu)| (v, shard.nodes[lu.index()])),
-            );
-            shard_maps.push((si, global));
-            if let (Some(t), Some(open)) = (tr.as_mut(), shard_open) {
-                t.end(
-                    SpanKind::WorkerMatch {
-                        shard: si as u32,
-                        worker: worker as u32,
-                    },
-                    open,
-                );
-                if let Some(st) = r.trace {
-                    t.counters.restarts_taken += st.counters.restarts_taken;
-                    t.counters.budget_polls += st.counters.budget_polls;
-                    t.counters.components += st.counters.components;
-                    t.counters.parallel_components += st.counters.parallel_components;
-                    t.counters.candidate_pairs += st.counters.candidate_pairs;
-                    t.counters.extended_pairs += st.counters.extended_pairs;
-                    all_cache_hits &= st.counters.cache_hit;
-                    if !backends.contains(&st.counters.closure_backend) {
-                        backends.push(st.counters.closure_backend.clone());
-                    }
-                }
-            }
-        }
-
-        let merge_open = tr.as_ref().map(|t| t.begin());
-        let weights = query.effective_weights();
-        let similarity = query.config.algorithm.similarity();
-        let mut merged = PHomMapping::empty(n1);
-        // Proposition 1: pattern components are independent, so each
-        // takes its best shard's assignment (identical tie-breaks to the
-        // in-process merge: primary quality, then secondary, first
-        // shard wins ties).
-        for comp in weakly_connected_components(&*query.pattern) {
-            let mut best: Option<(f64, f64, usize)> = None;
-            for (entry_idx, (_, map)) in shard_maps.iter().enumerate() {
-                let mut card = 0usize;
-                let mut sim = 0.0f64;
-                for &v in &comp {
-                    if let Some(u) = map.get(v) {
-                        card += 1;
-                        sim += weights.get(v) * query.matrix.score(v, u);
-                    }
-                }
-                if card == 0 {
-                    continue;
-                }
-                let (primary, secondary) = if similarity {
-                    (sim, card as f64)
-                } else {
-                    (card as f64, sim)
-                };
-                let better = match best {
-                    None => true,
-                    Some((p, s, _)) => primary > p || (primary == p && secondary > s),
-                };
-                if better {
-                    best = Some((primary, secondary, entry_idx));
-                }
-            }
-            if let Some((_, _, entry_idx)) = best {
-                let (_, map) = &shard_maps[entry_idx];
-                for &v in &comp {
-                    if let Some(u) = map.get(v) {
-                        merged.set(v, u);
-                    }
-                }
-            }
-        }
-
-        let qual_card = merged.qual_card();
-        let qual_sim = merged.qual_sim(&weights, &query.matrix);
-        if let Some(t) = tr.as_mut() {
-            if let Some(open) = merge_open {
-                t.end(SpanKind::Merge, open);
-            }
-            t.counters.plan = plan.kind.name().to_owned();
-            t.counters.restarts_planned = plan.restarts;
-            t.counters.shards_consulted = consulted;
-            t.counters.timed_out = timed_out;
-            t.counters.cache_hit = consulted > 0 && all_cache_hits;
-            t.counters.closure_backend = match backends.len() {
-                0 => "none".to_owned(),
-                1 => backends.swap_remove(0),
-                _ => "mixed".to_owned(),
-            };
-        }
-        Ok(QueryResponse {
-            mapping: merged,
-            qual_card,
-            qual_sim,
-            plan,
-            shards_consulted: consulted,
-            timed_out,
-            micros: started.elapsed().as_micros(),
-            trace: tr,
-        })
-    }
-
     // ---- updates ---------------------------------------------------
 
-    /// Applies an update batch, mirroring the in-process registry's
-    /// routing: cross-shard edge inserts (and pin flips) re-split the
-    /// graph across the fleet; everything else goes to each owning
-    /// shard's primary and is then replicated to its replicas
-    /// (idempotent edge mutations, so a failover retry is safe).
+    /// Applies an update batch routed by [`ShardMap::route_updates`]:
+    /// cross-shard edge inserts (and pin flips) re-split the graph across
+    /// the fleet; everything else goes to each owning shard's primary and
+    /// is then replicated to its replicas (idempotent edge mutations, so
+    /// a failover retry is safe).
     pub fn apply_updates(
         &self,
         graph: &str,
@@ -1192,77 +922,18 @@ impl Router {
             }
             .into());
         };
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for routed update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let n = routed.graph.node_count();
-        let sharded = routed.shards.len() > 1;
-        let cross_shard_insert = sharded
-            && updates.iter().any(|u| {
-                let (a, b) = u.endpoints();
-                u.in_range(n)
-                    && matches!(u, GraphUpdate::InsertEdge(..))
-                    && !routed.graph.has_edge(a, b)
-                    && routed.locator[a.index()].0 != routed.locator[b.index()].0
-            });
-
-        let mut full = (*routed.graph).clone();
-        let mut full_stats = UpdateStats::default();
-        for &u in updates {
-            if !u.in_range(n) {
-                full_stats.rejected += 1;
-            } else if u.apply_to(&mut full) {
-                full_stats.applied += 1;
-            } else {
-                full_stats.noops += 1;
-            }
-        }
-        let full = Arc::new(full);
-
-        if cross_shard_insert {
-            let mut stats = full_stats;
-            stats.rebuilds += 1;
-            let rebuilt = self.rebuild_routed(graph, routed, full)?;
-            stats.apply_micros = started.elapsed().as_micros();
-            let shards = rebuilt.shards.len();
-            *routed = rebuilt;
-            return Ok(UpdateSummary {
-                stats,
-                resharded: true,
-                shards,
-            });
-        }
-
-        // Route to owning shards (cross-shard deletes target edges that
-        // cannot exist and were counted as no-ops above).
-        let mut per_shard: Vec<Vec<GraphUpdate>> = vec![Vec::new(); routed.shards.len()];
-        for &u in updates {
-            if !u.in_range(n) {
-                continue;
-            }
-            let (a, b) = u.endpoints();
-            let (sa, la) = routed.locator[a.index()];
-            let (sb, lb) = routed.locator[b.index()];
-            if sa != sb {
-                continue;
-            }
-            let local = match u {
-                GraphUpdate::InsertEdge(..) => GraphUpdate::InsertEdge(NodeId(la), NodeId(lb)),
-                GraphUpdate::RemoveEdge(..) => GraphUpdate::RemoveEdge(NodeId(la), NodeId(lb)),
-            };
-            per_shard[sa as usize].push(local);
-        }
-
-        let mut agg = UpdateStats {
-            rejected: full_stats.rejected,
-            ..Default::default()
+        let batch = routed.map.route_updates(updates);
+        let Some(per_shard) = &batch.per_shard else {
+            return self.reshard(graph, routed, &batch);
         };
-        for (si, shard) in routed.shards.iter().enumerate() {
-            if per_shard[si].is_empty() {
+        let mut shard_stats = Vec::new();
+        for (si, (shard, local)) in routed.shards.iter().zip(per_shard).enumerate() {
+            if local.is_empty() {
                 continue;
             }
             let msg = WireMessage::Request(Request::ApplyUpdates {
                 graph: shard_graph_name(graph, si),
-                updates: per_shard[si].clone(),
+                updates: local.clone(),
             });
             // Primary-tagged write; promotion walks the ring if the
             // primary is gone, and an empty ring is a typed NoQuorum.
@@ -1272,72 +943,57 @@ impl Router {
                     "update answered with a non-update response".into(),
                 ));
             };
-            agg.absorb(&sum.stats);
+            shard_stats.push(sum.stats);
             self.replicate(graph, si, shard, &msg);
         }
-        agg.noops = full_stats.noops;
-
-        // Pin-flip mirror: no edge crosses a shard, so the full graph's
-        // SCC count is the sum of the per-shard counts the workers just
-        // maintained — fetched from their `GraphInfo` surfaces.
-        if sharded && self.config.planner.compression == CompressionPolicy::Auto && agg.applied > 0
-        {
-            let mut scc_sum = 0usize;
-            for (si, shard) in routed.shards.iter().enumerate() {
-                let msg = WireMessage::Request(Request::GraphInfo {
-                    graph: shard_graph_name(graph, si),
-                });
-                let (resp, _) = self.primary_request(graph, si, shard, &msg)?;
-                let Response::Info(info) = resp else {
-                    return Err(RouterError::Protocol(
-                        "info answered with a non-info response".into(),
-                    ));
-                };
-                scc_sum += info.scc_count;
-            }
-            let current = routed.pinned.unwrap_or(self.config.planner.compression);
-            if CompressionPolicy::pinned(n, scc_sum) != current {
-                let mut stats = full_stats;
-                stats.rebuilds += 1;
-                let rebuilt = self.rebuild_routed(graph, routed, full)?;
-                stats.apply_micros = started.elapsed().as_micros();
-                let shards = rebuilt.shards.len();
-                *routed = rebuilt;
-                return Ok(UpdateSummary {
-                    stats,
-                    resharded: true,
-                    shards,
-                });
-            }
+        let stats = batch.fold(&shard_stats);
+        let flipped = routed
+            .map
+            .pin_flipped(self.config.planner.compression, &stats, || {
+                self.scc_sum(graph, &routed.shards)
+            })?;
+        if flipped {
+            return self.reshard(graph, routed, &batch);
         }
-        agg.apply_micros = started.elapsed().as_micros();
-        routed.graph = full;
-        Ok(UpdateSummary {
-            stats: agg,
-            resharded: false,
-            shards: routed.shards.len(),
-        })
+        routed.map.commit(&batch);
+        Ok(batch.applied(stats, routed.shards.len()))
     }
 
-    /// Evicts the old shard graphs and re-registers `full` from scratch
-    /// (fresh split, fresh pin) — the cluster version of the registry's
-    /// "re-split from scratch" path.
-    fn rebuild_routed(
+    /// The SCC counts the shards' primaries just maintained, summed from
+    /// their `GraphInfo` surfaces.
+    fn scc_sum(&self, graph: &str, shards: &[RoutedShard]) -> Result<usize, RouterError> {
+        let mut sum = 0usize;
+        for (si, shard) in shards.iter().enumerate() {
+            let msg = WireMessage::Request(Request::GraphInfo {
+                graph: shard_graph_name(graph, si),
+            });
+            let (resp, _) = self.primary_request(graph, si, shard, &msg)?;
+            sum += info_of(resp)?.scc_count;
+        }
+        Ok(sum)
+    }
+
+    /// Evicts the old shard graphs and registers the batch's full graph
+    /// from scratch (fresh split, fresh pin) — the cluster version of the
+    /// registry's re-split.
+    fn reshard(
         &self,
         name: &str,
-        old: &RoutedGraph,
-        full: Arc<DiGraph<String>>,
-    ) -> Result<RoutedGraph, RouterError> {
-        self.evict_routed(name, old);
-        let (rebuilt, _) = self.build_routed(name, full)?;
-        Ok(rebuilt)
+        routed: &mut RoutedGraph,
+        batch: &RoutedUpdates<String>,
+    ) -> Result<UpdateSummary, RouterError> {
+        self.evict_shards(name, &routed.shards);
+        let (rebuilt, _) = self.build_routed(name, Arc::clone(&batch.graph))?;
+        let summary = batch.resharded(rebuilt.shards.len());
+        *routed = rebuilt;
+        Ok(summary)
     }
 
     // ---- introspection ---------------------------------------------
 
-    /// Aggregated shape/index statistics for a routed graph, summing the
-    /// live per-shard `GraphInfo` surfaces exactly as the in-process
-    /// entry does.
+    /// Aggregated shape/index statistics for a routed graph: the live
+    /// per-shard `GraphInfo` surfaces folded by [`ShardMap::info`], as
+    /// the in-process entry folds its shards.
     pub fn graph_info(&self, name: &str) -> Result<GraphInfo, RouterError> {
         let graphs = self.graphs.read().unwrap_or_else(|e| e.into_inner());
         let Some(routed) = graphs.get(name) else {
@@ -1346,31 +1002,15 @@ impl Router {
             }
             .into());
         };
-        let mut infos = Vec::with_capacity(routed.shards.len());
+        let mut stats = Vec::with_capacity(routed.shards.len());
         for (si, shard) in routed.shards.iter().enumerate() {
             let msg = WireMessage::Request(Request::GraphInfo {
                 graph: shard_graph_name(name, si),
             });
             let (resp, _) = self.shard_request(name, si, shard, &msg)?;
-            let Response::Info(info) = resp else {
-                return Err(RouterError::Protocol(
-                    "info answered with a non-info response".into(),
-                ));
-            };
-            infos.push(info);
+            stats.push(prepare_stats(info_of(resp)?));
         }
-        let compression = routed
-            .pinned
-            .unwrap_or(self.config.planner.compression)
-            .name()
-            .to_owned();
-        Ok(aggregate_info(
-            name,
-            &routed.graph,
-            &routed.shards,
-            &infos,
-            compression,
-        ))
+        Ok(routed.map.info(name, &stats))
     }
 
     /// Names of the graphs registered through this router.
@@ -1384,46 +1024,37 @@ impl Router {
     }
 }
 
-/// Folds per-shard `GraphInfo`s into the full-graph view, the same
-/// summation and backend merge as the in-process `GraphEntry::info`.
-fn aggregate_info(
-    name: &str,
-    graph: &DiGraph<String>,
-    shards: &[RoutedShard],
-    infos: &[GraphInfo],
-    compression: String,
-) -> GraphInfo {
-    let mut info = GraphInfo {
-        name: name.to_owned(),
-        nodes: graph.node_count(),
-        edges: graph.edge_count(),
-        shards: shards.len(),
-        shard_nodes: shards.iter().map(|s| s.nodes.len()).collect(),
-        scc_count: 0,
-        closure_edges: 0,
-        closure_memory_bytes: 0,
-        closure_backend: String::new(),
-        compressed_nodes: None,
-        prepare_micros: 0,
-        compression,
-    };
-    let mut backends: Vec<&str> = Vec::new();
-    for shard_info in infos {
-        info.scc_count += shard_info.scc_count;
-        info.closure_edges += shard_info.closure_edges;
-        info.closure_memory_bytes += shard_info.closure_memory_bytes;
-        info.prepare_micros += shard_info.prepare_micros;
-        if let Some(c) = shard_info.compressed_nodes {
-            *info.compressed_nodes.get_or_insert(0) += c;
-        }
-        if !backends.contains(&shard_info.closure_backend.as_str()) {
-            backends.push(&shard_info.closure_backend);
-        }
+/// The answer in a worker's response to a query.
+fn answer_of(resp: Response) -> Result<QueryResponse, RouterError> {
+    match resp {
+        Response::Answer(r) => Ok(r),
+        _ => Err(RouterError::Protocol(
+            "query answered with a non-answer response".into(),
+        )),
     }
-    info.closure_backend = match backends.len() {
-        0 => "none".to_owned(),
-        1 => backends[0].to_owned(),
-        _ => "mixed".to_owned(),
-    };
-    info
+}
+
+/// The info in a worker's response to a `GraphInfo` request.
+fn info_of(resp: Response) -> Result<GraphInfo, RouterError> {
+    match resp {
+        Response::Info(info) => Ok(info),
+        _ => Err(RouterError::Protocol(
+            "info answered with a non-info response".into(),
+        )),
+    }
+}
+
+/// A worker's report on the one shard it holds, as the prepare
+/// statistics [`ShardMap::info`] folds.
+fn prepare_stats(info: GraphInfo) -> PrepareStats {
+    PrepareStats {
+        nodes: info.nodes,
+        edges: info.edges,
+        scc_count: info.scc_count,
+        closure_edges: info.closure_edges,
+        closure_backend: info.closure_backend,
+        closure_memory_bytes: info.closure_memory_bytes,
+        compressed_nodes: info.compressed_nodes,
+        prepare_micros: info.prepare_micros,
+    }
 }

@@ -67,8 +67,6 @@ pub use engine::{
     graph_fingerprint, percentile_micros, BatchOutcome, Engine, EngineConfig, EngineConfigBuilder,
     EngineStats, QueryResult,
 };
-#[allow(deprecated)]
-pub use planner::plan_query;
 pub use planner::{
     plan_query_with, ClosureBackend, CompressionPolicy, Plan, PlanKind, PlannerConfig,
     PlannerConfigBuilder, Query, QueryConfig, QueryConfigBuilder, ResolvedBackend,

@@ -547,18 +547,7 @@ pub fn plan_query_with<L>(query: &Query<L>, cfg: &PlannerConfig) -> Plan {
     }
 }
 
-/// Routes a query with the default cutoffs — see [`plan_query_with`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan_query_with(query, &PlannerConfig::default()) — or route \
-            queries through phom_service::Service, which plans internally"
-)]
-pub fn plan_query<L>(query: &Query<L>) -> Plan {
-    plan_query_with(query, &PlannerConfig::default())
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // `plan_query`'s own forwarding behavior stays tested
 mod tests {
     use super::*;
     use phom_graph::graph_from_labels;
@@ -577,13 +566,19 @@ mod tests {
     fn stretch_routes_to_bounded() {
         let mut q = query_for(3, &[("n0", "n1")]);
         q.config.max_stretch = Some(2);
-        assert_eq!(plan_query(&q).kind, PlanKind::Bounded);
+        assert_eq!(
+            plan_query_with(&q, &PlannerConfig::default()).kind,
+            PlanKind::Bounded
+        );
     }
 
     #[test]
     fn edgeless_routes_to_baseline() {
         let q = query_for(3, &[]);
-        assert_eq!(plan_query(&q).kind, PlanKind::Baseline);
+        assert_eq!(
+            plan_query_with(&q, &PlannerConfig::default()).kind,
+            PlanKind::Baseline
+        );
     }
 
     #[test]
@@ -597,7 +592,7 @@ mod tests {
                 0.0
             }
         });
-        let plan = plan_query(&q);
+        let plan = plan_query_with(&q, &PlannerConfig::default());
         assert_eq!(plan.kind, PlanKind::Exact);
         assert_eq!(plan.restarts, 1);
     }
@@ -605,7 +600,7 @@ mod tests {
     #[test]
     fn large_instance_routes_to_approx() {
         let q = query_for(10, &[("n0", "n1"), ("n1", "n2")]);
-        let plan = plan_query(&q);
+        let plan = plan_query_with(&q, &PlannerConfig::default());
         assert_eq!(plan.kind, PlanKind::Approx);
         assert_eq!(plan.restarts, 4, "400 candidate pairs: restart-friendly");
     }
@@ -614,7 +609,7 @@ mod tests {
     fn requested_restarts_win() {
         let mut q = query_for(10, &[("n0", "n1")]);
         q.config.restarts = Some(9);
-        assert_eq!(plan_query(&q).restarts, 9);
+        assert_eq!(plan_query_with(&q, &PlannerConfig::default()).restarts, 9);
     }
 
     #[test]
@@ -622,7 +617,10 @@ mod tests {
         let mut q = query_for(10, &[("n0", "n1")]);
         q.config.force_plan = Some(PlanKind::Approx);
         q.config.max_stretch = Some(1); // would otherwise route Bounded
-        assert_eq!(plan_query(&q).kind, PlanKind::Approx);
+        assert_eq!(
+            plan_query_with(&q, &PlannerConfig::default()).kind,
+            PlanKind::Approx
+        );
     }
 
     #[test]
@@ -661,7 +659,10 @@ mod tests {
     fn planner_config_cutoffs_are_tunable() {
         // 10 * 40 = 400 candidate pairs: Approx under the default cutoff.
         let q = query_for(10, &[("n0", "n1")]);
-        assert_eq!(plan_query(&q).kind, PlanKind::Approx);
+        assert_eq!(
+            plan_query_with(&q, &PlannerConfig::default()).kind,
+            PlanKind::Approx
+        );
         // Raising the exact cutoff above 400 routes the same query Exact.
         let generous = PlannerConfig {
             exact_pair_cutoff: 500,

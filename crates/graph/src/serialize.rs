@@ -179,6 +179,15 @@ pub fn from_snapshot(mut data: Bytes) -> Result<DiGraph<String>, ParseError> {
     }
     let n = data.get_u32() as usize;
     let m = data.get_u32() as usize;
+    // Every node takes at least its 4-byte label length, so a count the
+    // remaining bytes cannot hold is corrupt — and must be rejected
+    // before the allocation sizes itself off it.
+    if n > data.remaining() / 4 {
+        return Err(ParseError::Corrupt(format!(
+            "{n} nodes exceed what {} snapshot bytes can hold",
+            data.remaining()
+        )));
+    }
     let mut g = DiGraph::with_capacity(n);
     for _ in 0..n {
         need(&data, 4)?;
@@ -319,6 +328,18 @@ mod tests {
         let snap = to_snapshot(&g);
         let cut = snap.slice(0..snap.len() - 3);
         assert!(matches!(from_snapshot(cut), Err(ParseError::Corrupt(_))));
+    }
+
+    /// A corrupt node count is rejected before it sizes an allocation
+    /// (0xFF in its top byte asks for billions of nodes).
+    #[test]
+    fn snapshot_rejects_node_count_beyond_its_bytes() {
+        let mut snap = to_snapshot(&sample()).to_vec();
+        snap[4] ^= 0xFF;
+        assert!(matches!(
+            from_snapshot(Bytes::from(snap)),
+            Err(ParseError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   merge per pattern component, answering **identically** to an
 //!   unsharded run for deterministic plans. Updates route to the owning
 //!   shard; cross-shard edge inserts re-split the entry.
+//! * [`ShardMap`] — that split and its routing rules, written once and
+//!   shared by the registry and the cluster router, which pass in how
+//!   one shard runs a sub-query or an update batch.
 //! * **Admission control** — a bounded in-flight queue
 //!   ([`ServiceConfig::queue_depth`]) that fast-rejects
 //!   [`ServiceError::Overloaded`] instead of queueing unboundedly, with
@@ -66,14 +69,16 @@ pub mod error;
 pub mod label;
 pub mod registry;
 pub mod service;
+pub mod shard_map;
 pub mod stats;
 
 pub use envelope::{GraphInfo, QueryResponse, Request, Response, UpdateSummary};
 pub use error::ServiceError;
 pub use label::ServiceLabel;
-pub use registry::{GraphEntry, GraphRegistry, ShardingConfig};
+pub use registry::{GraphEntry, GraphRegistry};
 pub use service::{plan_name_of, Service, ServiceConfig, ServiceConfigBuilder};
-pub use stats::{LatencyHistogram, PlanHistograms, ServiceStats, HISTOGRAM_BUCKETS};
+pub use shard_map::{RoutedUpdates, ShardAnswer, ShardMap, ShardingConfig};
+pub use stats::{LatencyHistogram, PlanHistograms, ServiceStats};
 
 // Re-exported so service consumers can speak the trace/metrics
 // vocabulary without a direct `phom-trace` dependency.

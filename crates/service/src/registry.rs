@@ -1,122 +1,43 @@
 //! [`GraphRegistry`]: named graphs, each split by weakly connected
 //! component into per-shard [`PreparedGraph`]s.
 //!
-//! ## Why WCC sharding is sound
-//!
-//! A p-hom witness path lives inside one weakly connected component of
-//! the data graph, so a *connected* pattern component can only map into
-//! one WCC — queries route to the shards that hold at least one candidate
-//! pair and merge per pattern component. Two things make the sharded
-//! answer **identical** to an unsharded run (property-tested in
-//! `tests/service.rs`), not merely equivalent-quality:
-//!
-//! 1. **Monotone ids** — shard node lists ascend in global id order
-//!    ([`phom_graph::component_groups`]), so every smallest-id tie-break
-//!    in the matching kernels picks the same node on a shard as on the
-//!    full graph.
-//! 2. **Pinned decisions** — the query is planned once against the full
-//!    graph and the plan forced onto every shard, and the Appendix-B
-//!    compression decision the *whole graph* would make is pinned onto
-//!    every shard via [`CompressionPolicy`] (compressed and uncompressed
-//!    runs are different greedy runs; letting each shard decide for
-//!    itself would diverge from the unsharded answer).
-//!
-//! Randomized restarts (`restarts > 1`) perturb the similarity matrix
-//! with an RNG stream over *all* data nodes, so their perturbations are
-//! not shard-local; sharded answers match unsharded ones exactly for
-//! deterministic plans (`restarts <= 1`, i.e. the paper's algorithm) and
-//! remain valid best-of mappings otherwise.
+//! The split, query routing and merging, and update routing belong to
+//! the entry's [`ShardMap`], shared with the cluster router; its module
+//! docs explain why the sharded answer is identical to an unsharded
+//! run. What stays here is what only the in-process tier does: prepare
+//! each shard through the engine, run a shard's sub-query or update
+//! batch on its prepared graph, and snapshot and restore the prepared
+//! shards.
 
 use crate::envelope::{GraphInfo, QueryResponse, UpdateSummary};
 use crate::error::ServiceError;
 use crate::label::ServiceLabel;
+use crate::shard_map::{single_shard_response, ShardAnswer, ShardMap, ShardingConfig};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use phom_core::PHomMapping;
 use phom_dynamic::GraphUpdate;
-use phom_engine::{
-    plan_query_with, CompressionPolicy, Engine, Plan, PlannerConfig, PrepareOptions, PreparedGraph,
-    Query, UpdateStats,
-};
-use phom_graph::{
-    component_groups, tarjan_scc, weakly_connected_components, DiGraph, NodeId, Violation,
-};
-use phom_sim::SimMatrix;
-use phom_trace::{QueryTrace, SpanKind};
-use std::collections::{BTreeSet, HashMap};
+use phom_engine::{CompressionPolicy, Engine, PlannerConfig, PrepareOptions, PreparedGraph, Query};
+use phom_graph::{DiGraph, NodeId, Violation};
+use phom_trace::SpanKind;
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
-/// When and how finely a registered graph is sharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardingConfig {
-    /// Maximum shards per graph; `<= 1` disables sharding.
-    pub max_shards: usize,
-    /// Graphs with fewer nodes than this stay unsharded (tiny graphs pay
-    /// routing overhead for no memory or isolation win).
-    pub min_shard_nodes: usize,
-}
-
-impl Default for ShardingConfig {
-    fn default() -> Self {
-        ShardingConfig {
-            max_shards: 8,
-            min_shard_nodes: 256,
-        }
-    }
-}
-
-impl ShardingConfig {
-    /// A config that never shards (every graph is one shard).
-    pub fn disabled() -> Self {
-        ShardingConfig {
-            max_shards: 1,
-            min_shard_nodes: usize::MAX,
-        }
-    }
-}
-
-/// One shard: a contiguous-by-id slice of the full graph's WCCs, with its
-/// own prepared artifacts.
-#[derive(Debug)]
-pub(crate) struct Shard<L> {
-    /// Global ids of the shard's nodes, ascending; `nodes[local]` is the
-    /// global id of shard-local node `local`.
-    pub(crate) nodes: Vec<NodeId>,
-    /// The shard's induced subgraph (the full graph itself when
-    /// unsharded).
-    pub(crate) graph: Arc<DiGraph<L>>,
-    /// The shard's prepared artifacts.
-    pub(crate) prepared: Arc<PreparedGraph<L>>,
-}
-
-impl<L> Shard<L> {
-    fn clone_ref(&self) -> Self {
-        Shard {
-            nodes: self.nodes.clone(),
-            graph: Arc::clone(&self.graph),
-            prepared: Arc::clone(&self.prepared),
-        }
-    }
-}
-
-/// One registered graph: the full graph, its shard layout, and the
-/// global→(shard, local) locator.
+/// One registered graph: its shard map and each shard's prepared
+/// artifacts.
 #[derive(Debug)]
 pub struct GraphEntry<L> {
     name: String,
-    graph: Arc<DiGraph<L>>,
-    shards: Vec<Shard<L>>,
-    /// `locator[global] = (shard index, local id)`.
-    locator: Vec<(u32, u32)>,
+    map: ShardMap<L>,
+    /// Shard `s`'s prepared graph, over its shard-local ids.
+    shards: Vec<Arc<PreparedGraph<L>>>,
     /// The (possibly pinned) options every shard was prepared under.
     options: PrepareOptions,
 }
 
 impl<L: ServiceLabel> GraphEntry<L> {
     /// Splits `graph` per `sharding` and prepares every shard through the
-    /// engine (so shards share its cache and counters). When the graph is
-    /// actually sharded and the configured compression policy is `Auto`,
-    /// the decision the whole graph would make is pinned onto the shards.
+    /// engine (so shards share its cache and counters), under the
+    /// compression policy the split pinned.
     pub(crate) fn build(
         engine: &Engine<L>,
         sharding: &ShardingConfig,
@@ -124,63 +45,26 @@ impl<L: ServiceLabel> GraphEntry<L> {
         name: String,
         graph: Arc<DiGraph<L>>,
     ) -> Self {
-        let n = graph.node_count();
-        let groups = if sharding.max_shards > 1 && n >= sharding.min_shard_nodes {
-            component_groups(&graph, sharding.max_shards)
-        } else if n == 0 {
-            Vec::new()
-        } else {
-            vec![graph.nodes().collect()]
+        let (map, shard_graphs) = ShardMap::split(graph, sharding, base_options.compression);
+        let options = PrepareOptions {
+            compression: map.compression(),
+            ..base_options
         };
-        let options = if groups.len() > 1 && base_options.compression == CompressionPolicy::Auto {
-            PrepareOptions {
-                compression: CompressionPolicy::pinned(n, tarjan_scc(&*graph).count()),
-                ..base_options
-            }
-        } else {
-            base_options
-        };
-        let mut locator = vec![(0u32, 0u32); n];
-        let mut shards = Vec::with_capacity(groups.len());
-        if groups.len() == 1 {
-            // Unsharded: serve the full graph directly, no induced copy.
-            for v in graph.nodes() {
-                locator[v.index()] = (0, v.0);
-            }
-            let prepared = engine.prepare_with(&graph, options);
-            shards.push(Shard {
-                nodes: graph.nodes().collect(),
-                graph: Arc::clone(&graph),
-                prepared,
-            });
-        } else {
-            for (si, nodes) in groups.into_iter().enumerate() {
-                let keep: BTreeSet<NodeId> = nodes.iter().copied().collect();
-                let (sub, old_ids) = graph.induced_subgraph(&keep);
-                for (local, &global) in old_ids.iter().enumerate() {
-                    locator[global.index()] = (si as u32, local as u32);
-                }
-                let shard_graph = Arc::new(sub);
-                let prepared = engine.prepare_with(&shard_graph, options);
-                shards.push(Shard {
-                    nodes: old_ids,
-                    graph: shard_graph,
-                    prepared,
-                });
-            }
-        }
+        let shards = shard_graphs
+            .iter()
+            .map(|g| engine.prepare_with(g, options))
+            .collect();
         GraphEntry {
             name,
-            graph,
+            map,
             shards,
-            locator,
             options,
         }
     }
 
     /// The full data graph (current version).
     pub fn graph(&self) -> &Arc<DiGraph<L>> {
-        &self.graph
+        self.map.graph()
     }
 
     /// Shard count.
@@ -192,166 +76,69 @@ impl<L: ServiceLabel> GraphEntry<L> {
     /// (the engine-parity fast path).
     pub(crate) fn sole_prepared(&self) -> Option<&Arc<PreparedGraph<L>>> {
         match self.shards.as_slice() {
-            [only] => Some(&only.prepared),
+            [only] => Some(only),
             _ => None,
         }
     }
 
     /// Shape and index statistics.
     pub fn info(&self) -> GraphInfo {
-        let mut info = GraphInfo {
-            name: self.name.clone(),
-            nodes: self.graph.node_count(),
-            edges: self.graph.edge_count(),
-            shards: self.shards.len(),
-            shard_nodes: self.shards.iter().map(|s| s.nodes.len()).collect(),
-            scc_count: 0,
-            closure_edges: 0,
-            closure_memory_bytes: 0,
-            closure_backend: String::new(),
-            compressed_nodes: None,
-            prepare_micros: 0,
-            compression: self.options.compression.name().to_owned(),
-        };
-        let mut backends: Vec<&str> = Vec::new();
-        for shard in &self.shards {
-            let stats = shard.prepared.stats();
-            info.scc_count += stats.scc_count;
-            info.closure_edges += stats.closure_edges;
-            info.closure_memory_bytes += stats.closure_memory_bytes;
-            info.prepare_micros += stats.prepare_micros;
-            if let Some(c) = stats.compressed_nodes {
-                *info.compressed_nodes.get_or_insert(0) += c;
-            }
-            if !backends.contains(&stats.closure_backend.as_str()) {
-                backends.push(&stats.closure_backend);
-            }
-        }
-        info.closure_backend = match backends.len() {
-            0 => "none".to_owned(),
-            1 => backends[0].to_owned(),
-            _ => "mixed".to_owned(),
-        };
-        info
+        self.map
+            .info(&self.name, self.shards.iter().map(|p| p.stats()))
+    }
+
+    fn shard_graphs(&self) -> Vec<&DiGraph<L>> {
+        self.shards.iter().map(|p| p.graph().as_ref()).collect()
     }
 
     /// Structural invariants of the sharded entry, cheap tier: the shard
-    /// layout partitions the full graph's nodes (locator and node lists
+    /// layout partitions the full graph's nodes (node lists and locator
     /// agree in both directions, lists ascend in global id order — the
-    /// monotone-ids soundness condition above), every shard was prepared
+    /// monotone-ids condition of [`ShardMap`]), every shard was prepared
     /// under the entry's pinned options (the pinned-decisions condition),
     /// and every shard's reachability backend passes its own
     /// [`PreparedGraph::validate`]. Does not recompute any closure.
     pub fn validate(&self) -> Result<(), Violation> {
-        let n = self.graph.node_count();
-        if self.locator.len() != n {
-            return Err(Violation::new(
-                "registry-shape",
-                format!("locator covers {} of {n} nodes", self.locator.len()),
-            ));
-        }
-        let mut covered = 0usize;
-        for (si, shard) in self.shards.iter().enumerate() {
-            if shard.graph.node_count() != shard.nodes.len()
-                || shard.prepared.graph().node_count() != shard.nodes.len()
-            {
-                return Err(Violation::new(
-                    "registry-shape",
-                    format!(
-                        "shard {si}: {} listed nodes, graph has {}, prepared has {}",
-                        shard.nodes.len(),
-                        shard.graph.node_count(),
-                        shard.prepared.graph().node_count()
-                    ),
-                ));
-            }
-            covered += shard.nodes.len();
-            let mut prev: Option<u32> = None;
-            for (local, &g) in shard.nodes.iter().enumerate() {
-                if prev.is_some_and(|p| p >= g.0) {
-                    return Err(Violation::new(
-                        "registry-order",
-                        format!("shard {si}: node list not strictly ascending at {}", g.0),
-                    ));
-                }
-                prev = Some(g.0);
-                if self.locator.get(g.index()).copied() != Some((si as u32, local as u32)) {
-                    return Err(Violation::new(
-                        "registry-locator",
-                        format!("node {} not located at shard {si} slot {local}", g.0),
-                    ));
-                }
-            }
-            if shard.prepared.options() != self.options {
+        self.map.validate(&self.shard_graphs())?;
+        for (si, prepared) in self.shards.iter().enumerate() {
+            if prepared.options() != self.options {
                 return Err(Violation::new(
                     "registry-pin",
                     format!("shard {si} prepared under different options than the entry's pin"),
                 ));
             }
-            shard
-                .prepared
+            prepared
                 .validate()
                 .map_err(|v| Violation::new(v.check, format!("shard {si}: {}", v.detail)))?;
         }
-        if covered != n {
-            return Err(Violation::new(
-                "registry-partition",
-                format!("shards cover {covered} of {n} nodes"),
-            ));
-        }
         Ok(())
     }
 
-    /// Deep tier of [`GraphEntry::validate`]: additionally validates
-    /// every shard's backend against its shard graph (fresh Tarjan
-    /// partition + sampled BFS ground truth, `samples` sources per
-    /// shard), and checks each shard graph is the full graph's induced
-    /// subgraph on its node list (labels and edges).
+    /// Deep tier of [`GraphEntry::validate`]: additionally checks each
+    /// shard graph is the full graph's induced subgraph on its node list
+    /// (labels and edges), and validates every shard's backend against
+    /// its shard graph (fresh Tarjan partition + sampled BFS ground
+    /// truth, `samples` sources per shard).
     pub fn validate_deep(&self, samples: usize) -> Result<(), Violation> {
         self.validate()?;
-        for (si, shard) in self.shards.iter().enumerate() {
-            for (local, &global) in shard.nodes.iter().enumerate() {
-                if shard.graph.label(NodeId(local as u32)) != self.graph.label(global) {
-                    return Err(Violation::new(
-                        "registry-labels",
-                        format!(
-                            "shard {si}: node {} label disagrees with full graph",
-                            global.0
-                        ),
-                    ));
-                }
-            }
-            for (a, b) in shard.graph.edges() {
-                if !self
-                    .graph
-                    .has_edge(shard.nodes[a.index()], shard.nodes[b.index()])
-                {
-                    return Err(Violation::new(
-                        "registry-edges",
-                        format!("shard {si}: edge {a:?}->{b:?} missing from full graph"),
-                    ));
-                }
-            }
-            shard
-                .prepared
+        self.map.validate_induced(&self.shard_graphs())?;
+        for (si, prepared) in self.shards.iter().enumerate() {
+            prepared
                 .validate_deep(samples)
                 .map_err(|v| Violation::new(v.check, format!("shard {si}: {}", v.detail)))?;
         }
-        let full_edges = self.graph.edge_count();
-        let shard_edges: usize = self.shards.iter().map(|s| s.graph.edge_count()).sum();
-        if full_edges != shard_edges {
-            return Err(Violation::new(
-                "registry-edges",
-                format!("shards hold {shard_edges} edges, full graph has {full_edges}"),
-            ));
-        }
         Ok(())
     }
 
-    /// Plans `query` once against the full graph, routes it to the shards
-    /// that can contain a match, and merges per pattern component. With
-    /// `trace`, the response carries a [`QueryTrace`] of `plan` / `route`
-    /// / `shard_match` / `merge` spans; untraced calls construct nothing.
+    /// Rejects a query that does not fit the pattern and this graph (see
+    /// [`ShardMap::check`]).
+    pub(crate) fn check(&self, query: &Query<L>) -> Result<(), ServiceError> {
+        self.map.check(&self.name, query)
+    }
+
+    /// Runs `query`: on the one shard of an unsharded entry, otherwise
+    /// through [`ShardMap::scatter_gather`] with each shard's forced
+    /// sub-query on its prepared graph (a `shard_match` span apiece).
     pub(crate) fn execute(
         &self,
         engine: &Engine<L>,
@@ -359,261 +146,29 @@ impl<L: ServiceLabel> GraphEntry<L> {
         query: &Query<L>,
         trace: bool,
     ) -> Result<QueryResponse, ServiceError> {
-        let n1 = query.pattern.node_count();
-        if query.matrix.n1() != n1 {
-            return Err(ServiceError::InvalidRequest(format!(
-                "similarity matrix has {} pattern rows, pattern has {} nodes",
-                query.matrix.n1(),
-                n1
-            )));
+        self.check(query)?;
+        if let Some(prepared) = self.sole_prepared() {
+            return Ok(single_shard_response(
+                engine.execute_traced(prepared, query, trace),
+            ));
         }
-        if query.matrix.n2() != self.graph.node_count() {
-            return Err(ServiceError::InvalidRequest(format!(
-                "similarity matrix has {} data columns, graph {:?} has {} nodes",
-                query.matrix.n2(),
-                self.name,
-                self.graph.node_count()
-            )));
-        }
-        if let Some(w) = &query.weights {
-            if w.len() != n1 {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "{} weights for {} pattern nodes",
-                    w.len(),
-                    n1
-                )));
-            }
-        }
-        if self.shards.len() == 1 {
-            let r = engine.execute_traced(&self.shards[0].prepared, query, trace);
-            let mut tr = r.trace;
-            if let Some(t) = tr.as_mut() {
-                t.counters.shards_consulted = 1;
-            }
-            return Ok(QueryResponse {
-                mapping: r.outcome.mapping,
-                qual_card: r.outcome.qual_card,
-                qual_sim: r.outcome.qual_sim,
-                plan: r.plan,
-                shards_consulted: 1,
-                timed_out: r.outcome.stats.timed_out,
-                micros: r.micros,
-                trace: tr,
-            });
-        }
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let mut tr = trace.then(|| Box::new(QueryTrace::new()));
-        let plan_open = tr.as_ref().map(|t| t.begin());
-        let plan = plan_query_with(query, planner);
-        if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
-            t.end(SpanKind::Plan, open);
-        }
-        // One deadline for the whole query, however many shards it
-        // consults (each engine call builds a fresh budget from the
-        // timeout it is handed, so without this the deadline would
-        // restart per shard and a k-shard query could run k × timeout).
-        let deadline = query
-            .config
-            .timeout
-            .or(planner.timeout)
-            // phom-lint: allow(clock, "monotonic deadline for the per-request time budget; no wall-clock semantics")
-            .map(|t| Instant::now() + t);
-        Ok(self.execute_sharded(engine, query, plan, deadline, started, tr))
-    }
-
-    /// The multi-shard path: candidate-routed fan-out, per-component
-    /// merge, one shared deadline. `started` is the instant planning
-    /// began, so the reported latency covers plan + route + match +
-    /// merge — the same stages the trace spans.
-    fn execute_sharded(
-        &self,
-        engine: &Engine<L>,
-        query: &Query<L>,
-        plan: Plan,
-        deadline: Option<Instant>,
-        started: Instant,
-        mut tr: Option<Box<QueryTrace>>,
-    ) -> QueryResponse {
-        let n1 = query.pattern.node_count();
-        let xi = query.config.xi;
-        // The plan (and its restart grant) was decided on the full
-        // candidate set; shards execute it verbatim so the sharded run
-        // answers exactly like the unsharded one. Pattern partitioning is
-        // forced on: routing components to shards *is* the Appendix-B
-        // partition, so a sharded entry always behaves like a
-        // `partition = true` run (the unpartitioned greedy interleaves
-        // its choices across components and cannot be reproduced from
-        // per-shard runs; `QueryConfig::partition = false` stays honored
-        // on unsharded entries).
-        let mut sub_config = query.config.clone();
-        sub_config.force_plan = Some(plan.kind);
-        sub_config.restarts = Some(plan.restarts);
-        sub_config.partition = true;
-
-        // Routing: which shards hold at least one candidate pair. The
-        // scan reads only the immutable query matrix, so hoisting it out
-        // of the match loop (as the `route` span) changes no answers.
-        let route_open = tr.as_ref().map(|t| t.begin());
-        let relevant: Vec<bool> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .nodes
-                    .iter()
-                    .any(|&g| (0..n1 as u32).any(|v| query.matrix.score(NodeId(v), g) >= xi))
+        self.map
+            .scatter_gather(query, planner, trace, |si, sub, traced| {
+                let r = engine.execute_traced(&self.shards[si], &sub, traced);
+                Ok(ShardAnswer {
+                    mapping: r.outcome.mapping,
+                    timed_out: r.outcome.stats.timed_out,
+                    trace: r.trace,
+                    span: SpanKind::ShardMatch(si as u32),
+                })
             })
-            .collect();
-        if let (Some(t), Some(open)) = (tr.as_mut(), route_open) {
-            t.end(SpanKind::Route, open);
-        }
-
-        let mut timed_out = false;
-        let mut consulted = 0usize;
-        let mut all_cache_hits = true;
-        let mut backends: Vec<String> = Vec::new();
-        // (shard index, mapping translated to global ids)
-        let mut shard_maps: Vec<(usize, PHomMapping)> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            if !relevant[si] {
-                continue;
-            }
-            // Shards yet to run get only the *remaining* budget; once it
-            // is gone, the merge proceeds with what the earlier shards
-            // found (their components stay best-so-far, the skipped ones
-            // stay unmapped — the same semantics as an in-kernel expiry).
-            let mut remaining = None;
-            if let Some(d) = deadline {
-                // phom-lint: allow(clock, "monotonic deadline check for the per-request time budget; no wall-clock semantics")
-                let left = d.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    timed_out = true;
-                    break;
-                }
-                remaining = Some(left);
-            }
-            consulted += 1;
-            let shard_open = tr.as_ref().map(|t| t.begin());
-            let local_matrix = SimMatrix::from_fn(n1, shard.nodes.len(), |v, lu| {
-                query.matrix.score(v, shard.nodes[lu.index()])
-            });
-            let mut sub = Query::new(Arc::clone(&query.pattern), local_matrix);
-            sub.weights = query.weights.clone();
-            sub.config = sub_config.clone();
-            if remaining.is_some() {
-                sub.config.timeout = remaining;
-            }
-            let r = engine.execute_traced(&shard.prepared, &sub, tr.is_some());
-            timed_out |= r.outcome.stats.timed_out;
-            let global = PHomMapping::from_pairs(
-                n1,
-                r.outcome
-                    .mapping
-                    .pairs()
-                    .map(|(v, lu)| (v, shard.nodes[lu.index()])),
-            );
-            shard_maps.push((si, global));
-            if let (Some(t), Some(open)) = (tr.as_mut(), shard_open) {
-                t.end(SpanKind::ShardMatch(si as u32), open);
-                // Fold the shard's sampled counters into the query-level
-                // trace (its per-shard trace is otherwise discarded).
-                if let Some(st) = r.trace {
-                    t.counters.restarts_taken += st.counters.restarts_taken;
-                    t.counters.budget_polls += st.counters.budget_polls;
-                    t.counters.components += st.counters.components;
-                    t.counters.parallel_components += st.counters.parallel_components;
-                    t.counters.candidate_pairs += st.counters.candidate_pairs;
-                    t.counters.extended_pairs += st.counters.extended_pairs;
-                    all_cache_hits &= st.counters.cache_hit;
-                    if !backends.contains(&st.counters.closure_backend) {
-                        backends.push(st.counters.closure_backend.clone());
-                    }
-                }
-            }
-        }
-
-        let merge_open = tr.as_ref().map(|t| t.begin());
-        let weights = query.effective_weights();
-        let similarity = query.config.algorithm.similarity();
-        let mut merged = PHomMapping::empty(n1);
-        // Proposition 1: pattern components are independent, so each
-        // takes its best shard's assignment. A component chosen from one
-        // shard run is internally consistent (same joint run), and
-        // components from different shards have disjoint images — so the
-        // merge preserves validity and injectivity.
-        for comp in weakly_connected_components(&*query.pattern) {
-            let mut best: Option<(f64, f64, usize)> = None;
-            for (entry_idx, (_, map)) in shard_maps.iter().enumerate() {
-                let mut card = 0usize;
-                let mut sim = 0.0f64;
-                for &v in &comp {
-                    if let Some(u) = map.get(v) {
-                        card += 1;
-                        sim += weights.get(v) * query.matrix.score(v, u);
-                    }
-                }
-                if card == 0 {
-                    continue;
-                }
-                let (primary, secondary) = if similarity {
-                    (sim, card as f64)
-                } else {
-                    (card as f64, sim)
-                };
-                let better = match best {
-                    None => true,
-                    Some((p, s, _)) => primary > p || (primary == p && secondary > s),
-                };
-                if better {
-                    best = Some((primary, secondary, entry_idx));
-                }
-            }
-            if let Some((_, _, entry_idx)) = best {
-                let (_, map) = &shard_maps[entry_idx];
-                for &v in &comp {
-                    if let Some(u) = map.get(v) {
-                        merged.set(v, u);
-                    }
-                }
-            }
-        }
-
-        let qual_card = merged.qual_card();
-        let qual_sim = merged.qual_sim(&weights, &query.matrix);
-        if let Some(t) = tr.as_mut() {
-            if let Some(open) = merge_open {
-                t.end(SpanKind::Merge, open);
-            }
-            t.counters.plan = plan.kind.name().to_owned();
-            t.counters.restarts_planned = plan.restarts;
-            t.counters.shards_consulted = consulted;
-            t.counters.timed_out = timed_out;
-            t.counters.cache_hit = consulted > 0 && all_cache_hits;
-            t.counters.closure_backend = match backends.len() {
-                0 => "none".to_owned(),
-                1 => backends.swap_remove(0),
-                _ => "mixed".to_owned(),
-            };
-        }
-        QueryResponse {
-            mapping: merged,
-            qual_card,
-            qual_sim,
-            plan,
-            shards_consulted: consulted,
-            timed_out,
-            micros: started.elapsed().as_micros(),
-            trace: tr,
-        }
     }
 
-    /// Applies an update batch, routing each update to its owning shard.
-    /// A cross-shard edge insert merges components, and a batch can flip
-    /// the graph-wide compression decision — either way the entry is
-    /// re-split from scratch (`resharded = true`); otherwise each touched
-    /// shard goes through the engine's semi-dynamic maintenance path and
-    /// untouched shards are reused as-is.
+    /// Applies an update batch routed by [`ShardMap::route_updates`]:
+    /// each touched shard goes through the engine's semi-dynamic
+    /// maintenance and untouched shards are reused as-is. A cross-shard
+    /// insert, or a batch that flips the pinned compression decision,
+    /// re-splits the entry from scratch (`resharded = true`).
     pub(crate) fn apply(
         &self,
         engine: &Engine<L>,
@@ -621,142 +176,45 @@ impl<L: ServiceLabel> GraphEntry<L> {
         base_options: PrepareOptions,
         updates: &[GraphUpdate],
     ) -> (GraphEntry<L>, UpdateSummary) {
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let n = self.graph.node_count();
-        let sharded = self.shards.len() > 1;
-        let cross_shard_insert = sharded
-            && updates.iter().any(|u| {
-                let (a, b) = u.endpoints();
-                u.in_range(n)
-                    && matches!(u, GraphUpdate::InsertEdge(..))
-                    && !self.graph.has_edge(a, b)
-                    && self.locator[a.index()].0 != self.locator[b.index()].0
-            });
-
-        // The post-update full graph (kept in sync for routing, future
-        // re-shards, and snapshots).
-        let mut full = (*self.graph).clone();
-        let mut full_stats = UpdateStats::default();
-        for &u in updates {
-            if !u.in_range(n) {
-                full_stats.rejected += 1;
-            } else if u.apply_to(&mut full) {
-                full_stats.applied += 1;
-            } else {
-                full_stats.noops += 1;
-            }
-        }
-        let full = Arc::new(full);
-
-        if cross_shard_insert {
-            let mut stats = full_stats;
-            stats.rebuilds += 1;
-            let entry = GraphEntry::build(engine, sharding, base_options, self.name.clone(), full);
-            stats.apply_micros = started.elapsed().as_micros();
-            let shards = entry.shards.len();
-            return (
-                entry,
-                UpdateSummary {
-                    stats,
-                    resharded: true,
-                    shards,
-                },
-            );
-        }
-
-        // Route to owning shards (cross-shard deletes target edges that
-        // cannot exist — shards are unions of WCCs — and were already
-        // counted as no-ops above).
-        let mut per_shard: Vec<Vec<GraphUpdate>> = vec![Vec::new(); self.shards.len()];
-        for &u in updates {
-            if !u.in_range(n) {
-                continue;
-            }
-            let (a, b) = u.endpoints();
-            let (sa, la) = self.locator[a.index()];
-            let (sb, lb) = self.locator[b.index()];
-            if sa != sb {
-                continue;
-            }
-            let local = match u {
-                GraphUpdate::InsertEdge(..) => GraphUpdate::InsertEdge(NodeId(la), NodeId(lb)),
-                GraphUpdate::RemoveEdge(..) => GraphUpdate::RemoveEdge(NodeId(la), NodeId(lb)),
-            };
-            per_shard[sa as usize].push(local);
-        }
-
-        let mut agg = UpdateStats {
-            rejected: full_stats.rejected,
-            ..Default::default()
+        let batch = self.map.route_updates(updates);
+        let reshard = || {
+            let graph = Arc::clone(&batch.graph);
+            let entry = GraphEntry::build(engine, sharding, base_options, self.name.clone(), graph);
+            let summary = batch.resharded(entry.shard_count());
+            (entry, summary)
         };
-        let mut new_shards = Vec::with_capacity(self.shards.len());
-        for (si, shard) in self.shards.iter().enumerate() {
-            if per_shard[si].is_empty() {
-                new_shards.push(shard.clone_ref());
+        let Some(per_shard) = &batch.per_shard else {
+            return reshard();
+        };
+        let mut shards = self.shards.clone();
+        let mut shard_stats = Vec::new();
+        for (prepared, local) in shards.iter_mut().zip(per_shard) {
+            if local.is_empty() {
                 continue;
             }
-            let outcome = engine.apply_updates_prepared(&shard.prepared, &per_shard[si]);
-            agg.absorb(&outcome.stats);
-            new_shards.push(Shard {
-                nodes: shard.nodes.clone(),
-                graph: Arc::clone(outcome.prepared.graph()),
-                prepared: outcome.prepared,
-            });
+            let outcome = engine.apply_updates_prepared(prepared, local);
+            shard_stats.push(outcome.stats);
+            *prepared = outcome.prepared;
         }
-        // Shards see exactly the no-ops the full graph would (an induced
-        // subgraph has the same edges); cross-shard deletes never reached
-        // a shard, so take the full-graph count wholesale.
-        agg.noops = full_stats.noops;
-
-        // A pinned compression decision must track the graph it was
-        // pinned for. No edge crosses a shard, so the full graph's SCC
-        // count is exactly the sum of the (just-maintained) per-shard
-        // counts — no full-graph Tarjan pass per batch. A flip is rare;
-        // when it happens the entry is re-split from the updated full
-        // graph (the per-shard maintenance above is discarded — its
-        // engine-counter contributions stand, which slightly overcounts
-        // incremental work on this rare path).
-        if sharded && base_options.compression == CompressionPolicy::Auto && agg.applied > 0 {
-            let scc_sum: usize = new_shards
-                .iter()
-                .map(|s| s.prepared.stats().scc_count)
-                .sum();
-            if CompressionPolicy::pinned(n, scc_sum) != self.options.compression {
-                let mut stats = full_stats;
-                stats.rebuilds += 1;
-                let entry =
-                    GraphEntry::build(engine, sharding, base_options, self.name.clone(), full);
-                stats.apply_micros = started.elapsed().as_micros();
-                let shards = entry.shards.len();
-                return (
-                    entry,
-                    UpdateSummary {
-                        stats,
-                        resharded: true,
-                        shards,
-                    },
-                );
-            }
+        let stats = batch.fold(&shard_stats);
+        // The shards' just-maintained SCC counts: no full-graph Tarjan
+        // pass per batch.
+        let Ok(flipped) = self.map.pin_flipped(base_options.compression, &stats, || {
+            Ok::<_, Infallible>(shards.iter().map(|p| p.stats().scc_count).sum())
+        });
+        if flipped {
+            return reshard();
         }
-        agg.apply_micros = started.elapsed().as_micros();
-
+        let mut map = self.map.clone();
+        map.commit(&batch);
+        let summary = batch.applied(stats, shards.len());
         let entry = GraphEntry {
             name: self.name.clone(),
-            graph: full,
-            shards: new_shards,
-            locator: self.locator.clone(),
+            map,
+            shards,
             options: self.options,
         };
-        let shards = entry.shards.len();
-        (
-            entry,
-            UpdateSummary {
-                stats: agg,
-                resharded: false,
-                shards,
-            },
-        )
+        (entry, summary)
     }
 }
 
@@ -788,14 +246,15 @@ impl<L: ServiceLabel> GraphEntry<L> {
         buf.put_u32(SERVICE_MAGIC);
         buf.put_u8(SERVICE_SNAPSHOT_VERSION);
         buf.put_u8(compression_tag(self.options.compression));
-        buf.put_u32(self.graph.node_count() as u32);
+        buf.put_u32(self.graph().node_count() as u32);
         buf.put_u32(self.shards.len() as u32);
-        for shard in &self.shards {
-            buf.put_u32(shard.nodes.len() as u32);
-            for &g in &shard.nodes {
+        for (si, prepared) in self.shards.iter().enumerate() {
+            let nodes = self.map.shard_nodes(si);
+            buf.put_u32(nodes.len() as u32);
+            for &g in nodes {
                 buf.put_u32(g.0);
             }
-            let prepared = L::save_prepared(&shard.prepared)?;
+            let prepared = L::save_prepared(prepared)?;
             buf.put_u32(prepared.len() as u32);
             buf.put_slice(prepared.as_ref());
         }
@@ -804,8 +263,8 @@ impl<L: ServiceLabel> GraphEntry<L> {
 
     /// Restores an entry from [`GraphEntry::snapshot`] bytes: shard
     /// layout and warm indexes come from the snapshot (no closure
-    /// recomputation); the full graph is reassembled from the shard
-    /// graphs (sound because no edge crosses a WCC boundary).
+    /// recomputation); [`ShardMap`] checks the node lists and
+    /// reassembles the full graph from the shard graphs.
     pub(crate) fn restore(
         base_options: PrepareOptions,
         name: String,
@@ -861,87 +320,36 @@ impl<L: ServiceLabel> GraphEntry<L> {
                 "{shard_count} shards exceed {n} nodes"
             )));
         }
-        let mut shards: Vec<Shard<L>> = Vec::with_capacity(shard_count);
-        let mut locator = vec![(u32::MAX, 0u32); n];
-        for si in 0..shard_count {
+        let mut nodes: Vec<Vec<NodeId>> = Vec::with_capacity(shard_count);
+        let mut blobs: Vec<Bytes> = Vec::with_capacity(shard_count);
+        for _ in 0..shard_count {
             need(&data, 4)?;
             let count = data.get_u32() as usize;
             need(&data, 4 * count)?;
-            let nodes: Vec<NodeId> = (0..count).map(|_| NodeId(data.get_u32())).collect();
-            for (local, &g) in nodes.iter().enumerate() {
-                let slot = locator.get_mut(g.index()).ok_or_else(|| {
-                    ServiceError::SnapshotCorrupt(format!("node {} out of range {n}", g.0))
-                })?;
-                if slot.0 != u32::MAX {
-                    return Err(ServiceError::SnapshotCorrupt(format!(
-                        "node {} assigned to two shards",
-                        g.0
-                    )));
-                }
-                *slot = (si as u32, local as u32);
-            }
+            nodes.push((0..count).map(|_| NodeId(data.get_u32())).collect());
             need(&data, 4)?;
             let len = data.get_u32() as usize;
             need(&data, len)?;
-            let prepared = L::load_prepared(data.split_to(len), compression)?;
-            if prepared.graph().node_count() != count {
-                return Err(ServiceError::SnapshotCorrupt(format!(
-                    "shard {si}: {} prepared nodes, {count} listed",
-                    prepared.graph().node_count()
-                )));
-            }
-            shards.push(Shard {
-                graph: Arc::clone(prepared.graph()),
-                prepared: Arc::new(prepared),
-                nodes,
-            });
+            blobs.push(data.split_to(len));
         }
-        if let Some(missing) = locator.iter().position(|&(s, _)| s == u32::MAX) {
-            return Err(ServiceError::SnapshotCorrupt(format!(
-                "node {missing} belongs to no shard"
-            )));
-        }
-        // Reassemble the full graph from the shard graphs.
-        let graph = if shard_count == 1 {
-            Arc::clone(&shards[0].graph)
-        } else {
-            let mut labels: Vec<Option<L>> = vec![None; n];
-            for shard in &shards {
-                for (local, &global) in shard.nodes.iter().enumerate() {
-                    labels[global.index()] = Some(shard.graph.label(NodeId(local as u32)).clone());
-                }
-            }
-            let mut full: DiGraph<L> = DiGraph::with_capacity(n);
-            for (i, label) in labels.into_iter().enumerate() {
-                // Unreachable after the no-shard scan above, but corrupt
-                // input should never panic the restore path.
-                let label = label.ok_or_else(|| {
-                    ServiceError::SnapshotCorrupt(format!("node {i} belongs to no shard"))
-                })?;
-                full.add_node(label);
-            }
-            for shard in &shards {
-                for (a, b) in shard.graph.edges() {
-                    full.add_edge(shard.nodes[a.index()], shard.nodes[b.index()]);
-                }
-            }
-            Arc::new(full)
-        };
+        let mut shards: Vec<Arc<PreparedGraph<L>>> = Vec::with_capacity(shard_count);
+        let map = ShardMap::assemble(n, nodes, compression, |si| {
+            let prepared = L::load_prepared(blobs[si].clone(), compression)?;
+            let graph = Arc::clone(prepared.graph());
+            shards.push(Arc::new(prepared));
+            Ok(graph)
+        })?;
         // The restored entry keeps the snapshotted pin (shard prepareds
         // were loaded under it, so the two always agree — including the
-        // `pin_flipped` comparison on the next update batch).
+        // pin-flip comparison on the next update batch).
         let options = PrepareOptions {
             compression,
-            ..shards
-                .first()
-                .map(|s| s.prepared.options())
-                .unwrap_or(base_options)
+            ..shards.first().map(|p| p.options()).unwrap_or(base_options)
         };
         Ok(GraphEntry {
             name,
-            graph,
+            map,
             shards,
-            locator,
             options,
         })
     }

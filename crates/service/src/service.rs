@@ -5,10 +5,9 @@
 use crate::envelope::{GraphInfo, QueryResponse, Request, Response, UpdateSummary};
 use crate::error::ServiceError;
 use crate::label::ServiceLabel;
-use crate::registry::{GraphRegistry, ShardingConfig};
-use crate::stats::{
-    AdmissionGate, LatencyHistogram, PlanHistograms, ServiceStats, HISTOGRAM_BUCKETS,
-};
+use crate::registry::GraphRegistry;
+use crate::shard_map::{single_shard_response, ShardingConfig};
+use crate::stats::{AdmissionGate, LatencyHistogram, PlanHistograms, ServiceStats};
 use bytes::Bytes;
 use phom_dynamic::GraphUpdate;
 use phom_engine::{Engine, EngineConfig, EngineStats, PlanKind, Query};
@@ -231,16 +230,6 @@ pub struct Service<L> {
     /// `SloBreached` journal event (and its flight dump) so a sustained
     /// breach journals once, not once per stats poll.
     slo_breached: Mutex<BTreeSet<String>>,
-}
-
-/// Widens registry bucket counts back into the service's histogram
-/// export type (identical log₂ bucketing on both sides).
-fn histogram_from(buckets: [u64; phom_trace::WINDOW_BUCKETS]) -> LatencyHistogram {
-    let mut out = [0usize; HISTOGRAM_BUCKETS];
-    for (o, b) in out.iter_mut().zip(buckets.iter()) {
-        *o = *b as usize;
-    }
-    LatencyHistogram::from_buckets(out)
 }
 
 /// The plan name behind a flight record's plan index (the
@@ -629,41 +618,19 @@ impl<L: ServiceLabel> Service<L> {
             .counter_add("queries_admitted", queries.len() as u64);
         let sole = entry.sole_prepared();
         let responses = if let (Some(prepared), false) = (sole, queries.is_empty()) {
-            // One shard: the full graph. Validate up front, then hand the
-            // entry's own prepared artifacts to the engine's parallel
-            // batch executor (never re-prepare: a snapshot-restored or
-            // cache-evicted entry must still serve from its warm index).
+            // One shard: the full graph. Check every query up front (the
+            // same check a single query gets), then hand the entry's own
+            // prepared artifacts to the engine's parallel batch executor
+            // (never re-prepare: a snapshot-restored or cache-evicted
+            // entry must still serve from its warm index).
             for q in queries {
-                if q.matrix.n1() != q.pattern.node_count()
-                    || q.matrix.n2() != entry.graph().node_count()
-                {
-                    return Err(ServiceError::InvalidRequest(
-                        "similarity matrix does not match pattern × data dimensions".into(),
-                    ));
-                }
+                entry.check(q)?;
             }
-            let batch = self
-                .engine
-                .execute_batch_prepared_traced(prepared, queries, trace);
-            batch
+            self.engine
+                .execute_batch_prepared_traced(prepared, queries, trace)
                 .results
                 .into_iter()
-                .map(|r| {
-                    let mut trace = r.trace;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.counters.shards_consulted = 1;
-                    }
-                    QueryResponse {
-                        mapping: r.outcome.mapping,
-                        qual_card: r.outcome.qual_card,
-                        qual_sim: r.outcome.qual_sim,
-                        plan: r.plan,
-                        shards_consulted: 1,
-                        timed_out: r.outcome.stats.timed_out,
-                        micros: r.micros,
-                        trace,
-                    }
-                })
+                .map(single_shard_response)
                 .collect()
         } else {
             let mut responses = Vec::with_capacity(queries.len());
@@ -902,9 +869,10 @@ impl<L: ServiceLabel> Service<L> {
         let mut plan_histograms_windowed = PlanHistograms::default();
         for i in 0..plan_histograms.by_plan.len() {
             let key = latency_key(PlanHistograms::kind_of(i));
-            plan_histograms.by_plan[i] = histogram_from(self.metrics.histogram_lifetime(key));
+            plan_histograms.by_plan[i] =
+                LatencyHistogram::from_buckets(self.metrics.histogram_lifetime(key));
             plan_histograms_windowed.by_plan[i] =
-                histogram_from(self.metrics.histogram_windowed(key));
+                LatencyHistogram::from_buckets(self.metrics.histogram_windowed(key));
         }
         ServiceStats {
             graphs,
@@ -1349,7 +1317,7 @@ mod tests {
 #[cfg(test)]
 mod review_fix_tests {
     use super::*;
-    use crate::registry::ShardingConfig;
+    use crate::shard_map::ShardingConfig;
     use phom_graph::{graph_from_labels, DiGraph, NodeId};
     use phom_sim::SimMatrix;
 

@@ -5,56 +5,46 @@
 
 use crate::error::ServiceError;
 use phom_engine::{EngineStats, PlanKind};
+use phom_trace::{bucket_of, WINDOW_BUCKETS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Buckets in a [`LatencyHistogram`]: bucket `i` counts latencies in
-/// `[2^i, 2^(i+1))` microseconds (bucket 0 is `[0, 2)`), so 26 buckets
-/// span one microsecond to over a minute.
-pub const HISTOGRAM_BUCKETS: usize = 26;
-
-/// A log₂-bucketed latency histogram (microseconds). Fixed-size, lock-free
-/// to record into, and mergeable — the per-plan service metric that
+/// A log₂-bucketed latency histogram (microseconds): bucket `i` counts
+/// latencies in `[2^i, 2^(i+1))` (bucket 0 is `[0, 2)`), the last bucket
+/// everything beyond — the bucketing of [`phom_trace::bucket_of`], so
+/// the [`phom_trace::MetricsRegistry`]'s histograms convert bucket for
+/// bucket. Fixed-size and mergeable — the per-plan service metric that
 /// survives export where a raw latency list would not.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [usize; HISTOGRAM_BUCKETS],
+    buckets: [u64; WINDOW_BUCKETS],
 }
 
 impl LatencyHistogram {
-    /// Bucket index for a latency of `micros`.
-    fn bucket(micros: u128) -> usize {
-        ((128 - micros.leading_zeros()) as usize)
-            .saturating_sub(1)
-            .min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// A histogram from raw bucket counts — the bridge from the
-    /// [`phom_trace::MetricsRegistry`]'s windowed histograms (same log₂
-    /// bucketing, [`phom_trace::WINDOW_BUCKETS`] == [`HISTOGRAM_BUCKETS`])
-    /// back to the service's export type.
-    pub fn from_buckets(buckets: [usize; HISTOGRAM_BUCKETS]) -> Self {
+    /// A histogram from raw bucket counts, such as a
+    /// [`phom_trace::MetricsRegistry`] histogram read.
+    pub fn from_buckets(buckets: [u64; WINDOW_BUCKETS]) -> Self {
         LatencyHistogram { buckets }
     }
 
     /// Records one observation.
     pub fn record(&mut self, micros: u128) {
-        self.buckets[Self::bucket(micros)] += 1;
+        self.buckets[bucket_of(micros)] += 1;
     }
 
     /// Total observations.
-    pub fn count(&self) -> usize {
+    pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
     /// The raw bucket counts (bucket `i` = `[2^i, 2^(i+1))` µs).
-    pub fn buckets(&self) -> &[usize; HISTOGRAM_BUCKETS] {
+    pub fn buckets(&self) -> &[u64; WINDOW_BUCKETS] {
         &self.buckets
     }
 
     /// Nearest-rank percentile (`p` in `0..=100`), reported as the upper
     /// bound of the bucket the rank falls in — a conservative estimate
     /// with the usual log-histogram resolution. `0` when empty.
-    pub fn percentile_upper_micros(&self, p: usize) -> usize {
+    pub fn percentile_upper_micros(&self, p: u64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -64,10 +54,10 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return 1usize << (i + 1).min(63);
+                return 1u64 << (i + 1).min(63);
             }
         }
-        1usize << HISTOGRAM_BUCKETS
+        1u64 << WINDOW_BUCKETS
     }
 
     /// Folds another histogram into this one.
@@ -346,10 +336,10 @@ mod tests {
         assert_eq!(h.percentile_upper_micros(100), 1024);
         // A latency beyond the last bucket lands in the catch-all.
         h.record(u128::MAX);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(h.buckets()[WINDOW_BUCKETS - 1], 1);
         let json = h.to_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches(',').count(), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(json.matches(',').count(), WINDOW_BUCKETS - 1);
     }
 
     /// Exact power-of-two latencies land in the bucket they *open*:
@@ -357,10 +347,10 @@ mod tests {
     #[test]
     fn histogram_exact_power_of_two_boundaries() {
         let mut h = LatencyHistogram::default();
-        for i in 0..HISTOGRAM_BUCKETS {
+        for i in 0..WINDOW_BUCKETS {
             h.record(1u128 << i);
         }
-        for i in 0..HISTOGRAM_BUCKETS {
+        for i in 0..WINDOW_BUCKETS {
             assert_eq!(h.buckets()[i], 1, "2^{i} opens bucket {i}");
         }
         // One below a boundary stays in the lower bucket.
@@ -374,14 +364,14 @@ mod tests {
     #[test]
     fn histogram_top_bucket_saturates() {
         let mut h = LatencyHistogram::default();
-        h.record(1u128 << (HISTOGRAM_BUCKETS - 1));
+        h.record(1u128 << (WINDOW_BUCKETS - 1));
         h.record(1u128 << 80);
         h.record(u128::MAX);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 3);
+        assert_eq!(h.buckets()[WINDOW_BUCKETS - 1], 3);
         assert_eq!(h.count(), 3);
         assert_eq!(
             h.percentile_upper_micros(1),
-            1usize << HISTOGRAM_BUCKETS,
+            1u64 << WINDOW_BUCKETS,
             "the catch-all reports the range ceiling"
         );
     }
@@ -409,17 +399,6 @@ mod tests {
         // Merging an empty histogram is the identity.
         merged.merge(&LatencyHistogram::default());
         assert_eq!(merged.count(), 4);
-    }
-
-    /// The service bucketing and the metrics registry's windowed
-    /// bucketing agree bucket-for-bucket, so `from_buckets` on registry
-    /// output is faithful.
-    #[test]
-    fn histogram_bucketing_matches_the_metrics_registry() {
-        assert_eq!(HISTOGRAM_BUCKETS, phom_trace::WINDOW_BUCKETS);
-        for v in [0u128, 1, 2, 3, 127, 1 << 20, u128::MAX] {
-            assert_eq!(LatencyHistogram::bucket(v), phom_trace::bucket_of(v));
-        }
     }
 
     #[test]

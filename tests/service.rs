@@ -13,6 +13,7 @@
 //!    of an uncontended run of the same queries.
 
 use phom::prelude::*;
+use phom::service::ShardMap;
 use std::sync::Arc;
 
 /// Grid of query configurations: partition × compress × the four
@@ -444,4 +445,78 @@ fn envelope_round_trip_through_the_prelude() {
             graph: "missing".into()
         }
     );
+}
+
+/// A batch whose weights do not cover the pattern gets the same typed
+/// error as the single query: the batch path runs the one query check,
+/// so no batch worker panics on it.
+#[test]
+fn batch_and_single_queries_reject_short_weights_alike() {
+    let service: Service<String> = Service::default();
+    let data = Arc::new(graph_from_labels(
+        &["a", "b", "c", "d", "e", "f"],
+        &[("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")],
+    ));
+    service
+        .register("g".into(), Arc::clone(&data))
+        .expect("register");
+    let pattern = Arc::new(graph_from_labels(
+        &["a", "b", "c"],
+        &[("a", "b"), ("b", "c")],
+    ));
+    let mut query = Query::new(
+        Arc::clone(&pattern),
+        SimMatrix::label_equality(&pattern, &data),
+    );
+    query.weights = Some(NodeWeights::uniform(1));
+    let single = service.query("g", &query).unwrap_err();
+    assert!(
+        matches!(single, ServiceError::InvalidRequest(_)),
+        "{single:?}"
+    );
+    let batch = service
+        .query_batch("g", &[query.clone(), query])
+        .unwrap_err();
+    assert_eq!(batch, single);
+}
+
+/// `ShardMap::scatter_gather` with a fake per-shard step: each consulted
+/// shard gets a sub-query over its own columns with the plan forced, and
+/// the first failing shard aborts the query with its error instead of a
+/// partial merge.
+#[test]
+fn scatter_gather_slices_per_shard_and_stops_at_the_first_error() {
+    let data = Arc::new(graph_from_labels(
+        &["a", "b", "x", "y", "z"],
+        &[("a", "b"), ("x", "y"), ("y", "z")],
+    ));
+    let sharding = ShardingConfig {
+        max_shards: 2,
+        min_shard_nodes: 0,
+    };
+    let (map, shard_graphs) =
+        ShardMap::split(Arc::clone(&data), &sharding, CompressionPolicy::Auto);
+    assert_eq!(map.shard_count(), 2);
+    assert_eq!(shard_graphs[0].node_count(), map.shard_nodes(0).len());
+    let pattern = Arc::new(graph_from_labels(&["a", "b", "y"], &[("a", "b")]));
+    let query = Query::new(
+        Arc::clone(&pattern),
+        SimMatrix::label_equality(&pattern, &data),
+    );
+    map.check("g", &query).expect("well-formed query");
+    let mut seen = Vec::new();
+    let result = map.scatter_gather(
+        &query,
+        &PlannerConfig::default(),
+        false,
+        |si, sub, traced| {
+            assert!(!traced);
+            assert_eq!(sub.matrix.n2(), map.shard_nodes(si).len());
+            assert!(sub.config.force_plan.is_some() && sub.config.partition);
+            seen.push(si);
+            Err(format!("shard {si} down"))
+        },
+    );
+    assert_eq!(result.unwrap_err(), "shard 0 down");
+    assert_eq!(seen, vec![0], "no shard runs after the first failure");
 }
