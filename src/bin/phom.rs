@@ -1,39 +1,5 @@
-//! `phom` — command-line graph matcher.
-//!
-//! ```sh
-//! phom match    <pattern.graph> <data.graph> [--xi F] [--algorithm card|card11|sim|sim11]
-//!               [--exact] [--witness] [--dot] [--max-stretch K] [--restarts R]
-//! phom decide   <pattern.graph> <data.graph> [--xi F] [--one-to-one] [--max-stretch K]
-//! phom stats    <file.graph>
-//! phom generate <pattern.out> <data.out> [--nodes M] [--noise P] [--seed S]
-//! phom engine-batch [--workload synthetic|websim] [--queries N] [--xi F]
-//!               [--threads T] [--nodes M] [--noise P] [--seed S] [--cold]
-//!               [--algorithm card|card11|sim|sim11]
-//!               [--closure-backend dense|chain|twohop|auto]
-//!               [--arrivals open:<rate>|poisson:<rate>] [--queue-depth D]
-//!               [--timeout-micros U] [--intra-workers W] [--stats-json PATH]
-//!               [--trace-json PATH] [--slow-query-micros T]
-//! phom engine-live [--ops N] [--update-ratio R] [--xi F] [--threads T]
-//!               [--nodes M] [--noise P] [--seed S]
-//!               [--closure-backend dense|chain|twohop|auto]
-//!               [--timeout-micros U] [--intra-workers W] [--stats-json PATH]
-//!               [--trace-json PATH] [--slow-query-micros T]
-//! phom serve-sim [--graphs G] [--parts K] [--nodes M] [--queries N]
-//!               [--update-ratio R] [--queue-depth D] [--threads T]
-//!               [--closure-backend dense|chain|twohop|auto]
-//!               [--arrivals open:<rate>|poisson:<rate>] [--seed S] [--xi F]
-//!               [--timeout-micros U] [--stats-json PATH]
-//!               [--trace-json PATH] [--slow-query-micros T]
-//!               [--processes N] [--replicas R] [--kill-worker]
-//! phom worker   --listen <host:port> [--max-seconds S]
-//!               [--closure-backend dense|chain|twohop|auto]
-//!               [--threads T] [--intra-workers W] [--timeout-micros U]
-//!               [--journal PATH] [--metrics-text PATH]
-//! phom flight-dump [--queries N] [--nodes M] [--noise P] [--seed S] [--xi F]
-//! phom lint     [paths..] [--deny] [--json] [--baseline PATH]
-//! phom audit    --graph <snapshot> [--deep] [--samples N]
-//! phom audit    --generate <snapshot.out> [--nodes M] [--seed S]
-//! ```
+//! `phom` — command-line graph matcher. `phom --help` prints the
+//! synopsis of every subcommand.
 //!
 //! `engine-batch` and `engine-live` run through the service layer
 //! (`phom_service::Service`) with sharding disabled; `serve-sim` stands
@@ -42,12 +8,19 @@
 //! short synthetic batch and prints the always-on flight recorder's
 //! retained per-query summaries.
 //!
+//! Every replay builds its whole run from the flags and `--seed` alone
+//! before any op runs — the named graphs, a query table, and an op list
+//! of queries and concrete edge updates ([`Workload`]) — and then runs
+//! that list through one driver ([`replay`]), closed loop or on the
+//! `--arrivals` schedule. One printer and one `--stats-json` writer
+//! consume the driver's [`ReplayReport`].
+//!
 //! `worker` hosts one single-process `Service` over TCP speaking the
 //! `phom_cluster` wire protocol; `serve-sim --processes N` spawns `N`
 //! such workers as child processes, shards every registered graph
 //! across them behind a `phom_cluster::Router` front-end (with
 //! `--replicas R` read replicas per shard), and replays the same
-//! open-loop mix through the router. `--kill-worker` kills one worker
+//! workload through the router. `--kill-worker` kills one worker
 //! process mid-replay to exercise heartbeat failure detection and
 //! replica promotion.
 //!
@@ -58,15 +31,14 @@
 //! `--deep`, the graph-backed tier (`--generate` writes a synthetic
 //! snapshot to audit, which CI corrupts to exercise the negative path).
 //!
-//! The four service-backed subcommands additionally accept the
+//! The service-backed subcommands additionally accept the
 //! **operations flags**: `--journal PATH` (structured JSON-lines event
-//! journal), `--metrics-text PATH` (Prometheus text exposition —
-//! `serve-sim` rewrites it periodically from a reporter thread, the
-//! others write it once at exit), `--flight-capacity N` (per-query
-//! flight-recorder ring size; `0` disables it), and the SLO knobs
-//! `--slo-p99-micros U` (per-plan p99 latency objectives),
-//! `--slo-shed-rate F`, and `--slo-timeout-rate F` (bad-event rate
-//! ceilings as fractions in `(0,1]`).
+//! journal), `--metrics-text PATH` (Prometheus text exposition — every
+//! replay rewrites it periodically, the others write it once at exit),
+//! `--flight-capacity N` (per-query flight-recorder ring size; `0`
+//! disables it), and the SLO knobs `--slo-p99-micros U` (per-plan p99
+//! latency objectives), `--slo-shed-rate F`, and `--slo-timeout-rate F`
+//! (bad-event rate ceilings as fractions in `(0,1]`).
 //!
 //! Graph files use the text format of `phom_graph::serialize`
 //! (`node <id> <label>` / `edge <from> <to>` lines; `#` comments).
@@ -74,9 +46,15 @@
 //! which case labels are treated as whitespace-tokenized page content and
 //! compared with `W`-shingles.
 
+use phom::engine::{Plan, PrepareStats};
 use phom::graph::serialize::from_text;
 use phom::prelude::*;
+use phom::workloads::synthetic::{Label, LabelPool};
+use std::collections::BTreeSet;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -104,8 +82,9 @@ fn main() -> ExitCode {
              \x20                           [--queue-depth D] [--timeout-micros U]\n\
              \x20                           [--intra-workers W] [--stats-json PATH]\n\
              \x20                           [--trace-json PATH] [--slow-query-micros T]\n\
-             phom engine-live [--ops N] [--update-ratio R] [--xi F] [--threads T]\n\
+             phom engine-live [--ops N] [--update-ratio R] [--xi F]\n\
              \x20                           [--nodes M] [--noise P] [--seed S]\n\
+             \x20                           [--algorithm card|card11|sim|sim11]\n\
              \x20                           [--closure-backend dense|chain|twohop|auto]\n\
              \x20                           [--timeout-micros U] [--intra-workers W]\n\
              \x20                           [--stats-json PATH]\n\
@@ -114,21 +93,23 @@ fn main() -> ExitCode {
              \x20                           [--update-ratio R] [--queue-depth D] [--threads T]\n\
              \x20                           [--closure-backend dense|chain|twohop|auto]\n\
              \x20                           [--arrivals open:<rate>|poisson:<rate>] [--seed S]\n\
-             \x20                           [--xi F] [--timeout-micros U] [--stats-json PATH]\n\
+             \x20                           [--xi F] [--noise P] [--timeout-micros U]\n\
+             \x20                           [--stats-json PATH]\n\
              \x20                           [--trace-json PATH] [--slow-query-micros T]\n\
              \x20                           [--processes N] [--replicas R] [--kill-worker]\n\
              phom worker   --listen <host:port> [--max-seconds S]\n\
              \x20                           [--closure-backend dense|chain|twohop|auto]\n\
              \x20                           [--threads T] [--intra-workers W]\n\
              \x20                           [--timeout-micros U] [--journal PATH]\n\
+             \x20                           [--metrics-text PATH]\n\
              phom flight-dump [--queries N] [--nodes M] [--noise P] [--seed S] [--xi F]\n\
              phom lint     [paths..] [--deny] [--json] [--baseline PATH]\n\
              phom audit    --graph <snapshot> [--deep] [--samples N]\n\
              phom audit    --generate <snapshot.out> [--nodes M] [--seed S]\n\
              \x20                           [--closure-backend dense|chain|twohop|auto]\n\n\
-             operations flags (engine-batch, engine-live, serve-sim, flight-dump):\n\
+             operations flags (engine-batch, engine-live, serve-sim, flight-dump, worker):\n\
              \x20  --journal PATH         JSON-lines event journal sink\n\
-             \x20  --metrics-text PATH    Prometheus text exposition (serve-sim: periodic)\n\
+             \x20  --metrics-text PATH    Prometheus text exposition (replays: periodic)\n\
              \x20  --flight-capacity N    flight-recorder ring size (0 disables)\n\
              \x20  --slo-p99-micros U     per-plan p99 latency objectives\n\
              \x20  --slo-shed-rate F      shed-rate ceiling over offered load\n\
@@ -197,8 +178,8 @@ struct Flags {
     /// per operational event). Journaling is enabled iff this is set.
     journal: Option<String>,
     /// Prometheus text-exposition output path (`--metrics-text`).
-    /// `serve-sim` rewrites it periodically; the other subcommands
-    /// write it once at exit.
+    /// Replays rewrite it periodically; the other subcommands write it
+    /// once at exit.
     metrics_text: Option<String>,
     /// Flight-recorder ring capacity override (`--flight-capacity`;
     /// 0 disables the recorder, absent keeps the always-on default).
@@ -756,11 +737,8 @@ fn cmd_generate(args: &[String]) -> ExitCode {
         seed: f.seed,
     };
     let inst = generate_instance(&cfg, 1);
-    let to_named = |g: &DiGraph<phom::workloads::synthetic::Label>| -> DiGraph<String> {
-        g.map_labels(|_, l| format!("L{l}"))
-    };
     for (path, g) in [(p_out, &inst.g1), (d_out, &inst.g2)] {
-        let text = phom::graph::serialize::to_text(&to_named(g));
+        let text = phom::graph::serialize::to_text(&named(g));
         if let Err(e) = std::fs::write(path, text) {
             return fail(&format!("cannot write {path}: {e}"));
         }
@@ -815,10 +793,13 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 }
 
 /// `phom engine-batch`: generates a workload-driven batch of pattern
-/// queries against one data graph and runs it through the prepared-graph
-/// engine, reporting plans chosen, closure reuse, and parallelism. With
-/// `--cold`, re-runs every query through the unprepared per-query path
-/// (`match_graphs`, closure rebuilt each time) and reports the speedup.
+/// queries against one data graph and runs it through the service layer,
+/// reporting plans chosen, closure reuse, and parallelism. Closed loop
+/// (the default) the batch is one call into the engine's batch executor;
+/// `--arrivals` replays the same queries open loop through [`replay`].
+/// With `--cold`, re-runs every query through the unprepared per-query
+/// path (`match_graphs`, closure rebuilt each time) and reports the
+/// speedup.
 fn cmd_engine_batch(args: &[String]) -> ExitCode {
     let f = match parse_flags(args) {
         Ok(f) => f,
@@ -827,30 +808,30 @@ fn cmd_engine_batch(args: &[String]) -> ExitCode {
     if !f.files.is_empty() {
         return fail("engine-batch takes no file arguments (use --workload)");
     }
+    if f.cold && f.arrivals.is_some() {
+        return fail(
+            "--cold does not combine with --arrivals (open-loop replay has no closed-loop twin)",
+        );
+    }
     match f.workload.as_str() {
-        "synthetic" => {
-            let (data, queries) = synthetic_batch(&f);
-            run_engine_batch(&data, queries, &f)
-        }
+        "synthetic" => run_engine_batch(&synthetic_batch(&f), &f),
         "websim" => {
             let spec = SiteSpec::test_scale(SiteCategory::ALL[0], f.seed);
             let archive = phom::workloads::generate_archive(&spec);
-            let data = std::sync::Arc::new(archive.versions[0].clone());
-            let patterns: Vec<std::sync::Arc<_>> = archive.versions[1..]
+            let data = Arc::new(archive.versions[0].clone());
+            let patterns: Vec<Arc<_>> = archive.versions[1..]
                 .iter()
-                .map(|v| std::sync::Arc::new(skeleton_top_k(v, 20).graph))
+                .map(|v| Arc::new(skeleton_top_k(v, 20).graph))
                 .collect();
             if patterns.is_empty() {
                 return fail("websim archive has a single version; nothing to query");
             }
-            let queries: Vec<Query<phom::workloads::Page>> = (0..f.queries)
-                .map(|i| {
-                    let pattern = std::sync::Arc::clone(&patterns[i % patterns.len()]);
-                    let mat = shingle_matrix(&pattern, &data, 3);
-                    mixed_query(pattern, mat, f.xi, f.algorithm, i)
-                })
+            let matrices: Vec<SimMatrix> = patterns
+                .iter()
+                .map(|p| shingle_matrix(p, &data, 3))
                 .collect();
-            run_engine_batch(&data, queries, &f)
+            let queries = batch_queries(&patterns, &matrices, &f);
+            run_engine_batch(&Workload::batch(data, queries), &f)
         }
         other => fail(&format!("unknown workload {other:?} (synthetic|websim)")),
     }
@@ -861,62 +842,100 @@ fn cmd_engine_batch(args: &[String]) -> ExitCode {
 /// the template) against one large prepared data graph, the regime
 /// where the shared closure dominates per-query cost. Shared by
 /// `engine-batch --workload synthetic` and `flight-dump`.
-fn synthetic_batch(
-    f: &Flags,
-) -> (
-    std::sync::Arc<DiGraph<phom::workloads::synthetic::Label>>,
-    Vec<Query<phom::workloads::synthetic::Label>>,
-) {
+fn synthetic_batch(f: &Flags) -> Workload<Label> {
     let cfg = SyntheticConfig {
         m: f.nodes,
         noise: f.noise,
         seed: f.seed,
     };
-    let inst = phom::workloads::generate_instance(&cfg, 1);
-    let data = std::sync::Arc::new(inst.g2.clone());
-    let pattern_nodes = (f.nodes / 5).clamp(4, 40).min(f.nodes);
-    let windows: Vec<std::sync::Arc<DiGraph<_>>> = (0..8)
-        .map(|w| {
-            let lo = (w * f.nodes / 8).min(f.nodes - pattern_nodes);
-            let keep: std::collections::BTreeSet<NodeId> =
-                (lo..lo + pattern_nodes).map(|i| NodeId(i as u32)).collect();
-            std::sync::Arc::new(inst.g1.induced_subgraph(&keep).0)
-        })
-        .collect();
-    let queries: Vec<Query<phom::workloads::synthetic::Label>> = (0..f.queries)
-        .map(|i| {
-            let pattern = std::sync::Arc::clone(&windows[i % windows.len()]);
-            let mat = SimMatrix::from_fn(pattern.node_count(), data.node_count(), |v, u| {
-                inst.pool.similarity(*pattern.label(v), *data.label(u))
-            });
-            mixed_query(pattern, mat, f.xi, f.algorithm, i)
-        })
-        .collect();
-    (data, queries)
+    let inst = generate_instance(&cfg, 1);
+    let data = Arc::new(inst.g2);
+    let windows = window_patterns(&inst.g1, f.nodes, 8);
+    let matrices = pool_matrices(&inst.pool, &windows, &data);
+    Workload::batch(data, batch_queries(&windows, &matrices, f))
 }
 
-/// Builds query `i` of a mixed batch: the four algorithms round-robin
-/// (unless `--algorithm` pins one for the whole batch), every 5th query
-/// carries a stretch bound, every 9th pins restarts.
-fn mixed_query<L>(
-    pattern: std::sync::Arc<DiGraph<L>>,
-    matrix: SimMatrix,
-    xi: f64,
-    pin: Option<Algorithm>,
-    i: usize,
-) -> Query<L> {
-    let algorithms = [
+/// `--queries` mixed queries cycling through `patterns`, each with its
+/// precomputed matrix.
+fn batch_queries<L>(
+    patterns: &[Arc<DiGraph<L>>],
+    matrices: &[SimMatrix],
+    f: &Flags,
+) -> Vec<Query<L>> {
+    (0..f.queries)
+        .map(|i| {
+            let w = i % patterns.len();
+            mixed_query(&patterns[w], &matrices[w], f, i)
+        })
+        .collect()
+}
+
+/// `count` sliding-window patterns over the template `g1` of an
+/// `m`-node §6 instance: window `w` is the subgraph induced by
+/// `(m/5).clamp(4, 40)` consecutive template nodes starting near
+/// `w·m/count`.
+fn window_patterns(g1: &DiGraph<Label>, m: usize, count: usize) -> Vec<Arc<DiGraph<Label>>> {
+    let pattern_nodes = (m / 5).clamp(4, 40).min(m);
+    (0..count)
+        .map(|w| {
+            let lo = (w * m / count).min(m - pattern_nodes);
+            let keep: BTreeSet<NodeId> =
+                (lo..lo + pattern_nodes).map(|i| NodeId(i as u32)).collect();
+            Arc::new(g1.induced_subgraph(&keep).0)
+        })
+        .collect()
+}
+
+/// Each pattern's similarity matrix against `data`, scored by the §6
+/// label pool. Computed once per pattern and graph: edge updates never
+/// change labels, so a matrix stays valid for the whole run.
+fn pool_matrices(
+    pool: &LabelPool,
+    patterns: &[Arc<DiGraph<Label>>],
+    data: &DiGraph<Label>,
+) -> Vec<SimMatrix> {
+    patterns
+        .iter()
+        .map(|p| {
+            SimMatrix::from_fn(p.node_count(), data.node_count(), |v, u| {
+                pool.similarity(*p.label(v), *data.label(u))
+            })
+        })
+        .collect()
+}
+
+/// A §6 graph with the `L<label>` string labels `generate` writes —
+/// the label type the cluster's wire protocol carries.
+fn named(g: &DiGraph<Label>) -> DiGraph<String> {
+    g.map_labels(|_, l| format!("L{l}"))
+}
+
+/// The knobs op `i` of a mixed stream varies: the four algorithms
+/// round-robin (unless `--algorithm` pins one for the whole run), every
+/// 5th op carries a stretch bound, every 9th pins restarts.
+fn mix(pin: Option<Algorithm>, i: usize) -> (Algorithm, Option<usize>, Option<usize>) {
+    const ALGORITHMS: [Algorithm; 4] = [
         Algorithm::MaxCard,
         Algorithm::MaxCard1to1,
         Algorithm::MaxSim,
         Algorithm::MaxSim1to1,
     ];
-    let mut q = Query::new(pattern, matrix);
+    (
+        pin.unwrap_or(ALGORITHMS[i % 4]),
+        (i % 5 == 4).then_some(3),
+        (i % 9 == 8).then_some(3),
+    )
+}
+
+/// Builds query `i` of a mixed stream at `--xi` (see [`mix`]).
+fn mixed_query<L>(pattern: &Arc<DiGraph<L>>, matrix: &SimMatrix, f: &Flags, i: usize) -> Query<L> {
+    let (algorithm, max_stretch, restarts) = mix(f.algorithm, i);
+    let mut q = Query::new(Arc::clone(pattern), matrix.clone());
     q.config = QueryConfig {
-        xi,
-        algorithm: pin.unwrap_or(algorithms[i % 4]),
-        max_stretch: (i % 5 == 4).then_some(3),
-        restarts: (i % 9 == 8).then_some(3),
+        xi: f.xi,
+        algorithm,
+        max_stretch,
+        restarts,
         ..Default::default()
     };
     q
@@ -928,7 +947,7 @@ fn mixed_query<L>(
 fn planner_config(f: &Flags) -> PlannerConfig {
     PlannerConfig::builder()
         .closure_backend(f.closure_backend)
-        .timeout_opt(f.timeout_micros.map(std::time::Duration::from_micros))
+        .timeout_opt(f.timeout_micros.map(Duration::from_micros))
         .intra_query_workers(f.intra_workers)
         .build()
 }
@@ -1015,32 +1034,43 @@ fn attach_journal<L: ServiceLabel>(service: &Service<L>, f: &Flags) -> Result<()
     Ok(())
 }
 
-/// Renders the service's Prometheus text exposition to `path`. The
-/// serve-sim reporter thread calls this periodically; every
-/// service-backed subcommand calls it once at exit via
-/// [`finish_metrics_text`].
-fn write_metrics_text<L: ServiceLabel>(service: &Service<L>, path: &str) -> Result<(), String> {
-    std::fs::write(path, service.render_prometheus())
-        .map_err(|e| format!("cannot write {path}: {e}"))
+/// A service's Prometheus exposition, preceded by one SLO evaluation so
+/// breaches crossed since the last poll journal now rather than at exit.
+fn service_metrics<L: ServiceLabel>(service: &Service<L>) -> impl Fn() -> String + Sync + '_ {
+    move || {
+        let _ = service.slo_status();
+        service.render_prometheus()
+    }
 }
 
-/// The final `--metrics-text` write at subcommand exit: one SLO
-/// evaluation (so breaches crossed since the last poll still journal)
-/// and one exposition render.
-fn finish_metrics_text<L: ServiceLabel>(service: &Service<L>, f: &Flags) -> Result<(), String> {
+/// Writes one `--metrics-text` exposition to `path`.
+fn write_metrics_text(path: &str, render: &dyn Fn() -> String) -> Result<(), String> {
+    std::fs::write(path, render()).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// The periodic `--metrics-text` rewrite a replay runs (see [`replay`]).
+fn refresh_metrics(f: &Flags, render: &dyn Fn() -> String) {
+    if let Some(path) = &f.metrics_text {
+        if let Err(e) = write_metrics_text(path, render) {
+            eprintln!("{e}");
+        }
+    }
+}
+
+/// The final `--metrics-text` write at subcommand exit.
+fn finish_metrics_text(f: &Flags, render: &dyn Fn() -> String) -> Result<(), String> {
     let Some(path) = &f.metrics_text else {
         return Ok(());
     };
-    let _ = service.slo_status();
-    write_metrics_text(service, path)?;
+    write_metrics_text(path, render)?;
     println!("metrics text written to {path}");
     Ok(())
 }
 
 /// Converts a service [`GraphInfo`] into the `PrepareStats` shape the
 /// `--stats-json` schema has always exported under `"prepare"`.
-fn prepare_stats_of(info: &GraphInfo) -> phom::engine::PrepareStats {
-    phom::engine::PrepareStats {
+fn prepare_stats_of(info: &GraphInfo) -> PrepareStats {
+    PrepareStats {
         nodes: info.nodes,
         edges: info.edges,
         scc_count: info.scc_count,
@@ -1074,54 +1104,61 @@ fn print_graph_info(info: &GraphInfo) {
     );
 }
 
-fn run_engine_batch<L: ServiceLabel>(
-    data: &std::sync::Arc<DiGraph<L>>,
-    queries: Vec<Query<L>>,
-    f: &Flags,
-) -> ExitCode {
+fn run_engine_batch<L: ServiceLabel>(work: &Workload<L>, f: &Flags) -> ExitCode {
     let service: Service<L> = Service::new(service_config(f, ShardingConfig::disabled()));
     if let Err(e) = attach_journal(&service, f) {
         return fail(&e);
     }
-    if let Err(e) = service.register("batch".into(), std::sync::Arc::clone(data)) {
+    if let Err(e) = service.register("batch".into(), Arc::clone(&work.graphs[0])) {
         return fail(&e.to_string());
     }
-    if let Some(arrivals) = f.arrivals {
-        if f.cold {
-            return fail("--cold does not combine with --arrivals (open-loop replay has no closed-loop twin)");
-        }
-        return run_open_loop(&service, "batch", &queries, arrivals, f);
-    }
-    let trace_log = TraceLog::new(f);
-    let started = std::time::Instant::now();
-    let responses = match service.query_batch_traced("batch", &queries, trace_log.enabled()) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let elapsed = started.elapsed();
-    for (i, r) in responses.iter().enumerate() {
-        trace_log.record(i, "batch", r);
-    }
-    if let Err(e) = trace_log.flush() {
-        return fail(&e);
-    }
-    let stats = service.engine_stats();
-
     let info = service.graph_info("batch").expect("registered above");
     print_graph_info(&info);
+    let trace = TraceLog::new(f, &work.names);
+    let render = service_metrics(&service);
+    let (report, plans) = match f.arrivals {
+        Some(arrivals) => {
+            let schedule = arrivals.schedule(work.ops.len(), f.seed);
+            let report = replay(
+                &work.ops,
+                Some(&schedule),
+                submitters(f, work.ops.len()),
+                &trace,
+                &|| refresh_metrics(f, &render),
+                service_exec(&service, work, trace.enabled()),
+            );
+            (report, Vec::new())
+        }
+        None => {
+            let started = Instant::now();
+            let responses =
+                match service.query_batch_traced("batch", &work.queries, trace.enabled()) {
+                    Ok(r) => r,
+                    Err(e) => return fail(&e.to_string()),
+                };
+            let elapsed = started.elapsed();
+            let stats = service.engine_stats();
+            println!(
+                "batch executor: workers = {}, peak parallelism = {}",
+                stats.last_batch_workers, stats.last_batch_peak_parallel,
+            );
+            // A closed-loop batch has no arrival schedule: each query's
+            // response latency is its service latency.
+            let plans: Vec<Plan> = responses.iter().map(|r| r.plan).collect();
+            let mut report = ReplayReport::new(&work.ops, stats.last_batch_workers, false);
+            for (i, r) in responses.into_iter().enumerate() {
+                let micros = r.micros;
+                report.record(i, &work.ops[i], Outcome::Answer(r), micros, &trace);
+            }
+            (report.finish(elapsed), plans)
+        }
+    };
+    let stats = service.engine_stats();
     println!(
         "prepared once in {:.2} ms; closure computations: {} (cache hits {})",
         info.prepare_micros as f64 / 1e3,
         stats.prepares,
         stats.cache_hits,
-    );
-    println!(
-        "batch: {} queries in {:.2} ms ({:.3} ms/query), workers = {}, peak parallelism = {}",
-        responses.len(),
-        elapsed.as_secs_f64() * 1e3,
-        elapsed.as_secs_f64() * 1e3 / responses.len().max(1) as f64,
-        stats.last_batch_workers,
-        stats.last_batch_peak_parallel,
     );
     println!(
         "plans: approx = {}, exact = {}, bounded = {}, baseline = {}",
@@ -1140,192 +1177,57 @@ fn run_engine_batch<L: ServiceLabel>(
             stats.intra_parallel_components,
         );
     }
-    if !responses.is_empty() {
-        let mean_card: f64 =
-            responses.iter().map(|r| r.qual_card).sum::<f64>() / responses.len() as f64;
-        println!("mean qualCard = {mean_card:.4}");
-        println!(
-            "query latency: p50 = {} us, p95 = {} us, p99 = {} us",
-            stats.last_batch_p50_micros, stats.last_batch_p95_micros, stats.last_batch_p99_micros,
-        );
-    }
+    print_report(&report, f.arrivals);
 
     if f.cold {
         // Same worker count as the prepared batch, so the ratio isolates
         // closure reuse rather than crediting multi-core parallelism.
-        let workers = stats.last_batch_workers.max(1);
-        let started = std::time::Instant::now();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    if i >= queries.len() {
-                        break;
-                    }
-                    let (q, r) = (&queries[i], &responses[i]);
-                    let weights = q.effective_weights();
-                    let cfg = MatcherConfig {
-                        algorithm: q.config.algorithm,
-                        xi: q.config.xi,
-                        max_stretch: q.config.max_stretch,
-                        restarts: r.plan.restarts,
-                        ..Default::default()
-                    };
-                    let _ = match_graphs(&q.pattern, data, &q.matrix, &weights, &cfg);
-                });
-            }
-        });
-        let cold = started.elapsed();
+        // Op `i` is query `i`, run under the plan the batch chose for it.
+        let data = &work.graphs[0];
+        let cold = replay(
+            &work.ops,
+            None,
+            report.submitters.max(1),
+            &trace,
+            &|| {},
+            |i, _| {
+                let q = &work.queries[i];
+                let cfg = MatcherConfig {
+                    algorithm: q.config.algorithm,
+                    xi: q.config.xi,
+                    max_stretch: q.config.max_stretch,
+                    restarts: plans[i].restarts,
+                    ..Default::default()
+                };
+                let started = Instant::now();
+                let out = match_graphs(&q.pattern, data, &q.matrix, &q.effective_weights(), &cfg);
+                Outcome::Answer(QueryResponse {
+                    mapping: out.mapping,
+                    qual_card: out.qual_card,
+                    qual_sim: out.qual_sim,
+                    plan: plans[i],
+                    shards_consulted: 1,
+                    timed_out: out.stats.timed_out,
+                    micros: started.elapsed().as_micros(),
+                    trace: None,
+                })
+            },
+        );
         println!(
-            "cold comparison: per-query closure rebuild ({workers} workers) took {:.2} ms \
+            "cold comparison: per-query closure rebuild ({} workers) took {:.2} ms \
              ({:.2}x the prepared batch)",
-            cold.as_secs_f64() * 1e3,
-            cold.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
+            cold.submitters,
+            cold.elapsed.as_secs_f64() * 1e3,
+            cold.elapsed.as_secs_f64() / report.elapsed.as_secs_f64().max(1e-9),
         );
     }
-    if let Err(e) = write_stats_json(
-        f,
-        &service.engine_stats(),
-        &prepare_stats_of(&info),
-        None,
-        Some(&service.stats()),
-    ) {
-        return fail(&e);
-    }
-    if let Err(e) = finish_metrics_text(&service, f) {
-        return fail(&e);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Open-loop replay (`--arrivals open:<rate>` / `poisson:<rate>`):
-/// queries arrive on a precomputed schedule — fixed or exponential
-/// inter-arrival times — independent of completions, the load-generation
-/// discipline that exposes queueing delay instead of hiding it
-/// (closed-loop batches only ever measure service time). A bounded worker
-/// pool claims queries in arrival order, sleeping until each one's
-/// scheduled instant; reported **response** latency is completion minus
-/// scheduled arrival, so a saturated service shows its tail honestly in
-/// p95/p99, and with a bounded `--queue-depth` the shed count shows what
-/// admission control refused outright.
-fn run_open_loop<L: ServiceLabel>(
-    service: &Service<L>,
-    graph: &str,
-    queries: &[Query<L>],
-    arrivals: Arrivals,
-    f: &Flags,
-) -> ExitCode {
-    let schedule = arrivals.schedule(queries.len(), f.seed);
-    let trace_log = TraceLog::new(f);
-    let workers = if f.threads > 0 {
-        f.threads
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    }
-    .min(queries.len())
-    .max(1);
-    let start = std::time::Instant::now();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // (service, response) latency pairs in microseconds.
-    let latencies: std::sync::Mutex<Vec<(u128, u128)>> =
-        std::sync::Mutex::new(Vec::with_capacity(queries.len()));
-    let shed = std::sync::atomic::AtomicUsize::new(0);
-    let card_sum = std::sync::Mutex::new(0.0f64);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= queries.len() {
-                    break;
-                }
-                let sched = schedule[i];
-                let now = start.elapsed();
-                if now < sched {
-                    std::thread::sleep(sched - now);
-                }
-                match service.query_traced(graph, &queries[i], trace_log.enabled()) {
-                    Ok(r) => {
-                        let response = start.elapsed().saturating_sub(sched).as_micros();
-                        latencies
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push((r.micros, response));
-                        *card_sum.lock().unwrap_or_else(|e| e.into_inner()) += r.qual_card;
-                        trace_log.record(i, graph, &r);
-                    }
-                    Err(ServiceError::Overloaded { .. }) => {
-                        shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    Err(e) => eprintln!("query {i}: {e}"),
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    if let Err(e) = trace_log.flush() {
-        return fail(&e);
-    }
-    let pairs = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut service_lat: Vec<u128> = pairs.iter().map(|&(s, _)| s).collect();
-    let mut response: Vec<u128> = pairs.iter().map(|&(_, r)| r).collect();
-    service_lat.sort_unstable();
-    response.sort_unstable();
-
-    let info = service.graph_info(graph).expect("registered by caller");
-    print_graph_info(&info);
-    let rate = arrivals.rate();
-    println!(
-        "open-loop replay ({} arrivals): {} queries at {rate:.1} q/s over {:.2} ms \
-         ({workers} workers, achieved {:.1} q/s, shed {})",
-        arrivals.name(),
-        queries.len(),
-        elapsed.as_secs_f64() * 1e3,
-        pairs.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        shed.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    println!(
-        "response latency (arrival to completion): p50 = {} us, p95 = {} us, p99 = {} us",
-        percentile_micros(&response, 50),
-        percentile_micros(&response, 95),
-        percentile_micros(&response, 99),
-    );
-    println!(
-        "service latency (execution only):         p50 = {} us, p95 = {} us, p99 = {} us",
-        percentile_micros(&service_lat, 50),
-        percentile_micros(&service_lat, 95),
-        percentile_micros(&service_lat, 99),
-    );
-    if !pairs.is_empty() {
-        println!(
-            "mean qualCard = {:.4}",
-            card_sum.into_inner().unwrap_or_else(|e| e.into_inner()) / pairs.len() as f64
-        );
-    }
-    // Export: service percentiles go in the `last_batch_p*` slots (their
-    // documented meaning), response percentiles in the dedicated
-    // `response_p*` fields — the field names must not lie about which
-    // latency they carry.
-    let mut stats = service.engine_stats();
-    stats.last_batch_p50_micros = percentile_micros(&service_lat, 50);
-    stats.last_batch_p95_micros = percentile_micros(&service_lat, 95);
-    stats.last_batch_p99_micros = percentile_micros(&service_lat, 99);
-    stats.response_p50_micros = percentile_micros(&response, 50);
-    stats.response_p95_micros = percentile_micros(&response, 95);
-    stats.response_p99_micros = percentile_micros(&response, 99);
-    if let Err(e) = write_stats_json(
-        f,
-        &stats,
-        &prepare_stats_of(&info),
-        None,
-        Some(&service.stats()),
-    ) {
-        return fail(&e);
-    }
-    if let Err(e) = finish_metrics_text(service, f) {
-        return fail(&e);
-    }
-    ExitCode::SUCCESS
+    let sections = StatsSections {
+        engine: Some(service.engine_stats()),
+        prepare: Some(prepare_stats_of(&info)),
+        service: Some(service.stats()),
+        ..Default::default()
+    };
+    finish_replay(f, &report, &trace, sections, &render)
 }
 
 /// Collects `--trace-json` output: one JSON line per traced query
@@ -1335,29 +1237,31 @@ fn run_open_loop<L: ServiceLabel>(
 /// threads share the log through the interior mutex, and `seq` — the
 /// line's index in the log — is assigned under that mutex, so
 /// concurrent submitters always produce a strictly increasing sequence
-/// with no gaps (unlike `query`, which records submission order).
+/// with no gaps (unlike `query`, which records the op index).
 struct TraceLog {
     path: Option<String>,
     threshold: u128,
-    lines: std::sync::Mutex<Vec<String>>,
+    /// Graph names by index, as ops address them.
+    graphs: Vec<String>,
+    lines: Mutex<Vec<String>>,
 }
 
 impl TraceLog {
-    fn new(f: &Flags) -> Self {
+    fn new(f: &Flags, graphs: &[String]) -> Self {
         TraceLog {
             path: f.trace_json.clone(),
             threshold: f.slow_query_micros,
-            lines: std::sync::Mutex::new(Vec::new()),
+            graphs: graphs.to_vec(),
+            lines: Mutex::new(Vec::new()),
         }
     }
 
-    /// Whether queries should run traced (drives the `trace` arguments
-    /// and the `Request::Query::trace` field).
+    /// Whether queries should run traced.
     fn enabled(&self) -> bool {
         self.path.is_some()
     }
 
-    fn record(&self, i: usize, graph: &str, r: &QueryResponse) {
+    fn record(&self, i: usize, graph: usize, r: &QueryResponse) {
         let Some(t) = r.trace.as_deref() else {
             return;
         };
@@ -1368,7 +1272,7 @@ impl TraceLog {
         let seq = lines.len();
         lines.push(format!(
             "{{\"seq\":{seq},\"query\":{i},\"graph\":\"{}\",\"micros\":{},\"trace\":{}}}",
-            phom::trace::json_escape(graph),
+            phom::trace::json_escape(&self.graphs[graph]),
             r.micros,
             t.to_json(),
         ));
@@ -1379,48 +1283,26 @@ impl TraceLog {
             return Ok(());
         };
         let lines = self.lines.lock().unwrap_or_else(|e| e.into_inner());
-        let mut text = lines.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_json_lines(path, &lines)?;
         println!("trace JSON written to {path} ({} queries)", lines.len());
         Ok(())
     }
 }
 
-/// Writes the `--stats-json` export (engine counters, preparation stats,
-/// live-update stats, and service counters when present) if the flag was
-/// given.
-fn write_stats_json(
-    f: &Flags,
-    engine: &EngineStats,
-    prepare: &phom::engine::PrepareStats,
-    updates: Option<&UpdateStats>,
-    service: Option<&ServiceStats>,
-) -> Result<(), String> {
-    let Some(path) = &f.stats_json else {
-        return Ok(());
-    };
-    let json = format!(
-        "{{\"engine\":{},\"prepare\":{},\"updates\":{},\"service\":{}}}\n",
-        engine.to_json(),
-        prepare.to_json(),
-        updates.map_or("null".to_owned(), UpdateStats::to_json),
-        service.map_or("null".to_owned(), ServiceStats::to_json),
-    );
-    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("stats JSON written to {path}");
-    Ok(())
+/// Writes `lines` to `path`, one per line.
+fn write_json_lines(path: &str, lines: &[String]) -> Result<(), String> {
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// `phom engine-live`: replays an interleaved stream of edge updates and
-/// pattern queries against one evolving registered graph. Each update
-/// goes through the service's `ApplyUpdates` path (owning-shard routing,
-/// semi-dynamic closure maintenance, cache re-keying); each query runs
-/// against the current registered version. Reports the
-/// incremental/rebuild split and compares the mean apply cost against one
-/// full re-prepare of the final graph.
+/// pattern queries against one evolving registered graph, in op order
+/// from one submitter. Each update goes through the service's
+/// `ApplyUpdates` path (owning-shard routing, semi-dynamic closure
+/// maintenance, cache re-keying); each query runs against the current
+/// registered version. Reports the incremental/rebuild split and
+/// compares the mean apply cost against one full re-prepare of the final
+/// graph.
 fn cmd_engine_live(args: &[String]) -> ExitCode {
     let f = match parse_flags(args) {
         Ok(f) => f,
@@ -1437,80 +1319,61 @@ fn cmd_engine_live(args: &[String]) -> ExitCode {
         noise: f.noise,
         seed: f.seed,
     };
-    let inst = phom::workloads::generate_instance(&cfg, 1);
-    let mut data = std::sync::Arc::new(inst.g2.clone());
+    let inst = generate_instance(&cfg, 1);
+    let data = Arc::new(inst.g2);
     let n = data.node_count();
-    // Window patterns as in engine-batch: label-stable, so standing query
-    // matrices survive edge updates (updates are edge-level).
-    let pattern_nodes = (f.nodes / 5).clamp(4, 40).min(f.nodes);
-    let windows: Vec<std::sync::Arc<DiGraph<phom::workloads::synthetic::Label>>> = (0..8)
-        .map(|w| {
-            let lo = (w * f.nodes / 8).min(f.nodes - pattern_nodes);
-            let keep: std::collections::BTreeSet<NodeId> =
-                (lo..lo + pattern_nodes).map(|i| NodeId(i as u32)).collect();
-            std::sync::Arc::new(inst.g1.induced_subgraph(&keep).0)
-        })
-        .collect();
+    let windows = window_patterns(&inst.g1, f.nodes, 8);
+    let matrices = pool_matrices(&inst.pool, &windows, &data);
+    // Op `i`'s query is `mixed_query(.., i)` over window `i % 8`. Those
+    // repeat, so the table holds each (window, mix) pair once.
+    let mut keys = Vec::new();
+    let mut queries = Vec::new();
+    let ops = mixed_ops(
+        f.ops,
+        f.update_ratio,
+        phom::graph::XorShift64::new(f.seed ^ 0x6c69_7665), // "live"
+        std::slice::from_ref(&data),
+        // Two uniform endpoints per update, self-loops included.
+        |rng, _| (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32)),
+        |i, _| {
+            let key = (i % windows.len(), mix(f.algorithm, i));
+            keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                queries.push(mixed_query(&windows[key.0], &matrices[key.0], &f, i));
+                queries.len() - 1
+            })
+        },
+    );
+    let work = Workload {
+        names: vec!["live".to_owned()],
+        graphs: vec![data],
+        queries,
+        ops,
+    };
 
-    let service: Service<phom::workloads::synthetic::Label> =
-        Service::new(service_config(&f, ShardingConfig::disabled()));
+    let service: Service<Label> = Service::new(service_config(&f, ShardingConfig::disabled()));
     if let Err(e) = attach_journal(&service, &f) {
         return fail(&e);
     }
-    if let Err(e) = service.register("live".into(), std::sync::Arc::clone(&data)) {
+    if let Err(e) = service.register("live".into(), Arc::clone(&work.graphs[0])) {
         return fail(&e.to_string());
     }
-    let mut rng = phom::graph::XorShift64::new(f.seed ^ 0x6c69_7665); // "live"
-    let trace_log = TraceLog::new(&f);
-    let mut agg = UpdateStats::default();
-    let (mut queries_run, mut updates_run) = (0usize, 0usize);
-    let mut query_micros = 0u128;
-    let mut card_sum = 0.0f64;
-    let started = std::time::Instant::now();
-    for i in 0..f.ops {
-        if rng.unit() < f.update_ratio && n >= 2 {
-            let a = NodeId(rng.below(n) as u32);
-            let b = NodeId(rng.below(n) as u32);
-            let update = if data.has_edge(a, b) {
-                phom::dynamic::GraphUpdate::RemoveEdge(a, b)
-            } else {
-                phom::dynamic::GraphUpdate::InsertEdge(a, b)
-            };
-            match service.apply_updates("live", &[update]) {
-                Ok(summary) => agg.absorb(&summary.stats),
-                Err(e) => return fail(&e.to_string()),
-            }
-            data = service.graph("live").expect("registered");
-            updates_run += 1;
-        } else {
-            let pattern = std::sync::Arc::clone(&windows[i % windows.len()]);
-            let mat = SimMatrix::from_fn(pattern.node_count(), n, |v, u| {
-                inst.pool.similarity(*pattern.label(v), *data.label(u))
-            });
-            let q = mixed_query(pattern, mat, f.xi, f.algorithm, i);
-            match service.query_traced("live", &q, trace_log.enabled()) {
-                Ok(r) => {
-                    query_micros += r.micros;
-                    card_sum += r.qual_card;
-                    trace_log.record(i, "live", &r);
-                }
-                Err(e) => return fail(&e.to_string()),
-            }
-            queries_run += 1;
-        }
-    }
-    let elapsed = started.elapsed();
-    if let Err(e) = trace_log.flush() {
-        return fail(&e);
-    }
+    let trace = TraceLog::new(&f, &work.names);
+    let render = service_metrics(&service);
+    let report = replay(
+        &work.ops,
+        None,
+        1,
+        &trace,
+        &|| refresh_metrics(&f, &render),
+        service_exec(&service, &work, trace.enabled()),
+    );
 
     // The number the subsystem exists to beat: one full re-prepare of the
     // final graph, i.e. what every single-edge update used to cost.
-    let reprep_start = std::time::Instant::now();
-    let full = PreparedGraph::prepare(
-        std::sync::Arc::clone(&data),
-        PrepareOptions::from_planner(&planner_config(&f)),
-    );
+    let data = service.graph("live").expect("registered above");
+    let reprep_start = Instant::now();
+    let full = PreparedGraph::prepare(data, PrepareOptions::from_planner(&planner_config(&f)));
     let reprep = reprep_start.elapsed();
 
     let stats = service.engine_stats();
@@ -1521,27 +1384,9 @@ fn cmd_engine_live(args: &[String]) -> ExitCode {
         full.stats().scc_count,
         full.stats().closure_edges,
     );
-    println!(
-        "stream: {} ops in {:.2} ms  ({} queries, {} updates, ratio {:.2})",
-        f.ops,
-        elapsed.as_secs_f64() * 1e3,
-        queries_run,
-        updates_run,
-        f.update_ratio,
-    );
-    println!(
-        "updates: {} applied ({} incremental, {} closure-unchanged, {} rebuilds, {} no-ops), \
-         {} components touched, {} bounded rows refreshed",
-        agg.applied,
-        agg.incremental,
-        agg.closure_unchanged,
-        agg.rebuilds,
-        agg.noops,
-        agg.affected_components,
-        agg.bounded_rows_recomputed,
-    );
-    if updates_run > 0 {
-        let mean_apply = agg.apply_micros as f64 / updates_run as f64;
+    print_report(&report, None);
+    if report.applied > 0 {
+        let mean_apply = report.updates.apply_micros as f64 / report.applied as f64;
         let full_micros = reprep.as_micros() as f64;
         println!(
             "mean apply = {:.1} us vs full re-prepare = {:.1} us  ({:.2}x faster)",
@@ -1550,34 +1395,26 @@ fn cmd_engine_live(args: &[String]) -> ExitCode {
             full_micros / mean_apply.max(1e-9),
         );
     }
-    if queries_run > 0 {
-        println!(
-            "queries: mean latency = {:.1} us, mean qualCard = {:.4}, \
-             prepares = {} (cache hits {})",
-            query_micros as f64 / queries_run as f64,
-            card_sum / queries_run as f64,
-            stats.prepares,
-            stats.cache_hits,
-        );
-    }
-    if let Err(e) = write_stats_json(&f, &stats, full.stats(), Some(&agg), Some(&service.stats())) {
-        return fail(&e);
-    }
-    if let Err(e) = finish_metrics_text(&service, &f) {
-        return fail(&e);
-    }
-    ExitCode::SUCCESS
+    println!(
+        "prepares = {} (cache hits {})",
+        stats.prepares, stats.cache_hits
+    );
+    let sections = StatsSections {
+        engine: Some(stats),
+        prepare: Some(full.stats().clone()),
+        updates: Some(report.updates.clone()),
+        service: Some(service.stats()),
+        router: None,
+    };
+    finish_replay(&f, &report, &trace, sections, &render)
 }
 
-/// `phom serve-sim`: stands up the full service stack — a multi-graph
-/// registry whose data graphs each split into WCC shards, a bounded
-/// admission queue — and replays an open-loop mix of queries and edge
-/// updates against it, reporting shed counts, per-plan latency
-/// percentiles, and cache behavior. The workload: each registered graph
-/// is a disjoint union of `--parts` synthetic instances (each part one
-/// weakly connected component, so the registry actually shards), queries
-/// are sliding-window patterns routed by candidate labels, updates flip
-/// random intra-part edges.
+/// `phom serve-sim`: replays an open-loop mix of queries and edge
+/// updates against the full serving stack — in process (a multi-graph
+/// registry with WCC sharding and a bounded admission queue) or, with
+/// `--processes N`, through a [`Router`] over `N` worker processes.
+/// Both targets replay the same workload ([`serve_workload`]), so their
+/// numbers compare directly.
 fn cmd_serve_sim(args: &[String]) -> ExitCode {
     let f = match parse_flags(args) {
         Ok(f) => f,
@@ -1592,36 +1429,33 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
     if f.kill_worker && f.processes == 0 {
         return fail("--kill-worker needs --processes N (cluster mode)");
     }
-    if f.processes > 0 {
-        return serve_sim_cluster(&f);
-    }
+    let work = serve_workload(&f);
     let arrivals = f.arrivals.unwrap_or(Arrivals::Poisson(400.0));
-    let service: Service<phom::workloads::synthetic::Label> = Service::new(service_config(
-        &f,
-        ShardingConfig {
-            max_shards: f.parts,
-            min_shard_nodes: 2,
-        },
-    ));
-    if let Err(e) = attach_journal(&service, &f) {
-        return fail(&e);
+    if f.processes > 0 {
+        serve_sim_cluster(&f, &work, arrivals)
+    } else {
+        serve_sim_local(&f, &work, arrivals)
     }
+}
 
-    // Each graph: `--parts` disjoint copies of one synthetic instance
-    // (distinct per graph via the seed), so every part is a WCC and the
-    // label pool is shared across parts — a query's candidates appear in
-    // every shard, exercising multi-shard routing and merging.
-    let mut instances = Vec::with_capacity(f.graphs);
+/// The serve-sim workload. Graph `g` is `--parts` disjoint copies of the
+/// data graph of one §6 instance (seeded `--seed + g`), so every part is
+/// a WCC and the label pool is shared across parts — a query's
+/// candidates appear in every shard, exercising multi-shard routing and
+/// merging. Each graph has four sliding-window patterns at `--xi`. Op
+/// `i` targets graph `i % --graphs`; an update flips one edge inside
+/// one part (intra-shard), never a self-loop.
+fn serve_workload(f: &Flags) -> Workload<String> {
     let part_nodes = f.nodes.max(4);
+    let mut work = Workload::default();
     for g in 0..f.graphs {
         let cfg = SyntheticConfig {
             m: part_nodes,
             noise: f.noise,
             seed: f.seed.wrapping_add(g as u64),
         };
-        let inst = phom::workloads::generate_instance(&cfg, 1);
-        let mut union: DiGraph<phom::workloads::synthetic::Label> =
-            DiGraph::with_capacity(part_nodes * f.parts);
+        let inst = generate_instance(&cfg, 1);
+        let mut union: DiGraph<Label> = DiGraph::with_capacity(inst.g2.node_count() * f.parts);
         for _ in 0..f.parts {
             let offset = union.node_count();
             for v in inst.g2.nodes() {
@@ -1634,175 +1468,76 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
                 );
             }
         }
-        let name = format!("g{g}");
-        match service.register(name.clone(), std::sync::Arc::new(union)) {
-            Ok(info) => {
-                println!(
-                    "registered {name}: {} nodes, {} edges, {} shards {:?} [{} backend, compression {}]",
-                    info.nodes, info.edges, info.shards, info.shard_nodes,
-                    info.closure_backend, info.compression,
-                );
-            }
-            Err(e) => return fail(&e.to_string()),
+        let windows = window_patterns(&inst.g1, part_nodes, 4);
+        let matrices = pool_matrices(&inst.pool, &windows, &union);
+        for (pattern, matrix) in windows.iter().zip(matrices) {
+            let mut q = Query::new(Arc::new(named(pattern)), matrix);
+            q.config.xi = f.xi;
+            work.queries.push(q);
         }
-        instances.push(inst);
+        work.names.push(format!("g{g}"));
+        work.graphs.push(Arc::new(named(&union)));
     }
+    let graphs = work.graphs.len();
+    work.ops = mixed_ops(
+        f.queries,
+        f.update_ratio,
+        phom::graph::XorShift64::new(f.seed ^ 0x7365_7276), // "serv"
+        &work.graphs,
+        |rng, g| {
+            let part = work.graphs[g].node_count() / f.parts;
+            let base = rng.below(f.parts) * part;
+            let a = rng.below(part);
+            let b = (a + 1 + rng.below(part - 1)) % part;
+            (NodeId((base + a) as u32), NodeId((base + b) as u32))
+        },
+        |i, g| g * 4 + (i / graphs) % 4,
+    );
+    work
+}
 
-    // Sliding-window patterns per graph (as engine-batch), with matrices
-    // against the full union — label-stable under edge updates, so they
-    // are precomputed once.
-    let pattern_nodes = (part_nodes / 5).clamp(4, 40).min(part_nodes);
-    let mut queries: Vec<(String, Query<phom::workloads::synthetic::Label>)> = Vec::new();
-    for (g, inst) in instances.iter().enumerate() {
-        let name = format!("g{g}");
-        let data = service.graph(&name).expect("registered");
-        for w in 0..4 {
-            let lo = (w * part_nodes / 4).min(part_nodes - pattern_nodes);
-            let keep: std::collections::BTreeSet<NodeId> =
-                (lo..lo + pattern_nodes).map(|i| NodeId(i as u32)).collect();
-            let pattern = std::sync::Arc::new(inst.g1.induced_subgraph(&keep).0);
-            let mat = SimMatrix::from_fn(pattern.node_count(), data.node_count(), |v, u| {
-                inst.pool.similarity(*pattern.label(v), *data.label(u))
-            });
-            queries.push((name.clone(), Query::new(pattern, mat)));
-        }
-    }
-
-    let ops = f.queries;
-    let schedule = arrivals.schedule(ops, f.seed);
-    let workers = if f.threads > 0 {
-        f.threads
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    }
-    .min(ops)
-    .max(1);
-    let update_every = if f.update_ratio > 0.0 {
-        (1.0 / f.update_ratio).round().max(1.0) as usize
-    } else {
-        usize::MAX
-    };
-    let trace_log = TraceLog::new(&f);
-    let start = std::time::Instant::now();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let latencies: std::sync::Mutex<Vec<(u128, u128)>> =
-        std::sync::Mutex::new(Vec::with_capacity(ops));
-    let shed = std::sync::atomic::AtomicUsize::new(0);
-    // The reporter thread lives in an outer scope so the main thread can
-    // run (and implicitly join) the submitter scope, then flip the stop
-    // flag — while the reporter keeps the `--metrics-text` file fresh
-    // and polls the SLO monitor (journaling breaches as they happen, not
-    // at exit).
-    let stop_reporter = std::sync::atomic::AtomicBool::new(false);
-    let elapsed = std::thread::scope(|ops_scope| {
-        if f.metrics_text.is_some() {
-            let (service, f, stop) = (&service, &f, &stop_reporter);
-            ops_scope.spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    let _ = service.slo_status();
-                    if let Some(path) = &f.metrics_text {
-                        if let Err(e) = write_metrics_text(service, path) {
-                            eprintln!("{e}");
-                        }
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(220));
-                }
-            });
-        }
-        std::thread::scope(|s| {
-            for worker in 0..workers {
-                let queries = &queries;
-                let schedule = &schedule;
-                let trace_log = &trace_log;
-                let service = &service;
-                let latencies = &latencies;
-                let shed = &shed;
-                let next = &next;
-                let f = &f;
-                s.spawn(move || {
-                    let mut rng =
-                        phom::graph::XorShift64::new(f.seed ^ ((worker as u64 + 1) * 0x9e37));
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        if i >= ops {
-                            break;
-                        }
-                        let sched = schedule[i];
-                        let now = start.elapsed();
-                        if now < sched {
-                            std::thread::sleep(sched - now);
-                        }
-                        let graph_name = format!("g{}", i % f.graphs);
-                        if update_every != usize::MAX && i % update_every == update_every - 1 {
-                            // Edge flip inside one part of the target graph
-                            // (intra-shard, routed to its owning shard).
-                            let data = service.graph(&graph_name).expect("registered");
-                            let n = data.node_count();
-                            let part = n / f.parts.max(1);
-                            let base = rng.below(f.parts.max(1)) * part;
-                            let a = NodeId((base + rng.below(part.max(1))) as u32);
-                            let b = NodeId((base + rng.below(part.max(1))) as u32);
-                            let update = if data.has_edge(a, b) {
-                                phom::dynamic::GraphUpdate::RemoveEdge(a, b)
-                            } else {
-                                phom::dynamic::GraphUpdate::InsertEdge(a, b)
-                            };
-                            if let Err(e) = service.handle(Request::ApplyUpdates {
-                                graph: graph_name,
-                                updates: vec![update],
-                            }) {
-                                eprintln!("update {i}: {e}");
-                            }
-                        } else {
-                            let (name, q) = &queries[i % queries.len()];
-                            match service.handle(Request::Query {
-                                graph: name.clone(),
-                                query: q.clone(),
-                                trace: trace_log.enabled(),
-                            }) {
-                                Ok(Response::Answer(r)) => {
-                                    let response =
-                                        start.elapsed().saturating_sub(sched).as_micros();
-                                    latencies
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push((r.micros, response));
-                                    trace_log.record(i, name, &r);
-                                }
-                                Ok(_) => unreachable!("query returns Answer"),
-                                Err(ServiceError::Overloaded { .. }) => {
-                                    shed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                }
-                                Err(e) => eprintln!("query {i}: {e}"),
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // Replay time excludes the reporter's final sleep-out: measure
-        // before flipping the stop flag (the outer scope then joins it).
-        let elapsed = start.elapsed();
-        stop_reporter.store(true, std::sync::atomic::Ordering::Release);
-        elapsed
-    });
-    if let Err(e) = trace_log.flush() {
+/// In-process serve-sim: the registry shards every graph by WCC, admits
+/// queries through the `--queue-depth` gate, and journals to
+/// `--journal` through its attached sink.
+fn serve_sim_local(f: &Flags, work: &Workload<String>, arrivals: Arrivals) -> ExitCode {
+    let service: Service<String> = Service::new(service_config(
+        f,
+        ShardingConfig {
+            max_shards: f.parts,
+            min_shard_nodes: 2,
+        },
+    ));
+    if let Err(e) = attach_journal(&service, f) {
         return fail(&e);
     }
-    let pairs = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut service_lat: Vec<u128> = pairs.iter().map(|&(s, _)| s).collect();
-    let mut response: Vec<u128> = pairs.iter().map(|&(_, r)| r).collect();
-    service_lat.sort_unstable();
-    response.sort_unstable();
+    for (name, graph) in work.names.iter().zip(&work.graphs) {
+        match service.register(name.clone(), Arc::clone(graph)) {
+            Ok(info) => println!(
+                "registered {name}: {} nodes, {} edges, {} shards {:?} [{} backend, compression {}]",
+                info.nodes,
+                info.edges,
+                info.shards,
+                info.shard_nodes,
+                info.closure_backend,
+                info.compression,
+            ),
+            Err(e) => return fail(&e.to_string()),
+        }
+    }
+    let trace = TraceLog::new(f, &work.names);
+    let render = service_metrics(&service);
+    let schedule = arrivals.schedule(work.ops.len(), f.seed);
+    let report = replay(
+        &work.ops,
+        Some(&schedule),
+        submitters(f, work.ops.len()),
+        &trace,
+        &|| refresh_metrics(f, &render),
+        service_exec(&service, work, trace.enabled()),
+    );
+    print_report(&report, Some(arrivals));
 
     let stats = service.stats();
-    println!(
-        "serve-sim: {} ops at {:.1} op/s ({} arrivals) over {:.2} ms, {workers} submitters",
-        ops,
-        arrivals.rate(),
-        arrivals.name(),
-        elapsed.as_secs_f64() * 1e3,
-    );
     println!(
         "admission: {} admitted, {} shed (queue depth {}), {} update batches, {} reshards",
         stats.queries_admitted,
@@ -1814,18 +1549,6 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
         },
         stats.update_batches,
         stats.reshards,
-    );
-    println!(
-        "response latency: p50 = {} us, p95 = {} us, p99 = {} us",
-        percentile_micros(&response, 50),
-        percentile_micros(&response, 95),
-        percentile_micros(&response, 99),
-    );
-    println!(
-        "service latency:  p50 = {} us, p95 = {} us, p99 = {} us",
-        percentile_micros(&service_lat, 50),
-        percentile_micros(&service_lat, 95),
-        percentile_micros(&service_lat, 99),
     );
     let hist = &stats.plan_histograms;
     println!(
@@ -1845,36 +1568,19 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
         stats.cache_hit_ratio_lifetime, stats.cache_hit_ratio_windowed, stats.graphs, stats.shards,
     );
     println!(
-        "updates: {} backend fallbacks; slow-trace ring holds {} traces",
-        stats.backend_fallbacks,
+        "ops: {} journal events, {} flight records, {} slow traces, SLO breached = {}",
+        stats.journal_events,
+        stats.flight_recorded,
         stats.slow_traces.len(),
+        stats.slo.breached,
     );
-    println!(
-        "ops: {} journal events, {} flight records, SLO breached = {}",
-        stats.journal_events, stats.flight_recorded, stats.slo.breached,
-    );
-    if let Some(path) = &f.stats_json {
-        let mut engine_stats = service.engine_stats();
-        engine_stats.last_batch_p50_micros = percentile_micros(&service_lat, 50);
-        engine_stats.last_batch_p95_micros = percentile_micros(&service_lat, 95);
-        engine_stats.last_batch_p99_micros = percentile_micros(&service_lat, 99);
-        engine_stats.response_p50_micros = percentile_micros(&response, 50);
-        engine_stats.response_p95_micros = percentile_micros(&response, 95);
-        engine_stats.response_p99_micros = percentile_micros(&response, 99);
-        let json = format!(
-            "{{\"service\":{},\"engine\":{}}}\n",
-            stats.to_json(),
-            engine_stats.to_json(),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
-        println!("stats JSON written to {path}");
-    }
-    if let Err(e) = finish_metrics_text(&service, &f) {
-        return fail(&e);
-    }
-    ExitCode::SUCCESS
+    let sections = StatsSections {
+        engine: Some(service.engine_stats()),
+        updates: Some(report.updates.clone()),
+        service: Some(stats),
+        ..Default::default()
+    };
+    finish_replay(f, &report, &trace, sections, &render)
 }
 
 /// `phom worker`: hosts one single-process [`Service`] over TCP
@@ -1897,8 +1603,8 @@ fn cmd_worker(args: &[String]) -> ExitCode {
     // the process drains promptly on shutdown.
     let transport = TcpTransport {
         timeouts: TransportTimeouts {
-            read: std::time::Duration::from_millis(100),
-            write: std::time::Duration::from_secs(5),
+            read: Duration::from_millis(100),
+            write: Duration::from_secs(5),
         },
         frame: FrameConfig::default(),
     };
@@ -1915,31 +1621,31 @@ fn cmd_worker(args: &[String]) -> ExitCode {
         return fail(&e);
     }
     println!("listening {}", server.addr());
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     loop {
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        std::thread::sleep(Duration::from_millis(200));
         if f.max_seconds > 0 && started.elapsed().as_secs() >= f.max_seconds {
             break;
         }
     }
     server.stop();
-    if let Err(e) = finish_metrics_text(&service, &f) {
+    if let Err(e) = finish_metrics_text(&f, &service_metrics(&service)) {
         return fail(&e);
     }
     ExitCode::SUCCESS
 }
 
 /// `serve-sim --processes N`: the cluster-mode replay. Spawns `N`
-/// `phom worker` child processes on loopback, shards every synthetic
-/// graph across them behind a [`Router`] front-end (with `--replicas`
-/// read replicas per shard hydrated from primary snapshots), and
-/// replays the open-loop query/update mix through the router. With
-/// `--kill-worker`, one worker process is killed halfway through the
-/// replay: the router detects the loss, promotes a replica for every
+/// `phom worker` child processes on loopback, shards every graph across
+/// them behind a [`Router`] front-end (with `--replicas` read replicas
+/// per shard hydrated from primary snapshots), and replays the workload
+/// through the router. With `--kill-worker`, op `ops/2` first kills
+/// worker 0: the router detects the loss, promotes a replica for every
 /// shard the dead worker led, and the replay completes against the
-/// survivors.
-fn serve_sim_cluster(f: &Flags) -> ExitCode {
-    let arrivals = f.arrivals.unwrap_or(Arrivals::Poisson(400.0));
+/// survivors. The router's `WorkerConnected` events fire inside
+/// `Router::connect`, before a sink could attach, so `--journal` dumps
+/// the router's ring at the end instead.
+fn serve_sim_cluster(f: &Flags, work: &Workload<String>, arrivals: Arrivals) -> ExitCode {
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => return fail(&format!("cannot locate the phom binary: {e}")),
@@ -2008,10 +1714,10 @@ fn serve_sim_cluster(f: &Flags) -> ExitCode {
         addrs.push(addr);
     }
 
-    let transport = std::sync::Arc::new(TcpTransport {
+    let transport = Arc::new(TcpTransport {
         timeouts: TransportTimeouts {
-            read: std::time::Duration::from_secs(10),
-            write: std::time::Duration::from_secs(10),
+            read: Duration::from_secs(10),
+            write: Duration::from_secs(10),
         },
         frame: FrameConfig::default(),
     });
@@ -2027,7 +1733,7 @@ fn serve_sim_cluster(f: &Flags) -> ExitCode {
             replicas: f.replicas,
             frame: FrameConfig::default(),
             redials: 2,
-            retry_backoff: std::time::Duration::from_millis(20),
+            retry_backoff: Duration::from_millis(20),
             journal_capacity: 256,
         },
     );
@@ -2035,35 +1741,8 @@ fn serve_sim_cluster(f: &Flags) -> ExitCode {
         kill_all(&mut spawned);
         return fail("no workers reachable after spawn");
     }
-
-    // Each graph: `--parts` disjoint string-labeled parts over a shared
-    // 8-label pool (each part a spanning path plus random intra-part
-    // edges), so every part is a WCC and a query's candidates appear in
-    // every shard — multi-worker fan-out and merging on each query.
-    let part_nodes = f.nodes.max(4);
-    let mut queries: Vec<(String, Query<String>)> = Vec::new();
-    for g in 0..f.graphs {
-        let mut rng = phom::graph::XorShift64::new(f.seed.wrapping_add(g as u64) ^ 0x636c_7573); // "clus"
-        let mut union: DiGraph<String> = DiGraph::with_capacity(part_nodes * f.parts);
-        for _ in 0..f.parts {
-            let base = union.node_count() as u32;
-            for i in 0..part_nodes {
-                union.add_node(format!("l{}", i % 8));
-            }
-            for i in 0..part_nodes as u32 - 1 {
-                union.add_edge(NodeId(base + i), NodeId(base + i + 1));
-            }
-            for _ in 0..part_nodes {
-                let a = rng.below(part_nodes) as u32;
-                let b = rng.below(part_nodes) as u32;
-                if a != b {
-                    union.add_edge(NodeId(base + a), NodeId(base + b));
-                }
-            }
-        }
-        let name = format!("g{g}");
-        let data = std::sync::Arc::new(union);
-        match router.register(name.clone(), std::sync::Arc::clone(&data)) {
+    for (name, graph) in work.names.iter().zip(&work.graphs) {
+        match router.register(name.clone(), Arc::clone(graph)) {
             Ok(info) => println!(
                 "registered {name}: {} nodes, {} edges, {} shards x {} member(s) over {} workers",
                 info.nodes,
@@ -2077,159 +1756,48 @@ fn serve_sim_cluster(f: &Flags) -> ExitCode {
                 return fail(&format!("register {name}: {e:?}"));
             }
         }
-        // Three-node path patterns sliding over the label pool, matched
-        // by label equality — precomputed once, label-stable under the
-        // edge-insert update mix.
-        for w in 0..4u32 {
-            let mut pattern: DiGraph<String> = DiGraph::new();
-            for k in 0..3u32 {
-                pattern.add_node(format!("l{}", (w + k) % 8));
-            }
-            pattern.add_edge(NodeId(0), NodeId(1));
-            pattern.add_edge(NodeId(1), NodeId(2));
-            let pattern = std::sync::Arc::new(pattern);
-            let matrix = SimMatrix::label_equality(&pattern, &data);
-            let mut q = Query::new(pattern, matrix);
-            q.config = QueryConfig::builder().xi(f.xi).restarts(1).build();
-            queries.push((name.clone(), q));
-        }
     }
 
-    let ops = f.queries;
-    let schedule = arrivals.schedule(ops, f.seed);
-    let workers = if f.threads > 0 {
-        f.threads
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    }
-    .min(ops)
-    .max(1);
-    let update_every = if f.update_ratio > 0.0 {
-        (1.0 / f.update_ratio).round().max(1.0) as usize
-    } else {
-        usize::MAX
-    };
-    let trace_log = TraceLog::new(f);
-    let children = std::sync::Mutex::new(spawned);
-    let start = std::time::Instant::now();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let latencies: std::sync::Mutex<Vec<(u128, u128)>> =
-        std::sync::Mutex::new(Vec::with_capacity(ops));
-    let errors = std::sync::atomic::AtomicUsize::new(0);
-    let elapsed = std::thread::scope(|s| {
-        if f.kill_worker {
-            let (next, children) = (&next, &children);
-            s.spawn(move || loop {
-                if next.load(std::sync::atomic::Ordering::SeqCst) >= ops / 2 {
-                    let mut kids = children.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(c) = kids.first_mut() {
-                        let pid = c.id();
-                        let _ = c.kill();
-                        let _ = c.wait();
-                        println!("killed worker 0 (pid {pid}) mid-replay");
-                    }
-                    break;
+    let trace = TraceLog::new(f, &work.names);
+    let render = || phom::trace::render_prometheus(&router.metrics().export(), &[]);
+    let children = Mutex::new(spawned);
+    let kill_at = f.kill_worker.then_some(work.ops.len() / 2);
+    let schedule = arrivals.schedule(work.ops.len(), f.seed);
+    let report = replay(
+        &work.ops,
+        Some(&schedule),
+        submitters(f, work.ops.len()),
+        &trace,
+        &|| refresh_metrics(f, &render),
+        |i, op| {
+            if kill_at == Some(i) {
+                let mut kids = children.lock().unwrap_or_else(|e| e.into_inner());
+                if let Some(c) = kids.first_mut() {
+                    let pid = c.id();
+                    let _ = c.kill();
+                    let _ = c.wait();
+                    println!("killed worker 0 (pid {pid}) at op {i}");
                 }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            });
-        }
-        std::thread::scope(|s| {
-            for worker in 0..workers {
-                let queries = &queries;
-                let schedule = &schedule;
-                let trace_log = &trace_log;
-                let router = &router;
-                let latencies = &latencies;
-                let errors = &errors;
-                let next = &next;
-                s.spawn(move || {
-                    let mut rng =
-                        phom::graph::XorShift64::new(f.seed ^ ((worker as u64 + 1) * 0x9e37));
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        if i >= ops {
-                            break;
-                        }
-                        let sched = schedule[i];
-                        let now = start.elapsed();
-                        if now < sched {
-                            std::thread::sleep(sched - now);
-                        }
-                        let graph_name = format!("g{}", i % f.graphs);
-                        if update_every != usize::MAX && i % update_every == update_every - 1 {
-                            // Random intra-part edge insert — idempotent
-                            // (re-inserting an existing edge is a no-op),
-                            // so a failover retry never corrupts a shard.
-                            let part = rng.below(f.parts) * part_nodes;
-                            let a = NodeId((part + rng.below(part_nodes)) as u32);
-                            let b = NodeId((part + rng.below(part_nodes)) as u32);
-                            if a == b {
-                                continue;
-                            }
-                            if let Err(e) = router.apply_updates(
-                                &graph_name,
-                                &[phom::dynamic::GraphUpdate::InsertEdge(a, b)],
-                            ) {
-                                errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                eprintln!("update {i}: {e:?}");
-                            }
-                        } else {
-                            let (name, q) = &queries[i % queries.len()];
-                            match router.query(name, q, trace_log.enabled()) {
-                                Ok(r) => {
-                                    let response =
-                                        start.elapsed().saturating_sub(sched).as_micros();
-                                    latencies
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push((r.micros, response));
-                                    trace_log.record(i, name, &r);
-                                }
-                                Err(e) => {
-                                    errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    eprintln!("query {i}: {e:?}");
-                                }
-                            }
-                        }
-                    }
-                });
             }
-        });
-        start.elapsed()
-    });
+            run_op(
+                work,
+                op,
+                |g, q| router.query(g, q, trace.enabled()),
+                |g, u| router.apply_updates(g, u),
+                |e| matches!(e, RouterError::Service(ServiceError::Overloaded { .. })),
+            )
+        },
+    );
     // The fleet is no longer needed — stats, journal, and metrics below
     // are all router-local. Tear the children down before any output
     // path can early-return.
-    let mut kids = children.into_inner().unwrap_or_else(|e| e.into_inner());
-    kill_all(&mut kids);
+    kill_all(&mut children.into_inner().unwrap_or_else(|e| e.into_inner()));
+    print_report(&report, Some(arrivals));
 
-    if let Err(e) = trace_log.flush() {
-        return fail(&e);
-    }
     let stats = router.stats();
-    let err_count = errors.load(std::sync::atomic::Ordering::Relaxed);
-    let pairs = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut service_lat: Vec<u128> = pairs.iter().map(|&(s, _)| s).collect();
-    let mut response: Vec<u128> = pairs.iter().map(|&(_, r)| r).collect();
-    service_lat.sort_unstable();
-    response.sort_unstable();
-    let throughput = pairs.len() as f64 / elapsed.as_secs_f64().max(1e-9);
-
     println!(
-        "serve-sim (cluster): {} ops at {:.1} op/s ({} arrivals) over {:.2} ms, \
-         {workers} submitters, {} worker processes",
-        ops,
-        arrivals.rate(),
-        arrivals.name(),
-        elapsed.as_secs_f64() * 1e3,
-        f.processes,
-    );
-    println!(
-        "routing: {} queries routed, {} update batches routed, {} ok responses \
-         ({throughput:.1} op/s), {err_count} errors",
-        stats.queries_routed,
-        stats.updates_routed,
-        pairs.len(),
+        "routing: {} queries routed, {} update batches routed over {} worker processes",
+        stats.queries_routed, stats.updates_routed, f.processes,
     );
     println!(
         "fleet: {}/{} workers alive, {} connected, {} lost, {} replicas promoted, {} reconnects",
@@ -2244,66 +1812,493 @@ fn serve_sim_cluster(f: &Flags) -> ExitCode {
         "transport: {} bytes sent, {} bytes received",
         stats.bytes_sent, stats.bytes_received,
     );
-    println!(
-        "response latency: p50 = {} us, p95 = {} us, p99 = {} us",
-        percentile_micros(&response, 50),
-        percentile_micros(&response, 95),
-        percentile_micros(&response, 99),
-    );
-    println!(
-        "service latency:  p50 = {} us, p95 = {} us, p99 = {} us",
-        percentile_micros(&service_lat, 50),
-        percentile_micros(&service_lat, 95),
-        percentile_micros(&service_lat, 99),
-    );
-    if let Some(path) = &f.stats_json {
-        let json = format!(
-            "{{\"router\":{},\"ops\":{},\"errors\":{},\"throughput_ops_per_sec\":{:.3},\
-             \"response_p50_micros\":{},\"response_p95_micros\":{},\"response_p99_micros\":{},\
-             \"service_p50_micros\":{},\"service_p95_micros\":{},\"service_p99_micros\":{}}}\n",
-            stats.to_json(),
-            ops,
-            err_count,
-            throughput,
-            percentile_micros(&response, 50),
-            percentile_micros(&response, 95),
-            percentile_micros(&response, 99),
-            percentile_micros(&service_lat, 50),
-            percentile_micros(&service_lat, 95),
-            percentile_micros(&service_lat, 99),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
-        println!("stats JSON written to {path}");
-    }
     if let Some(path) = &f.journal {
-        let lines: Vec<String> = router
+        let events: Vec<String> = router
             .journal()
             .snapshot()
             .iter()
             .map(|e| e.to_json())
             .collect();
-        let mut text = lines.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            return fail(&format!("cannot write {path}: {e}"));
+        if let Err(e) = write_json_lines(path, &events) {
+            return fail(&e);
         }
         println!(
             "event journal (JSON lines) -> {path} ({} events)",
-            lines.len()
+            events.len()
         );
     }
-    if let Some(path) = &f.metrics_text {
-        let text = phom::trace::render_prometheus(&router.metrics().export(), &[]);
-        if let Err(e) = std::fs::write(path, text) {
-            return fail(&format!("cannot write {path}: {e}"));
+    let sections = StatsSections {
+        updates: Some(report.updates.clone()),
+        router: Some(stats),
+        ..Default::default()
+    };
+    finish_replay(f, &report, &trace, sections, &render)
+}
+
+/// A whole replay, built from the flags and `--seed` alone before any
+/// op runs: the named graphs, the query table, and the op list.
+#[derive(Default)]
+struct Workload<L> {
+    names: Vec<String>,
+    graphs: Vec<Arc<DiGraph<L>>>,
+    queries: Vec<Query<L>>,
+    ops: Vec<Op>,
+}
+
+impl<L> Workload<L> {
+    /// One graph, `batch`, queried once per table entry, in order.
+    fn batch(data: Arc<DiGraph<L>>, queries: Vec<Query<L>>) -> Self {
+        let ops = (0..queries.len())
+            .map(|query| Op::Query { graph: 0, query })
+            .collect();
+        Workload {
+            names: vec!["batch".to_owned()],
+            graphs: vec![data],
+            queries,
+            ops,
         }
-        println!("metrics text written to {path}");
     }
-    ExitCode::SUCCESS
+}
+
+/// One replayed operation; `graph` and `query` index the workload's
+/// graph and query tables.
+#[derive(Debug, PartialEq)]
+enum Op {
+    Query { graph: usize, query: usize },
+    Update { graph: usize, update: GraphUpdate },
+}
+
+impl Op {
+    fn graph(&self) -> usize {
+        match self {
+            Op::Query { graph, .. } | Op::Update { graph, .. } => *graph,
+        }
+    }
+}
+
+/// Builds a `count`-op stream over `graphs`. Op `i` targets graph
+/// `i % graphs.len()` and is an update with probability `ratio` (one
+/// `rng.unit()` per op; graphs under two nodes take none), whose
+/// endpoints `draw` picks. Whether an update inserts or removes is
+/// decided here, by toggling the edge on a local copy of its graph in
+/// op order, so the list depends on the flags and seed alone — never on
+/// the submitter count or timing. Every other op is a query, at the
+/// table index `query_of(i, graph)` returns.
+fn mixed_ops<L>(
+    count: usize,
+    ratio: f64,
+    mut rng: phom::graph::XorShift64,
+    graphs: &[Arc<DiGraph<L>>],
+    mut draw: impl FnMut(&mut phom::graph::XorShift64, usize) -> (NodeId, NodeId),
+    mut query_of: impl FnMut(usize, usize) -> usize,
+) -> Vec<Op> {
+    let mut edges: Vec<DiGraph<()>> = graphs.iter().map(|g| g.map_labels(|_, _| ())).collect();
+    (0..count)
+        .map(|i| {
+            let graph = i % graphs.len();
+            if rng.unit() < ratio && edges[graph].node_count() >= 2 {
+                let (a, b) = draw(&mut rng, graph);
+                let local = &mut edges[graph];
+                let update = if local.remove_edge(a, b) {
+                    GraphUpdate::RemoveEdge(a, b)
+                } else {
+                    local.add_edge(a, b);
+                    GraphUpdate::InsertEdge(a, b)
+                };
+                Op::Update { graph, update }
+            } else {
+                Op::Query {
+                    graph,
+                    query: query_of(i, graph),
+                }
+            }
+        })
+        .collect()
+}
+
+/// Submitter threads for a `--threads` replay (0 = one per core), never
+/// more than there are ops.
+fn submitters(f: &Flags, ops: usize) -> usize {
+    match f.threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        t => t,
+    }
+    .min(ops)
+    .max(1)
+}
+
+/// What one op did.
+enum Outcome {
+    /// A query's answer.
+    Answer(QueryResponse),
+    /// An applied update batch and its maintenance accounting.
+    Applied(UpdateStats),
+    /// Refused by admission control (`Overloaded`): shed, not failed.
+    Shed,
+    /// Any other failure.
+    Error(String),
+}
+
+/// The in-process target: each op calls the service directly.
+fn service_exec<'a, L: ServiceLabel>(
+    service: &'a Service<L>,
+    work: &'a Workload<L>,
+    trace: bool,
+) -> impl Fn(usize, &Op) -> Outcome + Sync + 'a {
+    move |_, op| {
+        run_op(
+            work,
+            op,
+            |g, q| service.query_traced(g, q, trace),
+            |g, u| service.apply_updates(g, u),
+            |e| matches!(e, ServiceError::Overloaded { .. }),
+        )
+    }
+}
+
+/// Runs `op` through one target's query and update calls. Errors
+/// `overloaded` picks out are admission refusals (shed); any other is
+/// an error.
+fn run_op<L, E: std::fmt::Display>(
+    work: &Workload<L>,
+    op: &Op,
+    query: impl FnOnce(&str, &Query<L>) -> Result<QueryResponse, E>,
+    apply: impl FnOnce(&str, &[GraphUpdate]) -> Result<UpdateSummary, E>,
+    overloaded: impl FnOnce(&E) -> bool,
+) -> Outcome {
+    let graph = &work.names[op.graph()];
+    let result = match op {
+        Op::Query { query: q, .. } => query(graph, &work.queries[*q]).map(Outcome::Answer),
+        Op::Update { update, .. } => {
+            apply(graph, std::slice::from_ref(update)).map(|s| Outcome::Applied(s.stats))
+        }
+    };
+    result.unwrap_or_else(|e| {
+        if overloaded(&e) {
+            Outcome::Shed
+        } else {
+            Outcome::Error(e.to_string())
+        }
+    })
+}
+
+/// The result of one replay, which one printer ([`print_report`]) and
+/// one `--stats-json` writer ([`write_stats_json`]) consume.
+#[derive(Debug, Default)]
+struct ReplayReport {
+    ops: usize,
+    /// Query ops in the list.
+    queries: usize,
+    /// Update ops in the list.
+    update_ops: usize,
+    submitters: usize,
+    /// True when ops ran on an arrival schedule.
+    open_loop: bool,
+    /// Update ops that applied.
+    applied: usize,
+    shed: usize,
+    errors: usize,
+    elapsed: Duration,
+    /// Service latency (execution only) of each answer, in µs; sorted.
+    service: Vec<u128>,
+    /// Response latency (due time to completion) of each answer, in µs;
+    /// sorted.
+    response: Vec<u128>,
+    qual_card_sum: f64,
+    /// Maintenance accounting summed over every applied update.
+    updates: UpdateStats,
+}
+
+impl ReplayReport {
+    fn new(ops: &[Op], submitters: usize, open_loop: bool) -> Self {
+        let update_ops = ops
+            .iter()
+            .filter(|op| matches!(op, Op::Update { .. }))
+            .count();
+        ReplayReport {
+            ops: ops.len(),
+            queries: ops.len() - update_ops,
+            update_ops,
+            submitters,
+            open_loop,
+            ..Default::default()
+        }
+    }
+
+    /// Folds in op `i`'s outcome; `response` is its latency in µs from
+    /// due time to completion. Answers feed the trace log; errors print
+    /// with their op index.
+    fn record(&mut self, i: usize, op: &Op, outcome: Outcome, response: u128, trace: &TraceLog) {
+        match outcome {
+            Outcome::Answer(r) => {
+                self.service.push(r.micros);
+                self.response.push(response);
+                self.qual_card_sum += r.qual_card;
+                trace.record(i, op.graph(), &r);
+            }
+            Outcome::Applied(stats) => {
+                self.applied += 1;
+                self.updates.absorb(&stats);
+            }
+            Outcome::Shed => self.shed += 1,
+            Outcome::Error(e) => {
+                self.errors += 1;
+                eprintln!("op {i}: {e}");
+            }
+        }
+    }
+
+    fn finish(mut self, elapsed: Duration) -> Self {
+        self.elapsed = elapsed;
+        self.service.sort_unstable();
+        self.response.sort_unstable();
+        self
+    }
+
+    /// Answered queries plus applied updates.
+    fn completed(&self) -> usize {
+        self.service.len() + self.applied
+    }
+
+    fn throughput(&self) -> f64 {
+        self.completed() as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+
+    fn to_json(&self) -> String {
+        let [r50, r95, r99] = tails(&self.response);
+        let [s50, s95, s99] = tails(&self.service);
+        format!(
+            "{{\"ops\":{},\"queries\":{},\"update_ops\":{},\"shed\":{},\"errors\":{},\
+             \"elapsed_micros\":{},\"throughput_ops_per_sec\":{:.3},\
+             \"response_p50_micros\":{r50},\"response_p95_micros\":{r95},\
+             \"response_p99_micros\":{r99},\"service_p50_micros\":{s50},\
+             \"service_p95_micros\":{s95},\"service_p99_micros\":{s99}}}",
+            self.ops,
+            self.queries,
+            self.update_ops,
+            self.shed,
+            self.errors,
+            self.elapsed.as_micros(),
+            self.throughput(),
+        )
+    }
+}
+
+/// Runs `ops` against one target, the `exec` closure, from `submitters`
+/// threads that claim ops in list order. Closed loop (`schedule` is
+/// `None`) an op starts as soon as a submitter is free. Open loop, op
+/// `i` waits for its instant `schedule[i]` and its response latency runs
+/// from that instant to completion, so a saturated target shows its
+/// queueing delay in the tail instead of hiding it behind self-pacing.
+/// `refresh` runs at the start and about every 220 ms until the last op
+/// completes (the live `--metrics-text` rewrite). This is the only place
+/// the CLI spawns submitters or sleeps to a schedule.
+fn replay(
+    ops: &[Op],
+    schedule: Option<&[Duration]>,
+    submitters: usize,
+    trace: &TraceLog,
+    refresh: &(dyn Fn() + Sync),
+    exec: impl Fn(usize, &Op) -> Outcome + Sync,
+) -> ReplayReport {
+    let report = Mutex::new(ReplayReport::new(ops, submitters, schedule.is_some()));
+    let next = AtomicUsize::new(0);
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
+    let start = Instant::now();
+    let elapsed = std::thread::scope(|s| {
+        s.spawn(move || loop {
+            refresh();
+            let wait = stopped.recv_timeout(Duration::from_millis(220));
+            if wait != Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                break;
+            }
+        });
+        std::thread::scope(|s| {
+            for _ in 0..submitters {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    let Some(op) = ops.get(i) else {
+                        break;
+                    };
+                    let due = match schedule {
+                        Some(at) => {
+                            if let Some(early) = at[i].checked_sub(start.elapsed()) {
+                                std::thread::sleep(early);
+                            }
+                            at[i]
+                        }
+                        None => start.elapsed(),
+                    };
+                    let outcome = exec(i, op);
+                    let response = start.elapsed().saturating_sub(due).as_micros();
+                    let mut report = report.lock().unwrap_or_else(|e| e.into_inner());
+                    report.record(i, op, outcome, response, trace);
+                });
+            }
+        });
+        let elapsed = start.elapsed();
+        drop(stop);
+        elapsed
+    });
+    report
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner())
+        .finish(elapsed)
+}
+
+/// p50, p95 and p99 of ascending latencies — the one place the CLI
+/// computes its latency tails.
+fn tails(sorted: &[u128]) -> [usize; 3] {
+    [50, 95, 99].map(|p| percentile_micros(sorted, p))
+}
+
+/// Prints the lines every replay shares: ops, elapsed time, throughput,
+/// shed, errors, both latency tails, mean qualCard, and the summed
+/// update accounting.
+fn print_report(r: &ReplayReport, arrivals: Option<Arrivals>) {
+    let discipline = arrivals.map_or_else(
+        || "closed loop".to_owned(),
+        |a| format!("{} arrivals at {:.1} op/s", a.name(), a.rate()),
+    );
+    println!(
+        "replay: {} ops ({} queries, {} updates), {discipline}, {} submitters",
+        r.ops, r.queries, r.update_ops, r.submitters,
+    );
+    println!(
+        "completed {} ops in {:.2} ms ({:.1} op/s), {} shed, {} errors",
+        r.completed(),
+        r.elapsed.as_secs_f64() * 1e3,
+        r.throughput(),
+        r.shed,
+        r.errors,
+    );
+    for (name, latencies) in [
+        ("response latency:", &r.response),
+        ("service latency: ", &r.service),
+    ] {
+        let [p50, p95, p99] = tails(latencies);
+        println!("{name} p50 = {p50} us, p95 = {p95} us, p99 = {p99} us");
+    }
+    if !r.service.is_empty() {
+        println!(
+            "mean qualCard = {:.4}",
+            r.qual_card_sum / r.service.len() as f64
+        );
+    }
+    if r.update_ops > 0 {
+        let u = &r.updates;
+        println!(
+            "updates: {} applied ({} incremental, {} closure-unchanged, {} rebuilds, \
+             {} no-ops, {} backend fallbacks), {} components touched, \
+             {} bounded rows refreshed",
+            u.applied,
+            u.incremental,
+            u.closure_unchanged,
+            u.rebuilds,
+            u.noops,
+            u.backend_fallbacks,
+            u.affected_components,
+            u.bounded_rows_recomputed,
+        );
+    }
+}
+
+/// The sections of one `--stats-json` export; any the run lacks is
+/// written as `null`.
+#[derive(Default)]
+struct StatsSections {
+    engine: Option<EngineStats>,
+    prepare: Option<PrepareStats>,
+    updates: Option<UpdateStats>,
+    service: Option<ServiceStats>,
+    router: Option<RouterStats>,
+}
+
+/// Writes the `--stats-json` export, if the flag was given: one object
+/// `{"engine","prepare","updates","service","router","replay"}` for
+/// every replay subcommand. An open-loop run also exports its service
+/// percentiles in the engine's `last_batch_p*` slots and its response
+/// percentiles in `response_p*`, so each field name says which latency
+/// it carries.
+fn write_stats_json(
+    f: &Flags,
+    report: &ReplayReport,
+    mut sections: StatsSections,
+) -> Result<(), String> {
+    let Some(path) = &f.stats_json else {
+        return Ok(());
+    };
+    if let (true, Some(e)) = (report.open_loop, sections.engine.as_mut()) {
+        [
+            e.last_batch_p50_micros,
+            e.last_batch_p95_micros,
+            e.last_batch_p99_micros,
+        ] = tails(&report.service);
+        [
+            e.response_p50_micros,
+            e.response_p95_micros,
+            e.response_p99_micros,
+        ] = tails(&report.response);
+    }
+    let null = || "null".to_owned();
+    let json = format!(
+        "{{\"engine\":{},\"prepare\":{},\"updates\":{},\"service\":{},\"router\":{},\
+         \"replay\":{}}}\n",
+        sections
+            .engine
+            .as_ref()
+            .map_or_else(null, EngineStats::to_json),
+        sections
+            .prepare
+            .as_ref()
+            .map_or_else(null, PrepareStats::to_json),
+        sections
+            .updates
+            .as_ref()
+            .map_or_else(null, UpdateStats::to_json),
+        sections
+            .service
+            .as_ref()
+            .map_or_else(null, ServiceStats::to_json),
+        sections
+            .router
+            .as_ref()
+            .map_or_else(null, RouterStats::to_json),
+        report.to_json(),
+    );
+    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("stats JSON written to {path}");
+    Ok(())
+}
+
+/// A replay's exit status: failure when any op errored (shed ops are
+/// not errors).
+fn exit_status(report: &ReplayReport) -> ExitCode {
+    if report.errors == 0 {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("error: {} of {} ops failed", report.errors, report.ops);
+    ExitCode::FAILURE
+}
+
+/// The tail every replay subcommand shares: flush `--trace-json`, write
+/// `--stats-json` and the final `--metrics-text`, then exit non-zero if
+/// any op errored — only after every output is written.
+fn finish_replay(
+    f: &Flags,
+    report: &ReplayReport,
+    trace: &TraceLog,
+    sections: StatsSections,
+    render: &dyn Fn() -> String,
+) -> ExitCode {
+    let written = trace
+        .flush()
+        .and_then(|()| write_stats_json(f, report, sections))
+        .and_then(|()| finish_metrics_text(f, render));
+    match written {
+        Ok(()) => exit_status(report),
+        Err(e) => fail(&e),
+    }
 }
 
 /// `phom flight-dump`: replays a short synthetic batch through the
@@ -2320,16 +2315,15 @@ fn cmd_flight_dump(args: &[String]) -> ExitCode {
     if !f.files.is_empty() {
         return fail("flight-dump takes no file arguments");
     }
-    let (data, queries) = synthetic_batch(&f);
-    let service: Service<phom::workloads::synthetic::Label> =
-        Service::new(service_config(&f, ShardingConfig::disabled()));
+    let work = synthetic_batch(&f);
+    let service: Service<Label> = Service::new(service_config(&f, ShardingConfig::disabled()));
     if let Err(e) = attach_journal(&service, &f) {
         return fail(&e);
     }
-    if let Err(e) = service.register("flight".into(), std::sync::Arc::clone(&data)) {
+    if let Err(e) = service.register("flight".into(), Arc::clone(&work.graphs[0])) {
         return fail(&e.to_string());
     }
-    if let Err(e) = service.query_batch_traced("flight", &queries, false) {
+    if let Err(e) = service.query_batch_traced("flight", &work.queries, false) {
         return fail(&e.to_string());
     }
     let records = service.flight().snapshot();
@@ -2343,7 +2337,7 @@ fn cmd_flight_dump(args: &[String]) -> ExitCode {
         stats.flight_recorded,
         stats.queries_admitted,
     );
-    if let Err(e) = finish_metrics_text(&service, &f) {
+    if let Err(e) = finish_metrics_text(&f, &service_metrics(&service)) {
         return fail(&e);
     }
     ExitCode::SUCCESS
@@ -2458,9 +2452,8 @@ fn cmd_audit(args: &[String]) -> ExitCode {
             seed,
         };
         let inst = generate_instance(&cfg, 1);
-        let data: DiGraph<String> = inst.g2.map_labels(|_, l| format!("L{l}"));
         let prepared = PreparedGraph::with_backend(
-            std::sync::Arc::new(data),
+            Arc::new(named(&inst.g2)),
             backend,
             DEFAULT_CHAIN_NODE_THRESHOLD,
         );
@@ -2493,5 +2486,133 @@ fn cmd_audit(args: &[String]) -> ExitCode {
             eprintln!("audit FAILED: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quiet_log() -> TraceLog {
+        TraceLog {
+            path: None,
+            threshold: 0,
+            graphs: vec!["g".to_owned()],
+            lines: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn answer() -> Outcome {
+        Outcome::Answer(QueryResponse {
+            mapping: PHomMapping::empty(1),
+            qual_card: 1.0,
+            qual_sim: 1.0,
+            plan: Plan {
+                kind: PlanKind::Approx,
+                restarts: 1,
+                reason: "fake target",
+            },
+            shards_consulted: 1,
+            timed_out: false,
+            micros: 5,
+            trace: None,
+        })
+    }
+
+    fn queries(n: usize) -> Vec<Op> {
+        (0..n).map(|query| Op::Query { graph: 0, query }).collect()
+    }
+
+    #[test]
+    fn closed_loop_runs_every_op_exactly_once() {
+        let ops = queries(64);
+        let runs: Vec<AtomicUsize> = ops.iter().map(|_| AtomicUsize::new(0)).collect();
+        let refreshes = AtomicUsize::new(0);
+        let report = replay(
+            &ops,
+            None,
+            4,
+            &quiet_log(),
+            &|| {
+                refreshes.fetch_add(1, Ordering::SeqCst);
+            },
+            |i, _| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                answer()
+            },
+        );
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+        assert_eq!((report.ops, report.completed(), report.shed), (64, 64, 0));
+        assert_eq!(report.errors, 0);
+        assert!(!report.open_loop);
+        assert!(refreshes.load(Ordering::SeqCst) >= 1, "metrics refresh ran");
+    }
+
+    #[test]
+    fn open_loop_holds_each_op_to_its_arrival() {
+        let schedule: Vec<Duration> = (0..4).map(|i| Duration::from_millis(10 * i)).collect();
+        let report = replay(
+            &queries(4),
+            Some(&schedule),
+            2,
+            &quiet_log(),
+            &|| {},
+            |_, _| answer(),
+        );
+        assert!(report.open_loop);
+        assert!(report.elapsed >= Duration::from_millis(30), "{report:?}");
+        assert_eq!(report.completed(), 4);
+    }
+
+    #[test]
+    fn overloaded_counts_as_shed_not_as_an_error() {
+        let report = replay(&queries(10), None, 3, &quiet_log(), &|| {}, |i, _| {
+            if i % 2 == 0 {
+                Outcome::Shed
+            } else {
+                answer()
+            }
+        });
+        assert_eq!((report.shed, report.errors, report.completed()), (5, 0, 5));
+        assert_eq!(exit_status(&report), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn an_error_is_counted_and_fails_the_run() {
+        let report = replay(&queries(10), None, 3, &quiet_log(), &|| {}, |i, _| {
+            if i == 3 {
+                Outcome::Error("fake failure".to_owned())
+            } else {
+                answer()
+            }
+        });
+        assert_eq!((report.errors, report.completed()), (1, 9));
+        assert_eq!(exit_status(&report), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn updates_toggle_the_edge_in_op_order() {
+        let mut g: DiGraph<()> = DiGraph::new();
+        g.add_node(());
+        g.add_node(());
+        let ops = mixed_ops(
+            4,
+            1.0,
+            phom::graph::XorShift64::new(1),
+            &[Arc::new(g)],
+            |_, _| (NodeId(0), NodeId(1)),
+            |_, _| unreachable!("every op is an update"),
+        );
+        let (a, b) = (NodeId(0), NodeId(1));
+        let update = |update| Op::Update { graph: 0, update };
+        assert_eq!(
+            ops,
+            [
+                update(GraphUpdate::InsertEdge(a, b)),
+                update(GraphUpdate::RemoveEdge(a, b)),
+                update(GraphUpdate::InsertEdge(a, b)),
+                update(GraphUpdate::RemoveEdge(a, b)),
+            ]
+        );
     }
 }

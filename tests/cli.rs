@@ -340,3 +340,263 @@ fn dot_input_is_accepted() {
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("YES"));
 }
+
+/// A scratch path unique to this test process.
+fn temp_path(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("phom-cli-tests");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir.join(format!("{}-{name}", std::process::id()))
+}
+
+/// Runs `phom` with `args`, asserts it exits zero, and returns stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = phom_bin().args(args).output().expect("run");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The number at `"key":` inside the first `"section":{…}` object of a
+/// `--stats-json` export (the sections read here are flat objects).
+fn stat(json: &str, section: &str, key: &str) -> u64 {
+    let start = json
+        .find(&format!("\"{section}\":{{"))
+        .unwrap_or_else(|| panic!("no {section} object in {json}"));
+    let body = &json[start..];
+    let body = &body[..body.find('}').expect("section closes")];
+    let at = body
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {section}.{key} in {json}"))
+        + key.len()
+        + 3;
+    body[at..]
+        .split([',', '}'])
+        .next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{section}.{key} is not a count in {json}"))
+}
+
+/// Sums every `"key":N` in `text`.
+fn sum_of(text: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    text.match_indices(&needle)
+        .map(|(at, _)| {
+            let digits: String = text[at + needle.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse::<u64>().expect("count")
+        })
+        .sum()
+}
+
+#[test]
+fn serve_sim_honours_xi() {
+    let candidates = |xi: &str| {
+        let trace = temp_path(&format!("xi-{xi}.jsonl"));
+        run_ok(&[
+            "serve-sim",
+            "--graphs",
+            "1",
+            "--parts",
+            "2",
+            "--nodes",
+            "40",
+            "--queries",
+            "20",
+            "--update-ratio",
+            "0",
+            "--threads",
+            "1",
+            "--arrivals",
+            "open:100000",
+            "--xi",
+            xi,
+            "--trace-json",
+            trace.to_str().unwrap(),
+        ]);
+        let text = std::fs::read_to_string(&trace).expect("trace file");
+        sum_of(&text, "candidate_pairs")
+    };
+    let (loose, strict) = (candidates("0.2"), candidates("0.95"));
+    assert!(
+        strict < loose,
+        "xi 0.95 gave {strict} pairs, xi 0.2 gave {loose}"
+    );
+}
+
+#[test]
+fn serve_sim_update_stream_does_not_depend_on_threads() {
+    let totals = |threads: &str| {
+        let journal = temp_path(&format!("threads-{threads}.jsonl"));
+        run_ok(&[
+            "serve-sim",
+            "--graphs",
+            "2",
+            "--parts",
+            "3",
+            "--nodes",
+            "40",
+            "--queries",
+            "300",
+            "--update-ratio",
+            "0.5",
+            "--arrivals",
+            "open:100000",
+            "--seed",
+            "11",
+            "--threads",
+            threads,
+            "--journal",
+            journal.to_str().unwrap(),
+        ]);
+        let text = std::fs::read_to_string(&journal).expect("journal");
+        let applied: String = text
+            .lines()
+            .filter(|l| l.contains("\"event\":\"UpdateApplied\""))
+            .collect();
+        (sum_of(&applied, "inserts"), sum_of(&applied, "removes"))
+    };
+    let one = totals("1");
+    assert!(one.0 + one.1 > 0, "the replay must apply updates");
+    assert_eq!(one, totals("4"));
+}
+
+#[test]
+fn cluster_serve_sim_runs_and_counts_every_listed_op() {
+    let flags = [
+        "--graphs",
+        "1",
+        "--parts",
+        "2",
+        "--nodes",
+        "12",
+        "--queries",
+        "60",
+        "--arrivals",
+        "open:4000",
+        "--update-ratio",
+        "0.3",
+    ];
+    let cluster = temp_path("cluster-stats.json");
+    let mut args = vec!["serve-sim", "--processes", "2", "--stats-json"];
+    args.push(cluster.to_str().unwrap());
+    args.extend(flags);
+    run_ok(&args);
+    let json = std::fs::read_to_string(&cluster).expect("stats");
+    assert_eq!(
+        stat(&json, "router", "queries_routed") + stat(&json, "router", "updates_routed"),
+        stat(&json, "replay", "ops"),
+        "{json}"
+    );
+    assert_eq!(stat(&json, "replay", "errors"), 0);
+    assert_eq!(stat(&json, "router", "workers_alive"), 2);
+
+    let local = temp_path("local-stats.json");
+    let mut args = vec!["serve-sim", "--stats-json"];
+    args.push(local.to_str().unwrap());
+    args.extend(flags);
+    run_ok(&args);
+    let local = std::fs::read_to_string(&local).expect("stats");
+    for key in ["queries", "update_ops"] {
+        assert_eq!(
+            stat(&json, "replay", key),
+            stat(&local, "replay", key),
+            "{key}"
+        );
+    }
+    assert!(stat(&local, "replay", "update_ops") > 0);
+}
+
+#[test]
+fn engine_live_exports_every_section() {
+    let stats = temp_path("live-stats.json");
+    run_ok(&[
+        "engine-live",
+        "--ops",
+        "40",
+        "--nodes",
+        "40",
+        "--update-ratio",
+        "0.3",
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ]);
+    let json = std::fs::read_to_string(&stats).expect("stats");
+    for section in [
+        "\"engine\":{",
+        "\"prepare\":{",
+        "\"updates\":{",
+        "\"service\":{",
+    ] {
+        assert!(json.contains(section), "{section} missing: {json}");
+    }
+    assert_eq!(stat(&json, "replay", "ops"), 40);
+    assert_eq!(stat(&json, "replay", "errors"), 0);
+    assert_eq!(
+        stat(&json, "updates", "applied"),
+        stat(&json, "replay", "update_ops")
+    );
+}
+
+#[test]
+fn engine_batch_open_loop_exports_both_latencies() {
+    let stats = temp_path("open-stats.json");
+    run_ok(&[
+        "engine-batch",
+        "--queries",
+        "20",
+        "--nodes",
+        "40",
+        "--arrivals",
+        "open:4000",
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ]);
+    let json = std::fs::read_to_string(&stats).expect("stats");
+    assert!(json.contains("\"prepare\":{"), "{json}");
+    assert!(json.contains("\"updates\":null"), "{json}");
+    assert_eq!(stat(&json, "replay", "queries"), 20);
+    assert_eq!(stat(&json, "replay", "errors"), 0);
+    assert_eq!(
+        stat(&json, "engine", "response_p99_micros"),
+        stat(&json, "replay", "response_p99_micros")
+    );
+    assert_eq!(
+        stat(&json, "engine", "last_batch_p99_micros"),
+        stat(&json, "replay", "service_p99_micros")
+    );
+}
+
+#[test]
+fn engine_batch_cold_comparison_runs() {
+    let stats = temp_path("cold-stats.json");
+    let stdout = run_ok(&[
+        "engine-batch",
+        "--queries",
+        "20",
+        "--nodes",
+        "40",
+        "--cold",
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ]);
+    assert!(stdout.contains("cold comparison: "), "{stdout}");
+    assert!(stdout.contains("closure computations: 1"), "{stdout}");
+    let json = std::fs::read_to_string(&stats).expect("stats");
+    for section in ["\"engine\":{", "\"prepare\":{", "\"service\":{"] {
+        assert!(json.contains(section), "{section} missing: {json}");
+    }
+    assert_eq!(stat(&json, "replay", "errors"), 0);
+}
+
+#[test]
+fn readme_carries_the_help_synopsis() {
+    let help = run_ok(&["--help"]);
+    let readme = include_str!("../README.md");
+    for line in help.lines().map(str::trim_end).filter(|l| !l.is_empty()) {
+        assert!(
+            readme.lines().any(|r| r.trim_end() == line),
+            "README.md lacks the --help line {line:?}"
+        );
+    }
+}
