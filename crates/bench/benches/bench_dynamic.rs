@@ -12,12 +12,26 @@
 //! once under the default (dense) backend and once chain-backed, where
 //! the same churn is serviced by incremental chain maintenance instead
 //! of the rebuild-per-batch the chain backend used to force.
+//!
+//! `dynamic_versions_sharded_read` times what every update batch of a
+//! sharded service pays to version its graphs, on a union shaped like
+//! the repository benchmark's `sharded-read` graph (64 query parts and 8
+//! write-only parts, each a §6 data graph of m = 40): cloning and
+//! dropping the full graph, which shares all adjacency a batch does not
+//! write, and a one-toggle apply on the prepared shard holding the last
+//! write-only part.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phom_engine::{ClosureBackend, GraphUpdate, PreparedGraph, DEFAULT_CHAIN_NODE_THRESHOLD};
-use phom_graph::{preferential_attachment, random_dag, DiGraph, NodeId, XorShift64};
+use phom_engine::{
+    ClosureBackend, CompressionPolicy, GraphUpdate, PrepareOptions, PreparedGraph,
+    DEFAULT_CHAIN_NODE_THRESHOLD,
+};
+use phom_graph::{
+    component_groups, preferential_attachment, random_dag, tarjan_scc, DiGraph, NodeId, XorShift64,
+};
 use phom_workloads::{generate_instance, SyntheticConfig};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Representative single-edge churn: alternate removing a random existing
@@ -134,6 +148,76 @@ fn bench_family_chain<L: Clone + std::fmt::Debug>(
     group.finish();
 }
 
+/// The `sharded-read`-shaped union: 72 §6 data graphs of m = 40 side by
+/// side, labeled `part:label`.
+fn sharded_read_union() -> DiGraph<String> {
+    let mut labels = Vec::new();
+    let mut edges = Vec::new();
+    for p in 0..72u64 {
+        let g2 = generate_instance(
+            &SyntheticConfig {
+                m: 40,
+                noise: 0.10,
+                seed: p + 1,
+            },
+            1,
+        )
+        .g2;
+        let base = labels.len() as u32;
+        labels.extend(g2.nodes().map(|v| format!("{p}:{}", g2.label(v))));
+        edges.extend(
+            g2.edges()
+                .map(|(a, b)| (NodeId(base + a.0), NodeId(base + b.0))),
+        );
+    }
+    DiGraph::from_edges(labels, edges)
+}
+
+fn bench_versions(c: &mut Criterion) {
+    let full = sharded_read_union();
+    let mut group = c.benchmark_group("dynamic_versions_sharded_read");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("graph_clone_drop"), |b| {
+        b.iter(|| drop(criterion::black_box(full.clone())))
+    });
+
+    // The shard a service would prepare for the last (write-only) part,
+    // under the compression decision pinned for the whole graph.
+    let last = NodeId(full.node_count() as u32 - 1);
+    let group_of_last = component_groups(&full, 8)
+        .into_iter()
+        .find(|g| g.contains(&last))
+        .expect("every node is in a group");
+    let keep: BTreeSet<NodeId> = group_of_last.into_iter().collect();
+    let shard = Arc::new(full.induced_subgraph(&keep).0);
+    let options = PrepareOptions {
+        compression: CompressionPolicy::pinned(full.node_count(), tarjan_scc(&full).count()),
+        ..Default::default()
+    };
+    let prepared = PreparedGraph::prepare(Arc::clone(&shard), options);
+    let mut rng = XorShift64::new(0x7066);
+    let n = shard.node_count();
+    let toggles: Vec<GraphUpdate> = (0..256)
+        .map(|_| {
+            let (a, b) = (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
+            if shard.has_edge(a, b) {
+                GraphUpdate::RemoveEdge(a, b)
+            } else {
+                GraphUpdate::InsertEdge(a, b)
+            }
+        })
+        .collect();
+    let cursor = Cell::new(0usize);
+    group.bench_function(BenchmarkId::from_parameter("shard_apply_one_toggle"), |b| {
+        b.iter(|| {
+            let i = cursor.get();
+            cursor.set(i + 1);
+            criterion::black_box(prepared.apply(&toggles[i % toggles.len()..][..1]))
+        })
+    });
+    group.finish();
+}
+
 fn bench_dynamic(c: &mut Criterion) {
     let inst = generate_instance(
         &SyntheticConfig {
@@ -158,5 +242,5 @@ fn bench_dynamic(c: &mut Criterion) {
     bench_family_chain(c, "randomdag_n3000", Arc::new(random_dag(3000, 12_000, 11)));
 }
 
-criterion_group!(benches, bench_dynamic);
+criterion_group!(benches, bench_dynamic, bench_versions);
 criterion_main!(benches);

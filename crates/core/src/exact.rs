@@ -13,18 +13,21 @@ use phom_graph::{DiGraph, NodeId, ReachabilityIndex, TransitiveClosure};
 use phom_sim::{NodeWeights, SimMatrix};
 
 /// Shared search state.
-struct Search<'a, L> {
-    g1: &'a DiGraph<L>,
+struct Search<'a> {
     closure: &'a dyn ReachabilityIndex,
     mat: &'a SimMatrix,
     injective: bool,
     /// Candidate lists per pattern node (static, threshold- and
     /// self-loop-filtered).
     cands: Vec<Vec<NodeId>>,
+    /// Each pattern node's `post` and `prev` lists, looked up once: the
+    /// consistency check runs per search step.
+    post: Vec<&'a [NodeId]>,
+    prev: Vec<&'a [NodeId]>,
 }
 
-impl<'a, L> Search<'a, L> {
-    fn new(
+impl<'a> Search<'a> {
+    fn new<L>(
         g1: &'a DiGraph<L>,
         closure: &'a dyn ReachabilityIndex,
         mat: &'a SimMatrix,
@@ -34,17 +37,19 @@ impl<'a, L> Search<'a, L> {
         let cands: Vec<Vec<NodeId>> = g1
             .nodes()
             .map(|v| {
+                let self_loop = g1.has_self_loop(v);
                 mat.candidates(v, xi)
-                    .filter(|&u| !g1.has_self_loop(v) || closure.reaches(u, u))
+                    .filter(|&u| !self_loop || closure.reaches(u, u))
                     .collect()
             })
             .collect();
         Self {
-            g1,
             closure,
             mat,
             injective,
             cands,
+            post: g1.nodes().map(|v| g1.post(v)).collect(),
+            prev: g1.nodes().map(|v| g1.prev(v)).collect(),
         }
     }
 
@@ -54,7 +59,7 @@ impl<'a, L> Search<'a, L> {
         if self.injective && assign.iter().flatten().any(|&x| x == u) {
             return false;
         }
-        for &child in self.g1.post(v) {
+        for &child in self.post[v.index()] {
             if child == v {
                 continue; // self-loop handled statically
             }
@@ -64,7 +69,7 @@ impl<'a, L> Search<'a, L> {
                 }
             }
         }
-        for &parent in self.g1.prev(v) {
+        for &parent in self.prev[v.index()] {
             if parent == v {
                 continue;
             }
@@ -127,8 +132,8 @@ pub fn decide_phom_with<L>(
     order.sort_by_key(|v| search.cands[v.index()].len());
 
     let mut assign: Vec<Option<NodeId>> = vec![None; n1];
-    fn backtrack<L>(
-        s: &Search<'_, L>,
+    fn backtrack(
+        s: &Search<'_>,
         order: &[NodeId],
         depth: usize,
         assign: &mut Vec<Option<NodeId>>,
@@ -186,12 +191,7 @@ pub fn count_phom_mappings<L>(
     let mut order: Vec<NodeId> = g1.nodes().collect();
     order.sort_by_key(|v| search.cands[v.index()].len());
 
-    fn go<L>(
-        s: &Search<'_, L>,
-        order: &[NodeId],
-        depth: usize,
-        assign: &mut Vec<Option<NodeId>>,
-    ) -> u64 {
+    fn go(s: &Search<'_>, order: &[NodeId], depth: usize, assign: &mut Vec<Option<NodeId>>) -> u64 {
         let Some(&v) = order.get(depth) else {
             return 1;
         };
@@ -354,8 +354,8 @@ pub fn exact_optimum_budgeted<L>(
     };
 
     #[allow(clippy::too_many_arguments)]
-    fn go<L>(
-        s: &Search<'_, L>,
+    fn go(
+        s: &Search<'_>,
         objective: Objective,
         weights: &NodeWeights,
         gain_bound: &[f64],

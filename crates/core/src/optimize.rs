@@ -214,9 +214,10 @@ pub fn compression_worthwhile(original_nodes: usize, compressed_nodes: usize) ->
 }
 
 /// Runs the configured algorithm with the configured optimizations.
-/// (`L: Sync` because the restart extension may fan runs out to worker
-/// threads; label types are plain data in practice.)
-pub fn match_graphs<L: Clone + Sync>(
+/// (`L: Send + Sync` because the restart extension may fan runs out to
+/// worker threads, which share the graphs' `Arc`'d label columns; label
+/// types are plain data in practice.)
+pub fn match_graphs<L: Clone + Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -230,7 +231,7 @@ pub fn match_graphs<L: Clone + Sync>(
 /// (and optionally the bounded closure and compressed graph) are taken
 /// from `prep` instead of being rebuilt, so a batch of queries over one
 /// data graph pays the dominant preprocessing cost exactly once.
-pub fn match_graphs_prepared<L: Clone + Sync>(
+pub fn match_graphs_prepared<L: Clone + Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -259,7 +260,7 @@ impl ReachView<'_> {
     }
 }
 
-fn match_graphs_inner<L: Clone + Sync>(
+fn match_graphs_inner<L: Clone + Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,

@@ -125,7 +125,7 @@ impl RestartTelemetry {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn best_of<L: Sync>(
+fn best_of<L: Send + Sync>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -237,7 +237,7 @@ fn best_of<L: Sync>(
 /// let single = comp_max_card(&g1, &g2, &mat, &cfg);
 /// assert!(best.qual_card() >= single.qual_card()); // guaranteed
 /// ```
-pub fn comp_max_card_restarts<L: Sync>(
+pub fn comp_max_card_restarts<L: Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -250,7 +250,7 @@ pub fn comp_max_card_restarts<L: Sync>(
 }
 
 /// [`comp_max_card_restarts`] with a precomputed closure.
-pub fn comp_max_card_restarts_with<L: Sync>(
+pub fn comp_max_card_restarts_with<L: Send + Sync>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -263,7 +263,7 @@ pub fn comp_max_card_restarts_with<L: Sync>(
 
 /// [`comp_max_card_restarts_with`], also reporting [`RestartTelemetry`]
 /// (restarts taken, budget polls, per-restart timings) for tracing.
-pub fn comp_max_card_restarts_telemetry<L: Sync>(
+pub fn comp_max_card_restarts_telemetry<L: Send + Sync>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -276,7 +276,7 @@ pub fn comp_max_card_restarts_telemetry<L: Sync>(
 
 /// Best-of-restarts `compMaxSim` (SPH). Never returns a mapping with
 /// lower `qualSim` than [`comp_max_sim_with`] under the same `cfg`.
-pub fn comp_max_sim_restarts<L: Sync>(
+pub fn comp_max_sim_restarts<L: Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -293,7 +293,7 @@ pub fn comp_max_sim_restarts<L: Sync>(
 /// [`TransitiveClosure::bounded`] closure to combine restarts with a
 /// stretch bound).
 #[allow(clippy::too_many_arguments)]
-pub fn comp_max_sim_restarts_with<L: Sync>(
+pub fn comp_max_sim_restarts_with<L: Send + Sync>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -308,7 +308,7 @@ pub fn comp_max_sim_restarts_with<L: Sync>(
 /// [`comp_max_sim_restarts_with`], also reporting [`RestartTelemetry`]
 /// (restarts taken, budget polls, per-restart timings) for tracing.
 #[allow(clippy::too_many_arguments)]
-pub fn comp_max_sim_restarts_telemetry<L: Sync>(
+pub fn comp_max_sim_restarts_telemetry<L: Send + Sync>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,

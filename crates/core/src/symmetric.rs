@@ -9,7 +9,7 @@ use phom_graph::{DiGraph, TransitiveClosure};
 use phom_sim::{NodeWeights, SimMatrix};
 
 /// Matches `G1+` (paths of `G1`) against `G2` — the path-to-path variant.
-pub fn match_paths<L: Clone + Sync>(
+pub fn match_paths<L: Clone + Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -43,7 +43,7 @@ impl MutualOutcome {
 
 /// Two-way matching: `G1+ ≼ G2` and `G2+ ≼ G1`. The backward direction
 /// reuses `mat` transposed and takes its own weights for `G2`'s nodes.
-pub fn match_mutual<L: Clone + Sync>(
+pub fn match_mutual<L: Clone + Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,

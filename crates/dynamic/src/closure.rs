@@ -23,8 +23,10 @@ use std::sync::Arc;
 ///
 /// Generic over the label type so a consumer can hand its (cloned) data
 /// graph over, mutate it *through* the maintainer, and take the mutated
-/// graph back via [`SemiDynamicClosure::into_parts`] — one graph copy per
-/// update batch instead of one per layer. Labels play no role in
+/// graph back via [`SemiDynamicClosure::into_parts`]. The clone shares
+/// labels and adjacency with the graph it came from (see
+/// [`phom_graph::DiGraph`]), so a batch copies only the adjacency chunks
+/// its edits write, never the whole graph. Labels play no role in
 /// maintenance; `L = ()` works for pure reachability use.
 #[derive(Debug, Clone)]
 pub struct SemiDynamicClosure<L = ()> {

@@ -303,6 +303,13 @@ impl<L> LruCache<L> {
         })
     }
 
+    /// Drops the entry holding `prepared`, if any. Found by identity, so
+    /// no fingerprint is computed.
+    fn forget(&mut self, prepared: &Arc<PreparedGraph<L>>) {
+        self.map
+            .retain(|_, (cached, _)| !Arc::ptr_eq(cached, prepared));
+    }
+
     fn insert(&mut self, key: u64, value: Arc<PreparedGraph<L>>) {
         self.tick += 1;
         self.map.insert(key, (value, self.tick));
@@ -539,7 +546,12 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
             self.prepare(graph)
                 .apply_with(updates, &self.config.dynamic)
         };
-        let outcome = self.admit_outcome(outcome);
+        self.count_update(&outcome.stats);
+        let key = graph_fingerprint(outcome.prepared.graph());
+        self.cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(key, Arc::clone(&outcome.prepared));
         self.journal_update(updates, &outcome.stats);
         outcome
     }
@@ -547,9 +559,17 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
     /// [`Engine::apply_updates`] against an **already prepared** version —
     /// the entry point a registry holding per-shard prepared graphs uses.
     /// The new version inherits `prepared`'s [`PrepareOptions`] (also on
-    /// the oversized-batch rebuild path), the same admission limit
-    /// applies, and the cache is re-keyed to the mutated graph's
-    /// fingerprint exactly as in [`Engine::apply_updates`].
+    /// the oversized-batch rebuild path) and the same admission limit
+    /// applies.
+    ///
+    /// The caller owns the versions it derives here, so the graph-keyed
+    /// cache keeps none of them: the new version is **not** entered
+    /// (only the graph-keyed API — [`Engine::prepare`],
+    /// [`Engine::execute_batch`], [`Engine::apply_updates`] — looks
+    /// versions up, so fingerprinting every label and edge of each new
+    /// version would be wasted work), and if the cache holds `prepared`
+    /// it lets go of it, so a superseded version is freed with its
+    /// owner's last reference instead of staying pinned in the cache.
     pub fn apply_updates_prepared(
         &self,
         prepared: &Arc<PreparedGraph<L>>,
@@ -564,7 +584,11 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
         } else {
             prepared.apply_with(updates, &self.config.dynamic)
         };
-        let outcome = self.admit_outcome(outcome);
+        self.cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .forget(prepared);
+        self.count_update(&outcome.stats);
         self.journal_update(updates, &outcome.stats);
         outcome
     }
@@ -671,27 +695,22 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
         }
     }
 
-    /// The shared tail of an admitted update batch: counters plus the
-    /// cache re-key under the mutated graph's fingerprint.
-    fn admit_outcome(&self, outcome: UpdateOutcome<L>) -> UpdateOutcome<L> {
+    /// Counts an admitted update batch in the engine's update counters.
+    fn count_update(&self, stats: &UpdateStats) {
         self.counters
             .updates_applied
-            .fetch_add(outcome.stats.applied, Ordering::Relaxed);
+            .fetch_add(stats.applied, Ordering::Relaxed);
         self.counters.updates_incremental.fetch_add(
-            outcome.stats.incremental + outcome.stats.closure_unchanged,
+            stats.incremental + stats.closure_unchanged,
             Ordering::Relaxed,
         );
         self.counters
             .update_rebuilds
-            .fetch_add(outcome.stats.rebuilds, Ordering::Relaxed);
-        let key = graph_fingerprint(outcome.prepared.graph());
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.insert(key, Arc::clone(&outcome.prepared));
-        outcome
+            .fetch_add(stats.rebuilds, Ordering::Relaxed);
     }
 }
 
-impl<L: Clone + Sync> Engine<L> {
+impl<L: Clone + Send + Sync> Engine<L> {
     /// Plans and executes one query against a prepared graph.
     ///
     /// A deadline ([`crate::QueryConfig::timeout`], falling back to
@@ -1269,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_updates_prepared_inherits_options_and_rekeys() {
+    fn apply_updates_prepared_inherits_options_and_hands_versions_to_the_caller() {
         use crate::planner::CompressionPolicy;
         let engine: Engine<String> = Engine::default();
         let g = data_graph();
@@ -1283,11 +1302,24 @@ mod tests {
         assert_eq!(outcome.stats.applied, 1);
         assert_eq!(outcome.prepared.options(), options, "version inherits");
         assert!(outcome.prepared.compressed().is_some(), "Always kept it");
-        // Re-keyed: the mutated graph hits the cache under the same options.
+        // The caller owns both versions: the cache let go of the
+        // superseded one and never took the new one.
+        assert_eq!(
+            Arc::strong_count(&prepared),
+            1,
+            "superseded version released"
+        );
+        assert_eq!(
+            Arc::strong_count(&outcome.prepared),
+            1,
+            "new version not cached"
+        );
         let mut mutated = (*g).clone();
         mutated.add_edge(NodeId(3), NodeId(0));
-        let hit = engine.prepare_with(&Arc::new(mutated), options);
-        assert!(Arc::ptr_eq(&hit, &outcome.prepared));
+        let looked_up = engine.prepare_with(&Arc::new(mutated), options);
+        assert!(!Arc::ptr_eq(&looked_up, &outcome.prepared));
+        assert_eq!(engine.stats().prepares, 2, "a miss, not a hit");
+        assert_eq!(engine.stats().updates_applied, 1);
     }
 
     #[test]

@@ -13,18 +13,13 @@ use crate::scc::{tarjan_scc, SccResult};
 /// an edge `c1 -> c2` iff some member of `c1` has an edge to a member of
 /// `c2` in the original graph.
 pub fn condensation<L>(g: &DiGraph<L>, scc: &SccResult) -> DiGraph<Vec<NodeId>> {
-    let mut dag: DiGraph<Vec<NodeId>> = DiGraph::with_capacity(scc.count());
-    for c in 0..scc.count() {
-        dag.add_node(scc.members(c).to_vec());
-    }
-    for (u, v) in g.edges() {
+    let members = (0..scc.count()).map(|c| scc.members(c).to_vec()).collect();
+    let edges = g.edges().filter_map(|(u, v)| {
         let cu = scc.component_of(u);
         let cv = scc.component_of(v);
-        if cu != cv {
-            dag.add_edge(NodeId(cu as u32), NodeId(cv as u32));
-        }
-    }
-    dag
+        (cu != cv).then_some((NodeId(cu as u32), NodeId(cv as u32)))
+    });
+    DiGraph::from_edges(members, edges)
 }
 
 /// A graph compressed per Appendix B, plus the node correspondence needed to
@@ -65,30 +60,32 @@ pub fn compress_closure<L: Clone>(g: &DiGraph<L>) -> CompressedGraph<L> {
 /// (callers that already ran Tarjan — the engine's prepare/update paths —
 /// skip the second pass).
 pub fn compress_closure_with<L: Clone>(g: &DiGraph<L>, scc: &SccResult) -> CompressedGraph<L> {
-    let mut cg: DiGraph<Vec<L>> = DiGraph::with_capacity(scc.count());
+    let mut bags = Vec::with_capacity(scc.count());
     let mut members = Vec::with_capacity(scc.count());
     let mut rep_of = vec![NodeId(0); g.node_count()];
 
     for c in 0..scc.count() {
-        let bag: Vec<L> = scc.members(c).iter().map(|&v| g.label(v).clone()).collect();
-        let cid = cg.add_node(bag);
+        bags.push(scc.members(c).iter().map(|&v| g.label(v).clone()).collect());
         for &v in scc.members(c) {
-            rep_of[v.index()] = cid;
+            rep_of[v.index()] = NodeId(c as u32);
         }
         members.push(scc.members(c).to_vec());
     }
-    for (u, v) in g.edges() {
+    let edges = g.edges().filter_map(|(u, v)| {
         let cu = rep_of[u.index()];
         let cv = rep_of[v.index()];
         if cu != cv {
-            cg.add_edge(cu, cv);
+            Some((cu, cv))
         } else if scc.members(cu.index()).len() > 1 || u == v {
-            cg.add_edge(cu, cu); // cyclic component keeps a self-loop
+            Some((cu, cu)) // cyclic component keeps a self-loop
+        } else {
+            None
         }
-    }
+    });
+    let graph = DiGraph::from_edges(bags, edges);
 
     CompressedGraph {
-        graph: cg,
+        graph,
         members,
         rep_of,
     }

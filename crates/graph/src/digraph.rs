@@ -5,9 +5,43 @@
 //! forward and reverse adjacency are maintained because the matching
 //! algorithms need `prev` and `post` lists (algorithm `compMaxCard`,
 //! data structure *(c)*).
+//!
+//! ## Versions share structure
+//!
+//! A live graph is read through many versions: each update batch derives
+//! a new one while in-flight queries keep reading the old. A clone of a
+//! [`DiGraph`] therefore shares everything until it is written:
+//!
+//! * the labels live in one `Arc`'d column, which edge edits never
+//!   touch, so every version of a graph holds the same column;
+//! * each adjacency direction is a list of `Arc`'d chunks, each holding
+//!   the lists of 16 consecutive nodes. [`DiGraph::add_edge`] and
+//!   [`DiGraph::remove_edge`] copy a chunk on its first write, so one
+//!   edit copies two chunks and leaves every other clone as it was.
+//!
+//! Cloning or dropping a graph costs one pointer copy or count decrement
+//! per 16 nodes. Chunks are small because every graph pays for at least
+//! one per direction, and pattern graphs have a few dozen nodes.
+//!
+//! Reads keep their shape: [`DiGraph::post`] and [`DiGraph::prev`]
+//! return each node's list as a slice, one pointer hop further away than
+//! in a flat list of lists. The lists hold insertion order, which
+//! removals keep, and the matching kernels' tie-breaks depend on it.
+//!
+//! Two bounds follow from the sharing. [`DiGraph::add_node`] and
+//! [`DiGraph::label_mut`] write the label column, copying it first when
+//! another version shares it, so they need `L: Clone`. And the column is
+//! shared through an `Arc`, so `DiGraph<L>` is `Send` or `Sync` only when
+//! `L: Send + Sync`.
+//!
+//! [`DiGraph::from_edges`] and the constructors built on it
+//! ([`DiGraph::map_labels`], [`DiGraph::induced_subgraph`],
+//! [`DiGraph::reversed`]) fill unshared chunks and share each one once
+//! it is built, so a bulk build pays no copy-on-write check per edge.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node inside one [`DiGraph`]. Dense: `0..n`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,16 +73,46 @@ impl From<u32> for NodeId {
     }
 }
 
+/// Nodes per adjacency chunk: the unit an edge edit copies.
+const CHUNK: usize = 16;
+
+/// The adjacency lists of `CHUNK` consecutive nodes; the last chunk of a
+/// graph pads with empty lists.
+type Chunk = [Vec<NodeId>; CHUNK];
+
+/// Node `v`'s list in a chunked adjacency direction.
+#[inline]
+fn list(chunks: &[Arc<Chunk>], v: NodeId) -> &[NodeId] {
+    &chunks[v.index() / CHUNK][v.index() % CHUNK]
+}
+
+/// Node `v`'s list, writable: its chunk is copied first when another
+/// version shares it.
+fn list_mut(chunks: &mut [Arc<Chunk>], v: NodeId) -> &mut Vec<NodeId> {
+    &mut Arc::make_mut(&mut chunks[v.index() / CHUNK])[v.index() % CHUNK]
+}
+
 /// A node-labeled directed graph.
 ///
 /// Self-loops are allowed (the product-graph reduction of Theorem 5.1 cares
-/// about them); parallel edges are collapsed.
-#[derive(Clone)]
+/// about them); parallel edges are collapsed. Clones share labels and
+/// adjacency until written (see the module docs).
 pub struct DiGraph<L> {
-    labels: Vec<L>,
-    out: Vec<Vec<NodeId>>,
-    inc: Vec<Vec<NodeId>>,
+    labels: Arc<Vec<L>>,
+    out: Vec<Arc<Chunk>>,
+    inc: Vec<Arc<Chunk>>,
     edge_count: usize,
+}
+
+impl<L> Clone for DiGraph<L> {
+    fn clone(&self) -> Self {
+        DiGraph {
+            labels: Arc::clone(&self.labels),
+            out: self.out.clone(),
+            inc: self.inc.clone(),
+            edge_count: self.edge_count,
+        }
+    }
 }
 
 impl<L> Default for DiGraph<L> {
@@ -57,35 +121,96 @@ impl<L> Default for DiGraph<L> {
     }
 }
 
+impl<L: Clone> DiGraph<L> {
+    /// Adds a node with `label`, returning its id.
+    pub fn add_node(&mut self, label: L) -> NodeId {
+        let n = self.labels.len();
+        // phom-lint: allow(unwrap, "node ids are u32 by design; > 4 billion nodes is a documented capacity limit")
+        let id = NodeId(u32::try_from(n).expect("more than u32::MAX nodes"));
+        Arc::make_mut(&mut self.labels).push(label);
+        if n.is_multiple_of(CHUNK) {
+            self.out.push(Arc::default());
+            self.inc.push(Arc::default());
+        }
+        id
+    }
+
+    /// Mutable access to the label `L(v)`.
+    pub fn label_mut(&mut self, v: NodeId) -> &mut L {
+        &mut Arc::make_mut(&mut self.labels)[v.index()]
+    }
+
+    /// The subgraph induced by `keep` (nodes are renumbered densely in
+    /// ascending order of their old ids). Returns the subgraph and the map
+    /// `new -> old`.
+    pub fn induced_subgraph(&self, keep: &BTreeSet<NodeId>) -> (DiGraph<L>, Vec<NodeId>) {
+        let old_of_new: Vec<NodeId> = keep.iter().copied().collect();
+        let mut new_of_old: Vec<Option<NodeId>> = vec![None; self.node_count()];
+        for (nv, &v) in old_of_new.iter().enumerate() {
+            new_of_old[v.index()] = Some(NodeId(nv as u32));
+        }
+        let labels = old_of_new.iter().map(|&v| self.label(v).clone()).collect();
+        let new_of_old = &new_of_old;
+        let edges = old_of_new.iter().enumerate().flat_map(|(nv, &v)| {
+            self.post(v)
+                .iter()
+                .filter_map(move |w| new_of_old[w.index()].map(|nw| (NodeId(nv as u32), nw)))
+        });
+        (DiGraph::from_edges(labels, edges), old_of_new)
+    }
+}
+
 impl<L> DiGraph<L> {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        Self {
-            labels: Vec::new(),
-            out: Vec::new(),
-            inc: Vec::new(),
-            edge_count: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty graph with room for `n` nodes.
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            labels: Vec::with_capacity(n),
-            out: Vec::with_capacity(n),
-            inc: Vec::with_capacity(n),
+            labels: Arc::new(Vec::with_capacity(n)),
+            out: Vec::with_capacity(n.div_ceil(CHUNK)),
+            inc: Vec::with_capacity(n.div_ceil(CHUNK)),
             edge_count: 0,
         }
     }
 
-    /// Adds a node with `label`, returning its id.
-    pub fn add_node(&mut self, label: L) -> NodeId {
-        // phom-lint: allow(unwrap, "node ids are u32 by design; > 4 billion nodes is a documented capacity limit")
-        let id = NodeId(u32::try_from(self.labels.len()).expect("more than u32::MAX nodes"));
-        self.labels.push(label);
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
-        id
+    /// Builds the graph with node `i` labeled `labels[i]` and `edges`
+    /// added in order: the same graph, adjacency order included, as
+    /// [`DiGraph::add_node`] for each label followed by
+    /// [`DiGraph::add_edge`] for each edge, built without a copy-on-write
+    /// check per edge.
+    ///
+    /// # Panics
+    /// Panics if an edge endpoint is out of range.
+    pub fn from_edges(labels: Vec<L>, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+        Self::with_labels(Arc::new(labels), edges)
+    }
+
+    /// [`DiGraph::from_edges`] over a label column shared with other
+    /// graphs.
+    fn with_labels(labels: Arc<Vec<L>>, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+        let n = labels.len();
+        let blank = || -> Vec<Chunk> { (0..n.div_ceil(CHUNK)).map(|_| Chunk::default()).collect() };
+        let (mut out, mut inc) = (blank(), blank());
+        let mut edge_count = 0;
+        for (from, to) in edges {
+            assert!(from.index() < n, "from out of range");
+            assert!(to.index() < n, "to out of range");
+            let succs = &mut out[from.index() / CHUNK][from.index() % CHUNK];
+            if !succs.contains(&to) {
+                succs.push(to);
+                inc[to.index() / CHUNK][to.index() % CHUNK].push(from);
+                edge_count += 1;
+            }
+        }
+        DiGraph {
+            labels,
+            out: out.into_iter().map(Arc::new).collect(),
+            inc: inc.into_iter().map(Arc::new).collect(),
+            edge_count,
+        }
     }
 
     /// Adds the edge `(from, to)` if absent. Returns `true` when inserted.
@@ -95,11 +220,11 @@ impl<L> DiGraph<L> {
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> bool {
         assert!(from.index() < self.labels.len(), "from out of range");
         assert!(to.index() < self.labels.len(), "to out of range");
-        if self.out[from.index()].contains(&to) {
+        if self.post(from).contains(&to) {
             return false;
         }
-        self.out[from.index()].push(to);
-        self.inc[to.index()].push(from);
+        list_mut(&mut self.out, from).push(to);
+        list_mut(&mut self.inc, to).push(from);
         self.edge_count += 1;
         true
     }
@@ -114,16 +239,17 @@ impl<L> DiGraph<L> {
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
         assert!(from.index() < self.labels.len(), "from out of range");
         assert!(to.index() < self.labels.len(), "to out of range");
-        let Some(pos) = self.out[from.index()].iter().position(|&w| w == to) else {
+        let Some(pos) = self.post(from).iter().position(|&w| w == to) else {
             return false;
         };
-        self.out[from.index()].remove(pos);
-        let rpos = self.inc[to.index()]
+        let rpos = self
+            .prev(to)
             .iter()
             .position(|&w| w == from)
             // phom-lint: allow(unwrap, "out/inc adjacency lists are mutated in lockstep; the forward entry was found above")
             .expect("reverse adjacency out of sync");
-        self.inc[to.index()].remove(rpos);
+        list_mut(&mut self.out, from).remove(pos);
+        list_mut(&mut self.inc, to).remove(rpos);
         self.edge_count -= 1;
         true
     }
@@ -152,10 +278,8 @@ impl<L> DiGraph<L> {
 
     /// Iterator over all edges as `(from, to)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.out
-            .iter()
-            .enumerate()
-            .flat_map(|(v, succs)| succs.iter().map(move |&u| (NodeId(v as u32), u)))
+        self.nodes()
+            .flat_map(move |v| self.post(v).iter().map(move |&u| (v, u)))
     }
 
     /// The label `L(v)`.
@@ -164,33 +288,28 @@ impl<L> DiGraph<L> {
         &self.labels[v.index()]
     }
 
-    /// Mutable access to the label `L(v)`.
-    pub fn label_mut(&mut self, v: NodeId) -> &mut L {
-        &mut self.labels[v.index()]
-    }
-
     /// Successors of `v` ("children": nodes with an edge from `v`).
     #[inline]
     pub fn post(&self, v: NodeId) -> &[NodeId] {
-        &self.out[v.index()]
+        list(&self.out, v)
     }
 
     /// Predecessors of `v` ("parents": nodes with an edge to `v`).
     #[inline]
     pub fn prev(&self, v: NodeId) -> &[NodeId] {
-        &self.inc[v.index()]
+        list(&self.inc, v)
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out[v.index()].len()
+        self.post(v).len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inc[v.index()].len()
+        self.prev(v).len()
     }
 
     /// Total degree (in + out) of `v`, as used by the skeleton rule of §6.
@@ -201,7 +320,7 @@ impl<L> DiGraph<L> {
 
     /// True when the edge `(from, to)` exists.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.out[from.index()].contains(&to)
+        self.post(from).contains(&to)
     }
 
     /// True when `v` has an edge to itself.
@@ -226,56 +345,13 @@ impl<L> DiGraph<L> {
 
     /// Maps labels, preserving structure.
     pub fn map_labels<M, F: FnMut(NodeId, &L) -> M>(&self, mut f: F) -> DiGraph<M> {
-        let mut g = DiGraph::with_capacity(self.node_count());
-        for v in self.nodes() {
-            g.add_node(f(v, self.label(v)));
-        }
-        for (a, b) in self.edges() {
-            g.add_edge(a, b);
-        }
-        g
+        let labels = self.nodes().map(|v| f(v, self.label(v))).collect();
+        DiGraph::from_edges(labels, self.edges())
     }
 
-    /// The subgraph induced by `keep` (nodes are renumbered densely in
-    /// ascending order of their old ids). Returns the subgraph and the map
-    /// `new -> old`.
-    pub fn induced_subgraph(&self, keep: &BTreeSet<NodeId>) -> (DiGraph<L>, Vec<NodeId>)
-    where
-        L: Clone,
-    {
-        let mut old_of_new: Vec<NodeId> = Vec::with_capacity(keep.len());
-        let mut new_of_old: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut g = DiGraph::with_capacity(keep.len());
-        for &v in keep {
-            let nv = g.add_node(self.label(v).clone());
-            new_of_old[v.index()] = Some(nv);
-            old_of_new.push(v);
-        }
-        for &v in keep {
-            // phom-lint: allow(unwrap, "new_of_old[v] was populated for every v in keep by the loop above")
-            let nv = new_of_old[v.index()].expect("just inserted");
-            for &w in self.post(v) {
-                if let Some(nw) = new_of_old[w.index()] {
-                    g.add_edge(nv, nw);
-                }
-            }
-        }
-        (g, old_of_new)
-    }
-
-    /// Reverses every edge, preserving labels.
-    pub fn reversed(&self) -> DiGraph<L>
-    where
-        L: Clone,
-    {
-        let mut g = DiGraph::with_capacity(self.node_count());
-        for v in self.nodes() {
-            g.add_node(self.label(v).clone());
-        }
-        for (a, b) in self.edges() {
-            g.add_edge(b, a);
-        }
-        g
+    /// Reverses every edge; the reversed graph shares this one's labels.
+    pub fn reversed(&self) -> DiGraph<L> {
+        DiGraph::with_labels(Arc::clone(&self.labels), self.edges().map(|(a, b)| (b, a)))
     }
 }
 
@@ -441,6 +517,97 @@ mod tests {
         assert_eq!(h.node_count(), g.node_count());
         assert_eq!(h.edge_count(), g.edge_count());
         assert_eq!(*h.label(NodeId(0)), 1);
+    }
+
+    /// A path of `n` nodes labeled by id.
+    fn path(n: u32) -> DiGraph<u32> {
+        let mut g = DiGraph::new();
+        for v in 0..n {
+            g.add_node(v);
+        }
+        for v in 1..n {
+            g.add_edge(NodeId(v - 1), NodeId(v));
+        }
+        g
+    }
+
+    /// Chunks of `a` that `b` does not share.
+    fn unshared(a: &[Arc<Chunk>], b: &[Arc<Chunk>]) -> usize {
+        a.iter().zip(b).filter(|(x, y)| !Arc::ptr_eq(x, y)).count()
+    }
+
+    #[test]
+    fn clones_share_until_written_and_an_edit_copies_two_chunks() {
+        let g = path(100);
+        let mut h = g.clone();
+        assert!(Arc::ptr_eq(&g.labels, &h.labels));
+        assert_eq!(unshared(&g.out, &h.out) + unshared(&g.inc, &h.inc), 0);
+        // Nodes 3 and 70 sit in different chunks: one out, one in chunk.
+        assert!(h.add_edge(NodeId(3), NodeId(70)));
+        assert_eq!(unshared(&g.out, &h.out), 1);
+        assert_eq!(unshared(&g.inc, &h.inc), 1);
+        assert!(
+            Arc::ptr_eq(&g.labels, &h.labels),
+            "edges leave labels shared"
+        );
+        assert!(
+            !g.has_edge(NodeId(3), NodeId(70)),
+            "the original is untouched"
+        );
+        assert_eq!(g.edge_count(), 99);
+        assert_eq!(h.edge_count(), 100);
+        // A no-op edit copies nothing.
+        let k = h.clone();
+        assert!(!h.add_edge(NodeId(3), NodeId(70)));
+        assert!(!h.remove_edge(NodeId(70), NodeId(3)));
+        assert_eq!(unshared(&k.out, &h.out) + unshared(&k.inc, &h.inc), 0);
+        // Writing a label copies the column, not the adjacency.
+        *h.label_mut(NodeId(5)) = 500;
+        assert_eq!(*g.label(NodeId(5)), 5);
+        assert!(!Arc::ptr_eq(&k.labels, &h.labels));
+        assert_eq!(unshared(&k.out, &h.out), 0);
+    }
+
+    #[test]
+    fn adding_nodes_to_a_clone_leaves_the_original() {
+        let g = path(CHUNK as u32);
+        let mut h = g.clone();
+        let v = h.add_node(99);
+        assert_eq!(v, NodeId(CHUNK as u32));
+        h.add_edge(NodeId(0), v);
+        assert_eq!(g.node_count(), CHUNK);
+        assert_eq!(g.post(NodeId(0)), &[NodeId(1)]);
+        assert_eq!(h.post(NodeId(0)), &[NodeId(1), v]);
+        assert_eq!(h.prev(v), &[NodeId(0)]);
+    }
+
+    #[test]
+    fn from_edges_matches_edge_by_edge_insertion() {
+        let edges = [(2, 0), (1, 0), (0, 2), (2, 0), (1, 1), (0, 1)];
+        let mut one_by_one: DiGraph<char> = DiGraph::new();
+        for l in ['a', 'b', 'c'] {
+            one_by_one.add_node(l);
+        }
+        for &(a, b) in &edges {
+            one_by_one.add_edge(NodeId(a), NodeId(b));
+        }
+        let bulk = DiGraph::from_edges(
+            vec!['a', 'b', 'c'],
+            edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))),
+        );
+        assert_eq!(bulk.edge_count(), 5, "the repeated edge collapses");
+        assert_eq!(bulk.edge_count(), one_by_one.edge_count());
+        for v in bulk.nodes() {
+            assert_eq!(bulk.post(v), one_by_one.post(v));
+            assert_eq!(bulk.prev(v), one_by_one.prev(v), "insertion order kept");
+            assert_eq!(bulk.label(v), one_by_one.label(v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "to out of range")]
+    fn from_edges_rejects_out_of_range_endpoints() {
+        DiGraph::from_edges(vec![(); 2], [(NodeId(0), NodeId(2))]);
     }
 
     #[test]

@@ -73,22 +73,22 @@ pub fn tarjan_scc<L>(g: &DiGraph<L>) -> SccResult {
     let mut members: Vec<Vec<NodeId>> = Vec::new();
     let mut next_index = 0u32;
 
-    // Explicit DFS frame: (node, next child position).
-    let mut frames: Vec<(NodeId, usize)> = Vec::new();
+    // Explicit DFS frame: (node, its successors, next child position).
+    // The successor list is looked up once per node, not once per edge.
+    let mut frames: Vec<(NodeId, &[NodeId], usize)> = Vec::new();
 
     for root in g.nodes() {
         if index[root.index()] != UNVISITED {
             continue;
         }
-        frames.push((root, 0));
+        frames.push((root, g.post(root), 0));
         index[root.index()] = next_index;
         lowlink[root.index()] = next_index;
         next_index += 1;
         stack.push(root);
         on_stack[root.index()] = true;
 
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            let succs = g.post(v);
+        while let Some(&mut (v, succs, ref mut child)) = frames.last_mut() {
             if *child < succs.len() {
                 let w = succs[*child];
                 *child += 1;
@@ -98,13 +98,13 @@ pub fn tarjan_scc<L>(g: &DiGraph<L>) -> SccResult {
                     next_index += 1;
                     stack.push(w);
                     on_stack[w.index()] = true;
-                    frames.push((w, 0));
+                    frames.push((w, g.post(w), 0));
                 } else if on_stack[w.index()] {
                     lowlink[v.index()] = lowlink[v.index()].min(index[w.index()]);
                 }
             } else {
                 frames.pop();
-                if let Some(&mut (p, _)) = frames.last_mut() {
+                if let Some(&mut (p, _, _)) = frames.last_mut() {
                     lowlink[p.index()] = lowlink[p.index()].min(lowlink[v.index()]);
                 }
                 if lowlink[v.index()] == index[v.index()] {

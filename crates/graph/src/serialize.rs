@@ -188,25 +188,28 @@ pub fn from_snapshot(mut data: Bytes) -> Result<DiGraph<String>, ParseError> {
             data.remaining()
         )));
     }
-    let mut g = DiGraph::with_capacity(n);
+    let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
         need(&data, 4)?;
         let len = data.get_u32() as usize;
         need(&data, len)?;
         let label = String::from_utf8(data.split_to(len).to_vec())
             .map_err(|e| ParseError::Corrupt(e.to_string()))?;
-        g.add_node(label);
+        labels.push(label);
     }
+    // The edges take 8 bytes each: check they are all there before the
+    // edge buffer sizes itself off their count.
+    need(&data, m.saturating_mul(8))?;
+    let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
-        need(&data, 8)?;
         let a = data.get_u32();
         let b = data.get_u32();
         if a as usize >= n || b as usize >= n {
             return Err(ParseError::Corrupt(format!("edge ({a},{b}) out of range")));
         }
-        g.add_edge(NodeId(a), NodeId(b));
+        edges.push((NodeId(a), NodeId(b)));
     }
-    Ok(g)
+    Ok(DiGraph::from_edges(labels, edges))
 }
 
 /// A serde-friendly record mirroring a string-labeled graph, used by the
@@ -230,14 +233,8 @@ impl From<&DiGraph<String>> for GraphRecord {
 
 impl From<&GraphRecord> for DiGraph<String> {
     fn from(r: &GraphRecord) -> Self {
-        let mut g = DiGraph::with_capacity(r.labels.len());
-        for l in &r.labels {
-            g.add_node(l.clone());
-        }
-        for &(a, b) in &r.edges {
-            g.add_edge(NodeId(a), NodeId(b));
-        }
-        g
+        let edges = r.edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b)));
+        DiGraph::from_edges(r.labels.clone(), edges)
     }
 }
 

@@ -86,18 +86,29 @@ impl ShardingConfig {
 
 /// One graph's shard layout: the full graph, each shard's node list, the
 /// global → (shard, local id) locator, and the compression policy every
-/// shard is prepared under.
+/// shard is prepared under. Cloning is a few pointer copies: the node
+/// lists and locator sit behind one `Arc` that every version a batch
+/// commits in place shares, and the graph shares its unchanged adjacency
+/// with earlier versions.
 #[derive(Debug, Clone)]
 pub struct ShardMap<L> {
     /// The full graph (current version).
     graph: Arc<DiGraph<L>>,
+    /// The node lists and the locator.
+    layout: Arc<Layout>,
+    /// The (possibly pinned) compression policy of every shard.
+    compression: CompressionPolicy,
+}
+
+/// The per-node part of a [`ShardMap`], fixed until the graph is split
+/// again.
+#[derive(Debug)]
+struct Layout {
     /// `nodes[s][local]` is the global id of shard `s`'s node `local`;
     /// each list ascends.
     nodes: Vec<Vec<NodeId>>,
     /// `locator[global] = (shard, local id)`.
     locator: Vec<(u32, u32)>,
-    /// The (possibly pinned) compression policy of every shard.
-    compression: CompressionPolicy,
 }
 
 /// What one shard returns for its forced sub-query.
@@ -174,8 +185,7 @@ impl<L: ServiceLabel> ShardMap<L> {
         }
         let map = ShardMap {
             graph,
-            nodes,
-            locator,
+            layout: Arc::new(Layout { nodes, locator }),
             compression,
         };
         (map, graphs)
@@ -226,21 +236,23 @@ impl<L: ServiceLabel> ShardMap<L> {
         let graph = if let [only] = shard_graphs.as_slice() {
             Arc::clone(only)
         } else {
-            let mut full: DiGraph<L> = DiGraph::with_capacity(n);
-            for &(si, local) in &locator {
-                full.add_node(shard_graphs[si as usize].label(NodeId(local)).clone());
-            }
-            for (list, shard_graph) in nodes.iter().zip(&shard_graphs) {
-                for (a, b) in shard_graph.edges() {
-                    full.add_edge(list[a.index()], list[b.index()]);
-                }
-            }
-            Arc::new(full)
+            let labels = locator
+                .iter()
+                .map(|&(si, local)| shard_graphs[si as usize].label(NodeId(local)).clone())
+                .collect();
+            let edges = nodes
+                .iter()
+                .zip(&shard_graphs)
+                .flat_map(|(list, shard_graph)| {
+                    shard_graph
+                        .edges()
+                        .map(|(a, b)| (list[a.index()], list[b.index()]))
+                });
+            Arc::new(DiGraph::from_edges(labels, edges))
         };
         Ok(ShardMap {
             graph,
-            nodes,
-            locator,
+            layout: Arc::new(Layout { nodes, locator }),
             compression,
         })
     }
@@ -252,13 +264,13 @@ impl<L: ServiceLabel> ShardMap<L> {
 
     /// Shard count.
     pub fn shard_count(&self) -> usize {
-        self.nodes.len()
+        self.layout.nodes.len()
     }
 
     /// Global ids of shard `shard`'s nodes, ascending; index `local`
     /// holds the global id of shard-local node `local`.
     pub fn shard_nodes(&self, shard: usize) -> &[NodeId] {
-        &self.nodes[shard]
+        &self.layout.nodes[shard]
     }
 
     /// The compression policy every shard is prepared under.
@@ -269,7 +281,7 @@ impl<L: ServiceLabel> ShardMap<L> {
     /// Whether the split pinned the graph-wide compression decision: a
     /// sharded graph under an `Auto` base policy.
     fn pins(&self, base: CompressionPolicy) -> bool {
-        self.nodes.len() > 1 && base == CompressionPolicy::Auto
+        self.layout.nodes.len() > 1 && base == CompressionPolicy::Auto
     }
 
     /// The compression override a shard prepared elsewhere (on a worker)
@@ -374,6 +386,7 @@ impl<L: ServiceLabel> ShardMap<L> {
         // of the match loop (as the `route` span) changes no answers.
         let route_open = tr.as_ref().map(|t| t.begin());
         let relevant: Vec<bool> = self
+            .layout
             .nodes
             .iter()
             .map(|nodes| {
@@ -392,7 +405,7 @@ impl<L: ServiceLabel> ShardMap<L> {
         let mut backends: Vec<String> = Vec::new();
         // Each consulted shard's mapping, translated to global ids.
         let mut shard_maps: Vec<PHomMapping> = Vec::new();
-        for (si, nodes) in self.nodes.iter().enumerate() {
+        for (si, nodes) in self.layout.nodes.iter().enumerate() {
             if !relevant[si] {
                 continue;
             }
@@ -478,22 +491,25 @@ impl<L: ServiceLabel> ShardMap<L> {
         })
     }
 
-    /// Routes an update batch: applies it to a copy of the full graph,
-    /// counting applied, no-op and out-of-range (rejected) updates there,
-    /// and gives each shard its share in shard-local ids. An insert of a
-    /// new edge between two shards merges their components, so no shard
-    /// gets a batch then and the graph must be split again.
+    /// Routes an update batch: applies it to a new version of the full
+    /// graph, counting applied, no-op and out-of-range (rejected) updates
+    /// there, and gives each shard its share in shard-local ids. The new
+    /// version shares every adjacency chunk the batch does not write with
+    /// the current one (see [`DiGraph`]), so routing costs O(batch), not
+    /// O(graph). An insert of a new edge between two shards merges their
+    /// components, so no shard gets a batch then and the graph must be
+    /// split again.
     pub fn route_updates(&self, updates: &[GraphUpdate]) -> RoutedUpdates<L> {
         // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
         let started = Instant::now();
         let n = self.graph.node_count();
-        let joins_shards = self.nodes.len() > 1
+        let joins_shards = self.layout.nodes.len() > 1
             && updates.iter().any(|u| {
                 let (a, b) = u.endpoints();
                 u.in_range(n)
                     && matches!(u, GraphUpdate::InsertEdge(..))
                     && !self.graph.has_edge(a, b)
-                    && self.locator[a.index()].0 != self.locator[b.index()].0
+                    && self.layout.locator[a.index()].0 != self.layout.locator[b.index()].0
             });
         let mut full = (*self.graph).clone();
         let mut full_stats = UpdateStats::default();
@@ -509,14 +525,14 @@ impl<L: ServiceLabel> ShardMap<L> {
         // Cross-shard deletes target edges that cannot exist (shards are
         // unions of WCCs) and were counted as no-ops above.
         let per_shard = (!joins_shards).then(|| {
-            let mut per_shard = vec![Vec::new(); self.nodes.len()];
+            let mut per_shard = vec![Vec::new(); self.layout.nodes.len()];
             for &u in updates {
                 if !u.in_range(n) {
                     continue;
                 }
                 let (a, b) = u.endpoints();
-                let (sa, la) = self.locator[a.index()];
-                let (sb, lb) = self.locator[b.index()];
+                let (sa, la) = self.layout.locator[a.index()];
+                let (sb, lb) = self.layout.locator[b.index()];
                 if sa != sb {
                     continue;
                 }
@@ -564,8 +580,8 @@ impl<L: ServiceLabel> ShardMap<L> {
             name: name.to_owned(),
             nodes: self.graph.node_count(),
             edges: self.graph.edge_count(),
-            shards: self.nodes.len(),
-            shard_nodes: self.nodes.iter().map(Vec::len).collect(),
+            shards: self.layout.nodes.len(),
+            shard_nodes: self.layout.nodes.iter().map(Vec::len).collect(),
             scc_count: 0,
             closure_edges: 0,
             closure_memory_bytes: 0,
@@ -601,19 +617,19 @@ impl<L: ServiceLabel> ShardMap<L> {
     /// each of `shard_graphs` has as many nodes as its list.
     pub(crate) fn validate(&self, shard_graphs: &[&DiGraph<L>]) -> Result<(), Violation> {
         let n = self.graph.node_count();
-        if self.locator.len() != n || shard_graphs.len() != self.nodes.len() {
+        if self.layout.locator.len() != n || shard_graphs.len() != self.layout.nodes.len() {
             return Err(Violation::new(
                 "registry-shape",
                 format!(
                     "locator covers {} of {n} nodes; {} shard graphs for {} node lists",
-                    self.locator.len(),
+                    self.layout.locator.len(),
                     shard_graphs.len(),
-                    self.nodes.len()
+                    self.layout.nodes.len()
                 ),
             ));
         }
         let mut covered = 0usize;
-        for (si, (list, shard_graph)) in self.nodes.iter().zip(shard_graphs).enumerate() {
+        for (si, (list, shard_graph)) in self.layout.nodes.iter().zip(shard_graphs).enumerate() {
             if shard_graph.node_count() != list.len() {
                 return Err(Violation::new(
                     "registry-shape",
@@ -634,7 +650,7 @@ impl<L: ServiceLabel> ShardMap<L> {
                     ));
                 }
                 prev = Some(g.0);
-                if self.locator.get(g.index()).copied() != Some((si as u32, local as u32)) {
+                if self.layout.locator.get(g.index()).copied() != Some((si as u32, local as u32)) {
                     return Err(Violation::new(
                         "registry-locator",
                         format!("node {} not located at shard {si} slot {local}", g.0),
@@ -656,7 +672,7 @@ impl<L: ServiceLabel> ShardMap<L> {
     /// and together they hold every edge of the full graph.
     pub(crate) fn validate_induced(&self, shard_graphs: &[&DiGraph<L>]) -> Result<(), Violation> {
         self.validate(shard_graphs)?;
-        for (si, (list, shard_graph)) in self.nodes.iter().zip(shard_graphs).enumerate() {
+        for (si, (list, shard_graph)) in self.layout.nodes.iter().zip(shard_graphs).enumerate() {
             for (local, &global) in list.iter().enumerate() {
                 if shard_graph.label(NodeId(local as u32)) != self.graph.label(global) {
                     return Err(Violation::new(

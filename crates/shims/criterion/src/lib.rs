@@ -12,7 +12,10 @@
 //!
 //! Environment knobs: `PHOM_BENCH_FILTER` (substring filter over
 //! `group/id`), `PHOM_BENCH_SAMPLES` (override sample counts; the CI smoke
-//! run sets it to 1).
+//! run sets it to 1), and `PHOM_BENCH_JSON` (a file path: each benchmark
+//! also appends one JSON line there,
+//! `{"bench":"group/id","min_ns":…,"mean_ns":…,"max_ns":…,"samples":…}`,
+//! so results can be stored and compared as data).
 
 #![forbid(unsafe_code)]
 
@@ -122,6 +125,46 @@ fn run_one(full_id: &str, sample_size: usize, f: impl FnOnce(&mut Bencher)) {
         "bench {full_id:<52} [{:>12?} {:>12?} {:>12?}]",
         min, mean, max
     );
+    if let Ok(path) = std::env::var("PHOM_BENCH_JSON") {
+        let line = json_line(full_id, *min, mean, *max, b.samples.len());
+        if let Err(e) = append_line(&path, &line) {
+            eprintln!("bench {full_id}: cannot append to {path}: {e}");
+        }
+    }
+}
+
+/// One benchmark's result as a JSON object on one line.
+fn json_line(
+    full_id: &str,
+    min: Duration,
+    mean: Duration,
+    max: Duration,
+    samples: usize,
+) -> String {
+    let mut id = String::with_capacity(full_id.len());
+    for c in full_id.chars() {
+        match c {
+            '"' => id.push_str("\\\""),
+            '\\' => id.push_str("\\\\"),
+            c if c.is_control() => id.push_str(&format!("\\u{:04x}", c as u32)),
+            c => id.push(c),
+        }
+    }
+    format!(
+        "{{\"bench\":\"{id}\",\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"samples\":{samples}}}",
+        min.as_nanos(),
+        mean.as_nanos(),
+        max.as_nanos()
+    )
+}
+
+fn append_line(path: &str, line: &str) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(f, "{line}")
 }
 
 /// A named group of related benchmarks.
@@ -237,5 +280,15 @@ mod tests {
         g.finish();
         assert!(ran);
         std::env::remove_var("PHOM_BENCH_SAMPLES");
+    }
+
+    #[test]
+    fn json_line_carries_id_times_and_samples() {
+        let ns = Duration::from_nanos;
+        let line = json_line("g/\"x\"", ns(1), ns(2), ns(3), 4);
+        assert_eq!(
+            line,
+            r#"{"bench":"g/\"x\"","min_ns":1,"mean_ns":2,"max_ns":3,"samples":4}"#
+        );
     }
 }
