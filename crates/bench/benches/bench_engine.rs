@@ -2,7 +2,8 @@
 //! one data graph, cold (every `match_graphs` call rebuilds the closure
 //! and re-decides compression) versus prepared (one `PreparedGraph`
 //! shared by every query). Also times preparation itself and the
-//! steady-state cache-hit path.
+//! steady-state batch on a held prepared graph whose bounded-closure
+//! memo is already warm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phom_core::{match_graphs, Algorithm, MatcherConfig};
@@ -91,11 +92,10 @@ fn bench_batch(c: &mut Criterion) {
                 // Fresh engine per iteration: the one preparation is paid
                 // inside the measurement, amortized over the 100 queries.
                 let engine: Engine<Label> = Engine::new(EngineConfig {
-                    cache_capacity: 2,
                     threads: 1,
                     ..Default::default()
                 });
-                criterion::black_box(engine.execute_batch(&fx.data, &fx.queries))
+                criterion::black_box(engine.execute_batch(&engine.prepare(&fx.data), &fx.queries))
             })
         });
 
@@ -105,12 +105,12 @@ fn bench_batch(c: &mut Criterion) {
 
         group.bench_function(BenchmarkId::from_parameter("warm_cache_batch"), |b| {
             let engine: Engine<Label> = Engine::new(EngineConfig {
-                cache_capacity: 2,
                 threads: 1,
                 ..Default::default()
             });
-            engine.execute_batch(&fx.data, &fx.queries); // warm the cache
-            b.iter(|| criterion::black_box(engine.execute_batch(&fx.data, &fx.queries)))
+            let prepared = engine.prepare(&fx.data);
+            engine.execute_batch(&prepared, &fx.queries); // warm the bounded memo
+            b.iter(|| criterion::black_box(engine.execute_batch(&prepared, &fx.queries)))
         });
 
         group.finish();
@@ -162,13 +162,11 @@ fn bench_intra_query(c: &mut Criterion) {
     group.sample_size(10);
     for workers in [1usize, 2, 4] {
         let engine: Engine<Label> = Engine::new(EngineConfig {
-            cache_capacity: 2,
             threads: 1,
             planner: PlannerConfig {
                 intra_query_workers: workers,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let prepared = engine.prepare(&data);
         let mut q = Query::new(Arc::clone(&pattern), mat.clone());
@@ -182,7 +180,7 @@ fn bench_intra_query(c: &mut Criterion) {
     group.finish();
 }
 
-/// Trace overhead: the same warm-cache 100-query batch with tracing
+/// Trace overhead: the same warm 100-query batch with tracing
 /// disabled (the default hot path — must stay within noise of the
 /// pre-trace engine; the `constructions()` guard test proves it
 /// allocates no trace state) and enabled (spans + counters per query,
@@ -190,7 +188,6 @@ fn bench_intra_query(c: &mut Criterion) {
 fn bench_trace_overhead(c: &mut Criterion) {
     let fx = fixture(200);
     let engine: Engine<Label> = Engine::new(EngineConfig {
-        cache_capacity: 2,
         threads: 1,
         ..Default::default()
     });
@@ -198,18 +195,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_trace_m200");
     group.sample_size(10);
     group.bench_function(BenchmarkId::from_parameter("untraced_batch"), |b| {
-        b.iter(|| {
-            criterion::black_box(engine.execute_batch_prepared_traced(
-                &prepared,
-                &fx.queries,
-                false,
-            ))
-        })
+        b.iter(|| criterion::black_box(engine.execute_batch_traced(&prepared, &fx.queries, false)))
     });
     group.bench_function(BenchmarkId::from_parameter("traced_batch"), |b| {
-        b.iter(|| {
-            criterion::black_box(engine.execute_batch_prepared_traced(&prepared, &fx.queries, true))
-        })
+        b.iter(|| criterion::black_box(engine.execute_batch_traced(&prepared, &fx.queries, true)))
     });
     group.finish();
 }

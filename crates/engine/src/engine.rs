@@ -1,6 +1,9 @@
-//! The engine proper: an LRU cache of [`PreparedGraph`]s keyed by graph
-//! fingerprint, per-query execution against prepared artifacts, and a
-//! work-stealing batch executor over a scoped thread pool.
+//! The engine proper: per-query planning and execution against
+//! [`PreparedGraph`]s, update admission that derives new versions, and a
+//! work-stealing batch executor over a scoped thread pool. The engine
+//! owns no versions: whoever prepares or updates a graph holds the
+//! version it gets back (the service registry, a cluster worker, a
+//! test).
 
 use crate::planner::{plan_query_with, Plan, PlanKind, PlannerConfig, Query};
 use crate::prepared::{PrepareOptions, PreparedGraph, UpdateOutcome, UpdateStats};
@@ -8,46 +11,28 @@ use phom_core::{
     exact_optimum_budgeted, match_graphs_prepared, MatchBudget, MatchOutcome, MatchStats,
     MatcherConfig, Objective, PHomMapping,
 };
-use phom_dynamic::{DynamicConfig, GraphUpdate};
+use phom_dynamic::GraphUpdate;
 use phom_graph::{DiGraph, NodeId, ReachabilityIndex};
 use phom_sim::{NodeWeights, SimMatrix};
 use phom_trace::{EventJournal, EventKind, QueryTrace, Severity, SpanKind};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
+/// Update admission: a batch longer than this skips incremental
+/// maintenance and re-prepares from scratch once (a huge batch amortizes
+/// the rebuild, and per-edge cascades would only add overhead on top).
+pub(crate) const MAX_UPDATE_BATCH: usize = 256;
+
 /// Engine construction knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Prepared graphs kept in the LRU cache.
-    pub cache_capacity: usize,
     /// Batch worker threads; `0` = available parallelism.
     pub threads: usize,
     /// Query-routing cutoffs (exact/approx/restart decisions).
     pub planner: PlannerConfig,
-    /// Closure-maintenance tuning for [`Engine::apply_updates`].
-    pub dynamic: DynamicConfig,
-    /// Update admission: batches longer than this skip incremental
-    /// maintenance and re-prepare from scratch once (a huge batch
-    /// amortizes the rebuild, and per-edge cascades would only add
-    /// overhead on top).
-    pub max_update_batch: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            cache_capacity: 8,
-            threads: 0,
-            planner: PlannerConfig::default(),
-            dynamic: DynamicConfig::default(),
-            max_update_batch: 256,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -58,7 +43,6 @@ impl EngineConfig {
     /// use phom_engine::{ClosureBackend, EngineConfig, PlannerConfig};
     ///
     /// let config = EngineConfig::builder()
-    ///     .cache_capacity(32)
     ///     .threads(4)
     ///     .planner(
     ///         PlannerConfig::builder()
@@ -67,7 +51,7 @@ impl EngineConfig {
     ///             .build(),
     ///     )
     ///     .build();
-    /// assert_eq!(config.cache_capacity, 32);
+    /// assert_eq!(config.threads, 4);
     /// ```
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
@@ -88,12 +72,6 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Sets [`EngineConfig::cache_capacity`].
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
-        self
-    }
-
     /// Sets [`EngineConfig::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -103,18 +81,6 @@ impl EngineConfigBuilder {
     /// Sets [`EngineConfig::planner`].
     pub fn planner(mut self, planner: PlannerConfig) -> Self {
         self.config.planner = planner;
-        self
-    }
-
-    /// Sets [`EngineConfig::dynamic`].
-    pub fn dynamic(mut self, dynamic: DynamicConfig) -> Self {
-        self.config.dynamic = dynamic;
-        self
-    }
-
-    /// Sets [`EngineConfig::max_update_batch`].
-    pub fn max_update_batch(mut self, batch: usize) -> Self {
-        self.config.max_update_batch = batch;
         self
     }
 
@@ -130,7 +96,14 @@ impl EngineConfigBuilder {
 pub struct EngineStats {
     /// Full preparations run (each computes the closure exactly once).
     pub prepares: usize,
-    /// Prepared graphs served from the cache.
+    /// Queries that ran entirely on prepared state: no hop-bounded
+    /// closure was built while they executed (the same comparison as
+    /// [`phom_trace::TraceCounters::cache_hit`]). A stretch-bound query
+    /// that builds its closure counts as a miss; repeats then hit the
+    /// version's memo. The comparison reads the version's build counter
+    /// before and after the query, so under concurrent queries on one
+    /// version a query that overlaps another's build also counts as a
+    /// miss.
     pub cache_hits: usize,
     /// Queries executed.
     pub queries: usize,
@@ -154,7 +127,7 @@ pub struct EngineStats {
     /// those that left the closure untouched).
     pub updates_incremental: usize,
     /// Updates that fell back to a full re-prepare (damage threshold or
-    /// admission limit).
+    /// the admission limit of 256 updates per batch).
     pub update_rebuilds: usize,
     /// Queries whose deadline expired mid-run (best-so-far returned with
     /// `MatchStats::timed_out`).
@@ -278,84 +251,10 @@ pub struct BatchOutcome {
     pub stats: EngineStats,
 }
 
-#[derive(Debug)]
-struct LruCache<L> {
-    map: HashMap<u64, (Arc<PreparedGraph<L>>, u64)>,
-    tick: u64,
-    capacity: usize,
-}
-
-impl<L> LruCache<L> {
-    fn new(capacity: usize) -> Self {
-        LruCache {
-            map: HashMap::new(),
-            tick: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<PreparedGraph<L>>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|entry| {
-            entry.1 = tick;
-            Arc::clone(&entry.0)
-        })
-    }
-
-    /// Drops the entry holding `prepared`, if any. Found by identity, so
-    /// no fingerprint is computed.
-    fn forget(&mut self, prepared: &Arc<PreparedGraph<L>>) {
-        self.map
-            .retain(|_, (cached, _)| !Arc::ptr_eq(cached, prepared));
-    }
-
-    fn insert(&mut self, key: u64, value: Arc<PreparedGraph<L>>) {
-        self.tick += 1;
-        self.map.insert(key, (value, self.tick));
-        if self.map.len() > self.capacity {
-            if let Some(&evict) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k)
-            {
-                self.map.remove(&evict);
-            }
-        }
-    }
-}
-
-/// Structural fingerprint of a labeled digraph: node count, labels in id
-/// order, and the edge list. The engine keys its prepared-graph cache by
-/// this 64-bit hash but **verifies structural equality on every hit**
-/// (see [`Engine::prepare`]), so a hash collision degrades to a cache
-/// miss instead of silently serving another graph's artifacts.
-pub fn graph_fingerprint<L: Hash>(g: &DiGraph<L>) -> u64 {
-    let mut h = DefaultHasher::new();
-    g.node_count().hash(&mut h);
-    for v in g.nodes() {
-        g.label(v).hash(&mut h);
-    }
-    g.edge_count().hash(&mut h);
-    for (a, b) in g.edges() {
-        (a.0, b.0).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Structural equality of two labeled digraphs: node/edge counts, labels
-/// in id order, and the edge lists. This is what the cache key *means*;
-/// the fingerprint is only its 64-bit shadow.
-fn same_structure<L: PartialEq>(a: &DiGraph<L>, b: &DiGraph<L>) -> bool {
-    a.node_count() == b.node_count()
-        && a.edge_count() == b.edge_count()
-        && a.nodes().all(|v| a.label(v) == b.label(v))
-        && a.edges().eq(b.edges())
-}
-
 /// A long-lived matching engine: prepare a data graph once, answer many
 /// pattern queries against it, in parallel, with per-query planning.
+/// The engine keeps counters, not versions: the caller holds each
+/// [`PreparedGraph`] it prepares or derives by update.
 ///
 /// ```
 /// use phom_engine::{Engine, Query};
@@ -371,20 +270,23 @@ fn same_structure<L: PartialEq>(a: &DiGraph<L>, b: &DiGraph<L>) -> bool {
 /// let mat = SimMatrix::label_equality(&pattern, &data);
 ///
 /// let engine: Engine<String> = Engine::default();
-/// let batch = engine.execute_batch(&data, &[Query::new(pattern, mat)]);
+/// let prepared = engine.prepare(&data);
+/// let batch = engine.execute_batch(&prepared, &[Query::new(pattern, mat)]);
 /// assert_eq!(batch.results[0].outcome.qual_card, 1.0);
 /// assert_eq!(batch.stats.prepares, 1);
 /// ```
 #[derive(Debug)]
 pub struct Engine<L> {
     config: EngineConfig,
-    cache: Mutex<LruCache<L>>,
     counters: Counters,
     /// Lifecycle-event sink (timeouts, update admissions, backend
     /// fallbacks). Disabled by default: every emission site is then a
     /// single branch that constructs nothing (see
     /// [`phom_trace::event_constructions`]).
     journal: Arc<EventJournal>,
+    /// The engine holds no labels; `L` fixes the label type its
+    /// prepared graphs and queries carry.
+    labels: PhantomData<fn() -> L>,
 }
 
 impl<L> Default for Engine<L> {
@@ -396,12 +298,11 @@ impl<L> Default for Engine<L> {
 impl<L> Engine<L> {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        let capacity = config.cache_capacity;
         Engine {
             config,
-            cache: Mutex::new(LruCache::new(capacity)),
             counters: Counters::default(),
             journal: Arc::new(EventJournal::disabled()),
+            labels: PhantomData,
         }
     }
 
@@ -459,135 +360,54 @@ impl<L> Engine<L> {
     }
 }
 
-impl<L: Clone + Hash + PartialEq> Engine<L> {
-    /// Returns the prepared form of `graph`, preparing it on a cache miss
-    /// (one closure computation) and serving it from the LRU thereafter.
-    ///
-    /// A hit is only served after verifying the cached entry is
-    /// *structurally* the same graph: the cache is keyed by the 64-bit
-    /// [`graph_fingerprint`], and a hash collision must degrade to a
-    /// miss (re-prepare), never to silently matching queries against a
-    /// different graph's closure.
+impl<L: Clone> Engine<L> {
+    /// Prepares `graph` under the options the engine's config implies:
+    /// one closure computation, counted in [`EngineStats::prepares`].
     pub fn prepare(&self, graph: &Arc<DiGraph<L>>) -> Arc<PreparedGraph<L>> {
         self.prepare_with(graph, self.config.prepare_options())
     }
 
     /// [`Engine::prepare`] under explicit [`PrepareOptions`] — the entry
     /// point a sharded registry uses to pin the whole graph's compression
-    /// decision onto each shard. A cache hit is only served when the
-    /// cached entry was prepared under the *same* options; a mismatch
-    /// degrades to a re-prepare (replacing the entry), never to serving
-    /// artifacts built under another policy.
+    /// decision onto each shard.
     pub fn prepare_with(
         &self,
         graph: &Arc<DiGraph<L>>,
         options: PrepareOptions,
     ) -> Arc<PreparedGraph<L>> {
-        let key = graph_fingerprint(graph);
-        // Only the O(1) lookup holds the lock; the O(V + E) structural
-        // verification walks the graph on a cloned Arc so concurrent
-        // preparers of other graphs do not serialize behind it.
-        let hit = {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            cache.get(key)
-        };
-        if let Some(hit) = hit {
-            if hit.options() == options && same_structure(hit.graph(), graph) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
-            // Fingerprint collision (or an options mismatch): fall
-            // through to a fresh prepare. The insert below replaces the
-            // colliding entry — the two graphs will thrash one slot,
-            // which is correct if slow; a 1-in-2⁶⁴ event does not
-            // deserve a second-level key.
-        }
-        // Prepare outside the lock: preparation is the expensive part and
-        // other graphs' lookups should not serialize behind it. A racing
-        // duplicate prepare for the *same* graph is benign (last insert
-        // wins; both Arcs are valid).
-        let prepared = Arc::new(PreparedGraph::prepare(Arc::clone(graph), options));
         self.counters.prepares.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.insert(key, Arc::clone(&prepared));
-        prepared
+        Arc::new(PreparedGraph::prepare(Arc::clone(graph), options))
     }
 
-    /// Admits a batch of edge updates against `graph`: fetches (or
-    /// prepares) its current version, produces the post-update version —
-    /// incrementally via [`PreparedGraph::apply_with`], or through one
-    /// full re-prepare when the batch exceeds
-    /// [`EngineConfig::max_update_batch`] — and **re-keys the LRU cache**
-    /// under the new graph's fingerprint, so subsequent
-    /// [`Engine::execute_batch`] calls on the mutated graph hit the cache
-    /// instead of re-preparing.
+    /// Admits a batch of edge updates against `prepared` and returns the
+    /// post-update version, which inherits `prepared`'s
+    /// [`PrepareOptions`]. The new version comes from incremental
+    /// maintenance ([`PreparedGraph::apply`]), or from one full
+    /// re-prepare when the batch is longer than `MAX_UPDATE_BATCH` (256).
+    /// A batch in which no update can change the graph hands back
+    /// `prepared` itself.
     ///
-    /// Copy-on-write versioning: the pre-update entry stays cached under
-    /// its own fingerprint, and any in-flight query holding the old `Arc`
-    /// keeps reading the old snapshot.
+    /// Copy-on-write versioning: `prepared` is untouched, so any
+    /// in-flight query holding it keeps reading the old snapshot. The
+    /// caller owns both versions.
     pub fn apply_updates(
-        &self,
-        graph: &Arc<DiGraph<L>>,
-        updates: &[GraphUpdate],
-    ) -> UpdateOutcome<L> {
-        // Fast path: a batch in which no update can change the graph
-        // (duplicate inserts, absent deletes, out-of-range nodes — common
-        // in live streams) keeps the current prepared version instead of
-        // assembling an identical new one.
-        if let Some(outcome) = self.noop_batch(graph, updates, None) {
-            self.journal_update(updates, &outcome.stats);
-            return outcome;
-        }
-        let outcome = if updates.len() > self.config.max_update_batch {
-            // No point preparing (or caching) the pre-update graph here:
-            // the oversized branch re-prepares the mutated graph anyway.
-            self.oversized_rebuild(graph, updates, self.config.prepare_options())
-        } else {
-            self.prepare(graph)
-                .apply_with(updates, &self.config.dynamic)
-        };
-        self.count_update(&outcome.stats);
-        let key = graph_fingerprint(outcome.prepared.graph());
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, Arc::clone(&outcome.prepared));
-        self.journal_update(updates, &outcome.stats);
-        outcome
-    }
-
-    /// [`Engine::apply_updates`] against an **already prepared** version —
-    /// the entry point a registry holding per-shard prepared graphs uses.
-    /// The new version inherits `prepared`'s [`PrepareOptions`] (also on
-    /// the oversized-batch rebuild path) and the same admission limit
-    /// applies.
-    ///
-    /// The caller owns the versions it derives here, so the graph-keyed
-    /// cache keeps none of them: the new version is **not** entered
-    /// (only the graph-keyed API — [`Engine::prepare`],
-    /// [`Engine::execute_batch`], [`Engine::apply_updates`] — looks
-    /// versions up, so fingerprinting every label and edge of each new
-    /// version would be wasted work), and if the cache holds `prepared`
-    /// it lets go of it, so a superseded version is freed with its
-    /// owner's last reference instead of staying pinned in the cache.
-    pub fn apply_updates_prepared(
         &self,
         prepared: &Arc<PreparedGraph<L>>,
         updates: &[GraphUpdate],
     ) -> UpdateOutcome<L> {
-        if let Some(outcome) = self.noop_batch(prepared.graph(), updates, Some(prepared)) {
+        // Fast path: a batch in which no update can change the graph
+        // (duplicate inserts, absent deletes, out-of-range nodes — common
+        // in live streams) keeps the current version instead of
+        // assembling an identical new one.
+        if let Some(outcome) = noop_batch(prepared, updates) {
             self.journal_update(updates, &outcome.stats);
             return outcome;
         }
-        let outcome = if updates.len() > self.config.max_update_batch {
-            self.oversized_rebuild(prepared.graph(), updates, prepared.options())
+        let outcome = if updates.len() > MAX_UPDATE_BATCH {
+            self.oversized_rebuild(prepared, updates)
         } else {
-            prepared.apply_with(updates, &self.config.dynamic)
+            prepared.apply(updates)
         };
-        self.cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .forget(prepared);
         self.count_update(&outcome.stats);
         self.journal_update(updates, &outcome.stats);
         outcome
@@ -626,56 +446,17 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
         }
     }
 
-    /// The all-no-ops fast path shared by the two apply entry points:
-    /// `Some` when no update can change the graph, carrying the current
-    /// prepared version (the given one, or a cache fetch).
-    fn noop_batch(
-        &self,
-        graph: &Arc<DiGraph<L>>,
-        updates: &[GraphUpdate],
-        prepared: Option<&Arc<PreparedGraph<L>>>,
-    ) -> Option<UpdateOutcome<L>> {
-        let n = graph.node_count();
-        let changes_graph = |u: &GraphUpdate| {
-            u.in_range(n)
-                && match *u {
-                    GraphUpdate::InsertEdge(a, b) => !graph.has_edge(a, b),
-                    GraphUpdate::RemoveEdge(a, b) => graph.has_edge(a, b),
-                }
-        };
-        if updates.iter().any(changes_graph) {
-            return None;
-        }
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let mut stats = UpdateStats::default();
-        for update in updates {
-            if update.in_range(n) {
-                stats.noops += 1;
-            } else {
-                stats.rejected += 1;
-            }
-        }
-        let prepared = match prepared {
-            Some(p) => Arc::clone(p),
-            None => self.prepare(graph),
-        };
-        stats.apply_micros = started.elapsed().as_micros();
-        Some(UpdateOutcome { prepared, stats })
-    }
-
     /// One from-scratch re-prepare of the mutated graph — the admission
-    /// path for batches beyond [`EngineConfig::max_update_batch`].
+    /// path for batches longer than `MAX_UPDATE_BATCH`.
     fn oversized_rebuild(
         &self,
-        graph: &Arc<DiGraph<L>>,
+        prepared: &Arc<PreparedGraph<L>>,
         updates: &[GraphUpdate],
-        options: PrepareOptions,
     ) -> UpdateOutcome<L> {
         // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
         let started = Instant::now();
         let mut stats = UpdateStats::default();
-        let mut g = (**graph).clone();
+        let mut g = (**prepared.graph()).clone();
         for &update in updates {
             if !update.in_range(g.node_count()) {
                 stats.rejected += 1;
@@ -686,8 +467,7 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
             }
         }
         stats.rebuilds += 1;
-        self.counters.prepares.fetch_add(1, Ordering::Relaxed);
-        let rebuilt = Arc::new(PreparedGraph::prepare(Arc::new(g), options));
+        let rebuilt = self.prepare_with(&Arc::new(g), prepared.options());
         stats.apply_micros = started.elapsed().as_micros();
         UpdateOutcome {
             prepared: rebuilt,
@@ -708,6 +488,42 @@ impl<L: Clone + Hash + PartialEq> Engine<L> {
             .update_rebuilds
             .fetch_add(stats.rebuilds, Ordering::Relaxed);
     }
+}
+
+/// The all-no-ops fast path of [`Engine::apply_updates`]: `Some` when no
+/// update can change the graph, carrying `prepared` itself as the
+/// current version.
+fn noop_batch<L: Clone>(
+    prepared: &Arc<PreparedGraph<L>>,
+    updates: &[GraphUpdate],
+) -> Option<UpdateOutcome<L>> {
+    let graph = prepared.graph();
+    let n = graph.node_count();
+    let changes_graph = |u: &GraphUpdate| {
+        u.in_range(n)
+            && match *u {
+                GraphUpdate::InsertEdge(a, b) => !graph.has_edge(a, b),
+                GraphUpdate::RemoveEdge(a, b) => graph.has_edge(a, b),
+            }
+    };
+    if updates.iter().any(changes_graph) {
+        return None;
+    }
+    // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
+    let started = Instant::now();
+    let mut stats = UpdateStats::default();
+    for update in updates {
+        if update.in_range(n) {
+            stats.noops += 1;
+        } else {
+            stats.rejected += 1;
+        }
+    }
+    stats.apply_micros = started.elapsed().as_micros();
+    Some(UpdateOutcome {
+        prepared: Arc::clone(prepared),
+        stats,
+    })
 }
 
 impl<L: Clone + Send + Sync> Engine<L> {
@@ -743,9 +559,10 @@ impl<L: Clone + Send + Sync> Engine<L> {
         if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
             t.end(SpanKind::Plan, open);
         }
-        // "Cache hit" for the trace means the query ran entirely on
-        // prepared state: no bounded closure was built during execution.
-        let closures_before = tr.as_ref().map(|_| prepared.bounded_closures_computed());
+        // A cache hit means the query ran entirely on prepared state: no
+        // hop-bounded closure was built during execution. Two relaxed
+        // loads of the version's memo counter decide it for every query.
+        let closures_before = prepared.bounded_closures_computed();
         let match_open = tr.as_ref().map(|t| t.begin());
         // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
         let started = Instant::now();
@@ -840,6 +657,10 @@ impl<L: Clone + Send + Sync> Engine<L> {
             }
         };
 
+        let cache_hit = prepared.bounded_closures_computed() == closures_before;
+        if cache_hit {
+            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
         if outcome.stats.timed_out {
             self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
             self.journal
@@ -869,7 +690,7 @@ impl<L: Clone + Send + Sync> Engine<L> {
             t.counters.budget_polls = outcome.stats.budget_polls;
             t.counters.components = outcome.stats.components;
             t.counters.parallel_components = outcome.stats.parallel_components;
-            t.counters.cache_hit = closures_before == Some(prepared.bounded_closures_computed());
+            t.counters.cache_hit = cache_hit;
             t.counters.closure_backend = prepared.stats().closure_backend.clone();
             t.counters.candidate_pairs = outcome.stats.candidate_pairs;
             t.counters.extended_pairs = outcome.stats.extended_pairs;
@@ -883,43 +704,28 @@ impl<L: Clone + Send + Sync> Engine<L> {
             trace: tr,
         }
     }
-}
 
-impl<L: Clone + Send + Sync + Hash + PartialEq> Engine<L> {
-    /// Prepares `graph` (or fetches it from the cache) and executes the
-    /// whole batch across the worker pool — see
-    /// [`Engine::execute_batch_prepared`].
-    pub fn execute_batch(&self, graph: &Arc<DiGraph<L>>, queries: &[Query<L>]) -> BatchOutcome {
-        let prepared = self.prepare(graph);
-        self.execute_batch_prepared(&prepared, queries)
-    }
-}
-
-impl<L: Clone + Send + Sync> Engine<L> {
-    /// Executes the whole batch against an **already prepared** graph
-    /// across the worker pool, returning per-query results in input
-    /// order plus a stats snapshot. A registry holding per-shard
-    /// prepared graphs calls this directly so warm artifacts (e.g. a
-    /// snapshot-restored closure that never entered the cache) are used
-    /// instead of re-prepared.
+    /// Executes the whole batch against a prepared graph across the
+    /// worker pool, returning per-query results in input order plus a
+    /// stats snapshot.
     ///
     /// Work distribution is stealing (a shared atomic index), so skewed
     /// query costs do not idle workers. All workers synchronize on a
     /// barrier after claiming their first query, which makes the achieved
     /// start-of-batch parallelism observable in
     /// [`EngineStats::last_batch_peak_parallel`].
-    pub fn execute_batch_prepared(
+    pub fn execute_batch(
         &self,
         prepared: &Arc<PreparedGraph<L>>,
         queries: &[Query<L>],
     ) -> BatchOutcome {
-        self.execute_batch_prepared_traced(prepared, queries, false)
+        self.execute_batch_traced(prepared, queries, false)
     }
 
-    /// [`Engine::execute_batch_prepared`] with optional per-query
-    /// tracing — each result carries its own [`QueryTrace`] when `trace`
-    /// is set (see [`Engine::execute_traced`]).
-    pub fn execute_batch_prepared_traced(
+    /// [`Engine::execute_batch`] with optional per-query tracing — each
+    /// result carries its own [`QueryTrace`] when `trace` is set (see
+    /// [`Engine::execute_traced`]).
+    pub fn execute_batch_traced(
         &self,
         prepared: &Arc<PreparedGraph<L>>,
         queries: &[Query<L>],
@@ -1076,41 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_skip_preparation() {
-        let engine: Engine<String> = Engine::default();
-        let g = data_graph();
-        let p1 = engine.prepare(&g);
-        let p2 = engine.prepare(&g);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        // A structurally equal but distinct allocation also hits.
-        let g2 = data_graph();
-        let p3 = engine.prepare(&g2);
-        assert!(Arc::ptr_eq(&p1, &p3));
-        let stats = engine.stats();
-        assert_eq!(stats.prepares, 1);
-        assert_eq!(stats.cache_hits, 2);
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let engine: Engine<String> = Engine::new(EngineConfig {
-            cache_capacity: 2,
-            threads: 1,
-            ..Default::default()
-        });
-        let mk = |tag: &str| Arc::new(graph_from_labels(&[tag, "x"], &[(tag, "x")]));
-        let (ga, gb, gc) = (mk("a"), mk("b"), mk("c"));
-        engine.prepare(&ga);
-        engine.prepare(&gb);
-        engine.prepare(&ga); // refresh a; b becomes LRU
-        engine.prepare(&gc); // evicts b
-        engine.prepare(&ga);
-        assert_eq!(engine.stats().prepares, 3, "a, b, c each prepared once");
-        engine.prepare(&gb); // miss: was evicted
-        assert_eq!(engine.stats().prepares, 4);
-    }
-
-    #[test]
     fn execute_matches_direct_call() {
         let engine: Engine<String> = Engine::default();
         let g = data_graph();
@@ -1121,74 +892,55 @@ mod tests {
     }
 
     #[test]
+    fn cache_hits_count_queries_that_build_no_bounded_closure() {
+        let engine: Engine<String> = Engine::default();
+        let g = data_graph();
+        let prepared = engine.prepare(&g);
+        let plain = simple_query(&g);
+        let mut bounded = simple_query(&g);
+        bounded.config.max_stretch = Some(2);
+        // (query, traced, expected hit): the first stretch-bound run
+        // builds the k = 2 closure, its repeat reads the memo.
+        for (step, (q, traced, hit)) in [
+            (&plain, false, true),
+            (&bounded, true, false),
+            (&bounded, false, true),
+            (&plain, true, true),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = engine.stats().cache_hits;
+            let r = engine.execute_traced(&prepared, q, traced);
+            assert_eq!(
+                engine.stats().cache_hits - before,
+                usize::from(hit),
+                "step {step}"
+            );
+            if let Some(t) = r.trace {
+                assert_eq!(t.counters.cache_hit, hit, "step {step}: trace agrees");
+            }
+        }
+        assert_eq!(prepared.bounded_closures_computed(), 1);
+        let stats = engine.stats();
+        assert_eq!((stats.cache_hits, stats.queries), (3, 4));
+    }
+
+    #[test]
     fn batch_returns_results_in_input_order() {
         let engine: Engine<String> = Engine::new(EngineConfig {
-            cache_capacity: 4,
             threads: 2,
             ..Default::default()
         });
         let g = data_graph();
         let queries: Vec<Query<String>> = (0..8).map(|_| simple_query(&g)).collect();
-        let batch = engine.execute_batch(&g, &queries);
+        let batch = engine.execute_batch(&engine.prepare(&g), &queries);
         assert_eq!(batch.results.len(), 8);
         assert!(batch.results.iter().all(|r| r.outcome.qual_card == 1.0));
         assert_eq!(batch.stats.prepares, 1, "one closure for the whole batch");
         assert_eq!(batch.stats.queries, 8);
         assert_eq!(batch.stats.last_batch_workers, 2);
         assert!(batch.stats.last_batch_peak_parallel >= 2);
-    }
-
-    #[test]
-    fn fingerprint_collision_serves_a_miss_not_another_graph() {
-        // A real 64-bit DefaultHasher collision cannot be constructed on
-        // demand, so forge one: plant graph A's prepared artifacts in the
-        // cache under graph B's fingerprint key and ask for B.
-        let engine: Engine<String> = Engine::default();
-        let g_a = data_graph(); // 4 nodes, path a->b->c->d
-        let g_b = Arc::new(graph_from_labels(&["a", "c"], &[("a", "c")]));
-        let planted = Arc::new(PreparedGraph::new(Arc::clone(&g_a)));
-        engine
-            .cache
-            .lock()
-            .unwrap()
-            .insert(graph_fingerprint(&*g_b), Arc::clone(&planted));
-
-        let served = engine.prepare(&g_b);
-        assert!(
-            !Arc::ptr_eq(&served, &planted),
-            "collision must re-prepare, not alias the planted graph"
-        );
-        assert_eq!(served.graph().node_count(), 2, "B's own artifacts");
-        assert!(served.closure().reaches(NodeId(0), NodeId(1)));
-        let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 0, "a collision is a miss");
-        assert_eq!(stats.prepares, 1);
-        // The re-prepared entry replaced the colliding one and now hits.
-        let again = engine.prepare(&g_b);
-        assert!(Arc::ptr_eq(&served, &again));
-        assert_eq!(engine.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn fingerprint_collision_on_labels_alone_is_caught() {
-        // Same node and edge counts, same shape — only a label differs.
-        // The count checks cannot catch this one; the label sweep must.
-        let engine: Engine<String> = Engine::default();
-        let g_a = data_graph();
-        let g_b = Arc::new(graph_from_labels(
-            &["a", "b", "c", "DIFFERENT"],
-            &[("a", "b"), ("b", "c"), ("c", "DIFFERENT")],
-        ));
-        let planted = Arc::new(PreparedGraph::new(Arc::clone(&g_a)));
-        engine
-            .cache
-            .lock()
-            .unwrap()
-            .insert(graph_fingerprint(&*g_b), planted);
-        let served = engine.prepare(&g_b);
-        assert_eq!(served.graph().label(NodeId(3)), "DIFFERENT");
-        assert_eq!(engine.stats().cache_hits, 0);
-        assert_eq!(engine.stats().prepares, 1);
     }
 
     #[test]
@@ -1211,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expired_query_returns_best_so_far_without_poisoning_cache() {
+    fn deadline_expired_query_returns_best_so_far_without_poisoning_the_version() {
         let engine: Engine<String> = Engine::default();
         let g = data_graph();
         let prepared = engine.prepare(&g);
@@ -1230,15 +982,15 @@ mod tests {
         assert_eq!(engine.stats().timeouts, 1);
 
         // The prepared graph is untouched: the same query without a
-        // deadline — served from the same cache entry — answers fully.
+        // deadline — on the same version — answers fully.
         let mut q2 = simple_query(&g);
         q2.config.force_plan = Some(PlanKind::Approx);
-        let full = engine.execute(&engine.prepare(&g), &q2);
+        let full = engine.execute(&prepared, &q2);
         assert!(!full.outcome.stats.timed_out);
         assert_eq!(full.outcome.qual_card, 1.0, "a ⇝ c via 2-hop path");
         let stats = engine.stats();
         assert_eq!(stats.timeouts, 1, "no new timeout");
-        assert_eq!(stats.prepares, 1, "cache entry survived the timeout");
+        assert_eq!(stats.prepares, 1, "the version survived the timeout");
     }
 
     #[test]
@@ -1265,30 +1017,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_with_options_mismatch_is_a_miss() {
-        use crate::planner::CompressionPolicy;
-        let engine: Engine<String> = Engine::default();
-        let g = data_graph();
-        let auto = engine.prepare(&g);
-        // Same graph under a different compression policy must not alias
-        // the cached auto-policy artifacts.
-        let never = engine.prepare_with(
-            &g,
-            PrepareOptions {
-                compression: CompressionPolicy::Never,
-                ..Default::default()
-            },
-        );
-        assert!(!Arc::ptr_eq(&auto, &never));
-        assert_eq!(never.options().compression, CompressionPolicy::Never);
-        assert_eq!(engine.stats().prepares, 2, "options mismatch re-prepares");
-        // The replacement entry now hits under its own options.
-        let again = engine.prepare_with(&g, never.options());
-        assert!(Arc::ptr_eq(&never, &again));
-    }
-
-    #[test]
-    fn apply_updates_prepared_inherits_options_and_hands_versions_to_the_caller() {
+    fn apply_updates_inherits_options_and_hands_versions_to_the_caller() {
         use crate::planner::CompressionPolicy;
         let engine: Engine<String> = Engine::default();
         let g = data_graph();
@@ -1297,28 +1026,16 @@ mod tests {
             ..Default::default()
         };
         let prepared = engine.prepare_with(&g, options);
-        let outcome = engine
-            .apply_updates_prepared(&prepared, &[GraphUpdate::InsertEdge(NodeId(3), NodeId(0))]);
+        let outcome =
+            engine.apply_updates(&prepared, &[GraphUpdate::InsertEdge(NodeId(3), NodeId(0))]);
         assert_eq!(outcome.stats.applied, 1);
         assert_eq!(outcome.prepared.options(), options, "version inherits");
         assert!(outcome.prepared.compressed().is_some(), "Always kept it");
-        // The caller owns both versions: the cache let go of the
-        // superseded one and never took the new one.
-        assert_eq!(
-            Arc::strong_count(&prepared),
-            1,
-            "superseded version released"
-        );
-        assert_eq!(
-            Arc::strong_count(&outcome.prepared),
-            1,
-            "new version not cached"
-        );
-        let mut mutated = (*g).clone();
-        mutated.add_edge(NodeId(3), NodeId(0));
-        let looked_up = engine.prepare_with(&Arc::new(mutated), options);
-        assert!(!Arc::ptr_eq(&looked_up, &outcome.prepared));
-        assert_eq!(engine.stats().prepares, 2, "a miss, not a hit");
+        // The caller owns both versions: the engine keeps no reference
+        // to either.
+        assert_eq!(Arc::strong_count(&prepared), 1, "superseded version");
+        assert_eq!(Arc::strong_count(&outcome.prepared), 1, "new version");
+        assert_eq!(engine.stats().prepares, 1, "the update re-prepared nothing");
         assert_eq!(engine.stats().updates_applied, 1);
     }
 
@@ -1372,25 +1089,20 @@ mod tests {
     }
 
     #[test]
-    fn apply_updates_rekeys_cache_and_counts_incremental_work() {
+    fn apply_updates_counts_incremental_work() {
         let engine: Engine<String> = Engine::default();
         let g = data_graph();
-        engine.prepare(&g);
-        let outcome = engine.apply_updates(&g, &[GraphUpdate::InsertEdge(NodeId(3), NodeId(0))]);
+        let old = engine.prepare(&g);
+        let outcome = engine.apply_updates(&old, &[GraphUpdate::InsertEdge(NodeId(3), NodeId(0))]);
         assert_eq!(outcome.stats.applied, 1);
         assert_eq!(outcome.stats.rebuilds, 0, "single insert is incremental");
-        // The mutated graph is already cached under its new fingerprint.
-        let mut mutated = (*g).clone();
-        mutated.add_edge(NodeId(3), NodeId(0));
-        let hit = engine.prepare(&Arc::new(mutated));
-        assert!(Arc::ptr_eq(&hit, &outcome.prepared));
+        assert!(outcome.prepared.graph().has_edge(NodeId(3), NodeId(0)));
         let stats = engine.stats();
         assert_eq!(stats.prepares, 1, "no re-prepare for the new version");
         assert_eq!(stats.updates_applied, 1);
         assert_eq!(stats.updates_incremental, 1);
         assert_eq!(stats.update_rebuilds, 0);
-        // The old version stays cached and readable (copy-on-write).
-        let old = engine.prepare(&g);
+        // The old version stays readable (copy-on-write).
         assert!(!old.closure().reaches(NodeId(3), NodeId(0)));
         assert!(outcome.prepared.closure().reaches(NodeId(3), NodeId(0)));
     }
@@ -1401,7 +1113,7 @@ mod tests {
         let g = data_graph();
         let before = engine.prepare(&g);
         let outcome = engine.apply_updates(
-            &g,
+            &before,
             &[
                 GraphUpdate::InsertEdge(NodeId(0), NodeId(1)), // duplicate
                 GraphUpdate::RemoveEdge(NodeId(3), NodeId(0)), // absent
@@ -1420,25 +1132,31 @@ mod tests {
 
     #[test]
     fn oversized_update_batch_is_admitted_as_one_rebuild() {
-        let engine: Engine<String> = Engine::new(EngineConfig {
-            cache_capacity: 4,
-            threads: 1,
-            max_update_batch: 1,
-            ..Default::default()
-        });
+        let engine: Engine<String> = Engine::default();
         let g = data_graph();
-        let outcome = engine.apply_updates(
-            &g,
-            &[
-                GraphUpdate::InsertEdge(NodeId(3), NodeId(0)),
-                GraphUpdate::RemoveEdge(NodeId(0), NodeId(1)),
-            ],
-        );
-        assert_eq!(outcome.stats.applied, 2);
+        // MAX_UPDATE_BATCH + 1 toggles of d -> a: an odd count, so the
+        // edge ends up inserted.
+        let toggles: Vec<GraphUpdate> = (0..=MAX_UPDATE_BATCH)
+            .map(|i| {
+                if i % 2 == 0 {
+                    GraphUpdate::InsertEdge(NodeId(3), NodeId(0))
+                } else {
+                    GraphUpdate::RemoveEdge(NodeId(3), NodeId(0))
+                }
+            })
+            .collect();
+        let base = engine.prepare(&g);
+        let outcome = engine.apply_updates(&base, &toggles);
+        assert_eq!(outcome.stats.applied, MAX_UPDATE_BATCH + 1);
         assert_eq!(outcome.stats.rebuilds, 1, "admission limit exceeded");
         assert_eq!(engine.stats().update_rebuilds, 1);
+        assert_eq!(
+            engine.stats().prepares,
+            2,
+            "the base version and the rebuild"
+        );
         assert!(outcome.prepared.closure().reaches(NodeId(3), NodeId(0)));
-        assert!(!outcome.prepared.closure().reaches(NodeId(0), NodeId(1)));
+        assert!(!base.closure().reaches(NodeId(3), NodeId(0)));
     }
 
     #[test]

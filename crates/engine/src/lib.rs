@@ -20,17 +20,19 @@
 //!   the greedy approximation (optionally with restarts), the
 //!   bounded-stretch variant, or a best-candidate baseline, using the
 //!   `phom_core::bounds::prefer_exact` cost model;
-//! * [`Engine`] — an LRU cache of prepared graphs keyed by structural
-//!   fingerprint, plus [`Engine::execute_batch`]: a work-stealing scoped
-//!   thread pool that fans a batch of queries out in parallel and
-//!   reports [`EngineStats`] (closures computed, cache hits, plans
-//!   chosen, achieved parallelism).
+//! * [`Engine`] — [`Engine::prepare`] plus [`Engine::execute_batch`]: a
+//!   work-stealing scoped thread pool that fans a batch of queries out
+//!   in parallel against one prepared graph and reports [`EngineStats`]
+//!   (closures computed, queries that built no bounded closure, plans
+//!   chosen, achieved parallelism). The engine keeps counters only:
+//!   the caller holds every prepared version.
 //!
 //! For **live graphs**, [`PreparedGraph::apply`] produces a new prepared
 //! version under edge insertions/deletions via semi-dynamic closure
 //! maintenance (the `phom-dynamic` crate) instead of re-preparing, with
 //! copy-on-write versioning; [`Engine::apply_updates`] admits update
-//! batches and re-keys the cache to the mutated graph's fingerprint.
+//! batches against a prepared version (one full re-prepare past 256
+//! updates) and counts the work.
 //! Prepared graphs also snapshot/restore ([`PreparedGraph::save_snapshot`])
 //! so warm closures survive restarts.
 //!
@@ -50,7 +52,8 @@
 //! let mat = SimMatrix::label_equality(&pattern, &data);
 //!
 //! let engine: Engine<String> = Engine::default();
-//! let batch = engine.execute_batch(&data, &[Query::new(pattern, mat)]);
+//! let prepared = engine.prepare(&data);
+//! let batch = engine.execute_batch(&prepared, &[Query::new(pattern, mat)]);
 //! assert_eq!(batch.results[0].outcome.qual_card, 1.0);
 //! // The whole batch shared one preparation:
 //! assert_eq!(batch.stats.prepares, 1);
@@ -64,8 +67,8 @@ pub mod planner;
 pub mod prepared;
 
 pub use engine::{
-    graph_fingerprint, percentile_micros, BatchOutcome, Engine, EngineConfig, EngineConfigBuilder,
-    EngineStats, QueryResult,
+    percentile_micros, BatchOutcome, Engine, EngineConfig, EngineConfigBuilder, EngineStats,
+    QueryResult,
 };
 pub use planner::{
     plan_query_with, ClosureBackend, CompressionPolicy, Plan, PlanKind, PlannerConfig,

@@ -7,18 +7,19 @@ use crate::error::ServiceError;
 use bytes::Bytes;
 use phom_engine::{CompressionPolicy, PreparedGraph};
 use phom_graph::serialize::ParseError;
-use std::hash::Hash;
 
 /// Label types the service can register and query. The supertraits are
-/// what the engine already needs (fingerprinting, batch fan-out); the
-/// two provided methods add prepared-graph snapshot support, which only
+/// what serving needs: `Clone + Send + Sync` for the engine's batch
+/// fan-out across threads, `PartialEq` for the deep validator's
+/// induced-subgraph label check; the two provided methods add
+/// prepared-graph snapshot support, which only
 /// `String` implements — every other label type reports
 /// [`ServiceError::Unsupported`] instead of failing at compile time, so
 /// one generic [`crate::Service`] serves all label types.
 ///
 /// Implement it for your own label type with the
 /// [`impl_service_label!`](crate::impl_service_label) macro.
-pub trait ServiceLabel: Clone + Send + Sync + Hash + PartialEq + 'static {
+pub trait ServiceLabel: Clone + Send + Sync + PartialEq + 'static {
     /// Whether [`ServiceLabel::save_prepared`] /
     /// [`ServiceLabel::load_prepared`] actually serialize (only `String`
     /// labels do).
@@ -68,7 +69,7 @@ impl ServiceLabel for String {
 /// label types:
 ///
 /// ```
-/// #[derive(Clone, Hash, PartialEq)]
+/// #[derive(Clone, PartialEq)]
 /// struct MyLabel(u32);
 /// phom_service::impl_service_label!(MyLabel);
 /// ```

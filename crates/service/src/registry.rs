@@ -36,8 +36,9 @@ pub struct GraphEntry<L> {
 
 impl<L: ServiceLabel> GraphEntry<L> {
     /// Splits `graph` per `sharding` and prepares every shard through the
-    /// engine (so shards share its cache and counters), under the
-    /// compression policy the split pinned.
+    /// engine (so every shard's preparation lands in its counters), under
+    /// the compression policy the split pinned. The entry holds the
+    /// prepared shards it gets back.
     pub(crate) fn build(
         engine: &Engine<L>,
         sharding: &ShardingConfig,
@@ -192,7 +193,7 @@ impl<L: ServiceLabel> GraphEntry<L> {
             if local.is_empty() {
                 continue;
             }
-            let outcome = engine.apply_updates_prepared(prepared, local);
+            let outcome = engine.apply_updates(prepared, local);
             shard_stats.push(outcome.stats);
             *prepared = outcome.prepared;
         }

@@ -24,7 +24,7 @@ use std::time::Instant;
 /// Service construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The wrapped engine's configuration (cache, workers, planner).
+    /// The wrapped engine's configuration (workers, planner).
     pub engine: EngineConfig,
     /// When and how finely registered graphs shard.
     pub sharding: ShardingConfig,
@@ -206,12 +206,12 @@ pub struct Service<L> {
     gate: AdmissionGate,
     counters: ServiceCounters,
     /// Lifetime + windowed latency/counter aggregates (per-plan latency
-    /// histograms, cache-hit deltas, backend fallbacks).
+    /// histograms, cache hit/miss deltas, backend fallbacks).
     metrics: MetricsRegistry,
     /// The K slowest traced queries, serialized (see
     /// [`ServiceStats::slow_traces`]).
     slow_ring: SlowTraceRing,
-    /// Last-sampled engine `(cache_hits, prepares)`: `stats()` feeds the
+    /// Last-sampled engine `(cache_hits, queries)`: `stats()` feeds the
     /// deltas into windowed counters, turning the engine's lifetime-only
     /// totals into a recent-window hit ratio.
     engine_sample: Mutex<(usize, usize)>,
@@ -621,13 +621,12 @@ impl<L: ServiceLabel> Service<L> {
             // One shard: the full graph. Check every query up front (the
             // same check a single query gets), then hand the entry's own
             // prepared artifacts to the engine's parallel batch executor
-            // (never re-prepare: a snapshot-restored or cache-evicted
-            // entry must still serve from its warm index).
+            // (a snapshot-restored entry serves from its warm index).
             for q in queries {
                 entry.check(q)?;
             }
             self.engine
-                .execute_batch_prepared_traced(prepared, queries, trace)
+                .execute_batch_traced(prepared, queries, trace)
                 .results
                 .into_iter()
                 .map(single_shard_response)
@@ -657,8 +656,9 @@ impl<L: ServiceLabel> Service<L> {
     }
 
     /// Feeds one completed query into the flight recorder (and the
-    /// windowed timeout counter). Cache-hit status is known only for
-    /// traced queries; untraced records report `false`.
+    /// windowed timeout counter). Per-query cache-hit status is known
+    /// only for traced queries; untraced records report `false` (the
+    /// engine's [`EngineStats::cache_hits`] counts every query).
     fn record_flight(&self, response: &QueryResponse) {
         if response.timed_out {
             self.metrics.counter_add("queries_timed_out", 1);
@@ -805,20 +805,7 @@ impl<L: ServiceLabel> Service<L> {
         let (graphs, shards) = self.registry.census();
         self.metrics.gauge_set("graphs", graphs as i64);
         self.metrics.gauge_set("shards", shards as i64);
-        let engine = self.engine.stats();
-        let lookups = engine.cache_hits + engine.prepares;
-        let lifetime_ratio = if lookups == 0 {
-            0.0
-        } else {
-            engine.cache_hits as f64 / lookups as f64
-        };
-        let w_hits = self.metrics.counter_windowed("cache_hits");
-        let w_misses = self.metrics.counter_windowed("cache_misses");
-        let windowed_ratio = if w_hits + w_misses == 0 {
-            0.0
-        } else {
-            w_hits as f64 / (w_hits + w_misses) as f64
-        };
+        let (lifetime_ratio, windowed_ratio) = self.cache_hit_ratios(&self.engine.stats());
         phom_trace::render_prometheus(
             &self.metrics.export(),
             &[
@@ -828,12 +815,31 @@ impl<L: ServiceLabel> Service<L> {
         )
     }
 
-    /// Snapshot of the service counters (see `Request::Stats`).
-    /// `cache_hit_ratio` keeps its historical engine-lifetime meaning
-    /// (`cache_hits / (cache_hits + prepares)`); the windowed ratio and
-    /// windowed per-plan histograms come from the service's
-    /// [`MetricsRegistry`], fed by sampling the engine's lifetime
-    /// counters at each `stats()` read.
+    /// The lifetime and windowed cache-hit ratios: the share of engine
+    /// queries that built no hop-bounded closure
+    /// (`cache_hits / queries`, `0.0` before any query). The windowed
+    /// view reads the hit and miss counters [`Service::stats`] samples
+    /// into the metrics registry.
+    fn cache_hit_ratios(&self, engine: &EngineStats) -> (f64, f64) {
+        let share = |hits: u64, total: u64| {
+            if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            }
+        };
+        let w_hits = self.metrics.counter_windowed("cache_hits");
+        let w_misses = self.metrics.counter_windowed("cache_misses");
+        (
+            share(engine.cache_hits as u64, engine.queries as u64),
+            share(w_hits, w_hits + w_misses),
+        )
+    }
+
+    /// Snapshot of the service counters (see `Request::Stats`). The
+    /// windowed cache-hit ratio and windowed per-plan histograms come
+    /// from the service's [`MetricsRegistry`], fed by sampling the
+    /// engine's lifetime counters at each `stats()` read.
     pub fn stats(&self) -> ServiceStats {
         let (graphs, shards) = self.registry.census();
         let engine = self.engine.stats();
@@ -843,28 +849,16 @@ impl<L: ServiceLabel> Service<L> {
         {
             let mut last = self.engine_sample.lock().unwrap_or_else(|e| e.into_inner());
             let hits = engine.cache_hits.saturating_sub(last.0);
-            let misses = engine.prepares.saturating_sub(last.1);
+            let misses = engine.queries.saturating_sub(last.1).saturating_sub(hits);
             if hits > 0 {
                 self.metrics.counter_add("cache_hits", hits as u64);
             }
             if misses > 0 {
                 self.metrics.counter_add("cache_misses", misses as u64);
             }
-            *last = (engine.cache_hits, engine.prepares);
+            *last = (engine.cache_hits, engine.queries);
         }
-        let lookups = engine.cache_hits + engine.prepares;
-        let lifetime_ratio = if lookups == 0 {
-            0.0
-        } else {
-            engine.cache_hits as f64 / lookups as f64
-        };
-        let w_hits = self.metrics.counter_windowed("cache_hits");
-        let w_misses = self.metrics.counter_windowed("cache_misses");
-        let windowed_ratio = if w_hits + w_misses == 0 {
-            0.0
-        } else {
-            w_hits as f64 / (w_hits + w_misses) as f64
-        };
+        let (lifetime_ratio, windowed_ratio) = self.cache_hit_ratios(&engine);
         let mut plan_histograms = PlanHistograms::default();
         let mut plan_histograms_windowed = PlanHistograms::default();
         for i in 0..plan_histograms.by_plan.len() {

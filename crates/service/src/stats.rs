@@ -167,16 +167,19 @@ pub struct ServiceStats {
     pub reshards: usize,
     /// Snapshots served.
     pub snapshots: usize,
-    /// Prepared-graph cache hit ratio over the engine's lifetime
-    /// (`hits / (hits + prepares)`; `0.0` before any preparation).
-    /// Equal to [`ServiceStats::cache_hit_ratio_lifetime`]; kept under
-    /// its original JSON key for existing scrapers.
+    /// Share of engine queries, over the engine's lifetime, that ran
+    /// entirely on prepared state: no hop-bounded closure was built
+    /// while they executed (`EngineStats::cache_hits / queries`; `0.0`
+    /// before any query). A sharded query counts once per consulted
+    /// shard. Equal to [`ServiceStats::cache_hit_ratio_lifetime`]; kept
+    /// under its original JSON key for existing scrapers.
     pub cache_hit_ratio: f64,
     /// Lifetime cache hit ratio (same quantity as
     /// [`ServiceStats::cache_hit_ratio`], under its explicit name).
     pub cache_hit_ratio_lifetime: f64,
     /// Cache hit ratio over the registry's recent-epoch window — the
-    /// steady-state number a lifetime ratio buries under warm-up misses.
+    /// steady-state number a lifetime ratio buries under the first
+    /// stretch-bound queries' closure builds.
     pub cache_hit_ratio_windowed: f64,
     /// Update-maintenance operations that fell back from the chain
     /// backend to a dense rebuild, lifetime (the aggregate of

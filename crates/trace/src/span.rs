@@ -146,8 +146,10 @@ pub struct TraceCounters {
     pub components: usize,
     /// Components solved by parallel intra-query workers.
     pub parallel_components: usize,
-    /// True when the query ran entirely on prepared state (no closure
-    /// built during execution).
+    /// True when the query ran entirely on prepared state: no
+    /// hop-bounded closure was built during execution (on a sharded
+    /// query, in every consulted shard). The engine counts the same
+    /// event for every query in `EngineStats::cache_hits`.
     pub cache_hit: bool,
     /// Reachability backend of the prepared graph (`"dense"`/`"chain"`).
     pub closure_backend: String,

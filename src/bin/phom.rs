@@ -962,7 +962,6 @@ fn service_config(f: &Flags, sharding: ShardingConfig) -> ServiceConfig {
     let mut builder = ServiceConfig::builder()
         .engine(
             EngineConfig::builder()
-                .cache_capacity(8.max(f.graphs * f.parts))
                 .threads(f.threads)
                 .planner(planner_config(f))
                 .build(),
@@ -1299,10 +1298,10 @@ fn write_json_lines(path: &str, lines: &[String]) -> Result<(), String> {
 /// pattern queries against one evolving registered graph, in op order
 /// from one submitter. Each update goes through the service's
 /// `ApplyUpdates` path (owning-shard routing, semi-dynamic closure
-/// maintenance, cache re-keying); each query runs against the current
-/// registered version. Reports the incremental/rebuild split and
-/// compares the mean apply cost against one full re-prepare of the final
-/// graph.
+/// maintenance, a new version swapped into the registry); each query
+/// runs against the current registered version. Reports the
+/// incremental/rebuild split and compares the mean apply cost against
+/// one full re-prepare of the final graph.
 fn cmd_engine_live(args: &[String]) -> ExitCode {
     let f = match parse_flags(args) {
         Ok(f) => f,

@@ -10,13 +10,11 @@ use std::sync::Arc;
 
 fn engine_with(backend: ClosureBackend) -> Engine<phom::workloads::synthetic::Label> {
     Engine::new(EngineConfig {
-        cache_capacity: 4,
         threads: 2,
         planner: PlannerConfig {
             closure_backend: backend,
             ..Default::default()
         },
-        ..Default::default()
     })
 }
 
@@ -62,21 +60,20 @@ fn engine_results_identical_under_every_backend() {
     let queries = mixed_queries(&inst, &data, 48);
 
     let dense_engine = engine_with(ClosureBackend::Dense);
-    let dense_batch = dense_engine.execute_batch(&data, &queries);
-    assert_eq!(dense_engine.prepare(&data).stats().closure_backend, "dense");
+    let dense = dense_engine.prepare(&data);
+    let dense_batch = dense_engine.execute_batch(&dense, &queries);
+    assert_eq!(dense.stats().closure_backend, "dense");
 
     for (backend, name) in [
         (ClosureBackend::Chain, "chain"),
         (ClosureBackend::TwoHop, "twohop"),
     ] {
         let engine = engine_with(backend);
-        let batch = engine.execute_batch(&data, &queries);
-        assert_eq!(engine.prepare(&data).stats().closure_backend, name);
+        let prepared = engine.prepare(&data);
+        let batch = engine.execute_batch(&prepared, &queries);
+        assert_eq!(prepared.stats().closure_backend, name);
         // Same |E+| from every representation.
-        assert_eq!(
-            dense_engine.prepare(&data).stats().closure_edges,
-            engine.prepare(&data).stats().closure_edges
-        );
+        assert_eq!(dense.stats().closure_edges, prepared.stats().closure_edges);
         for (i, (d, c)) in dense_batch.results.iter().zip(&batch.results).enumerate() {
             assert_eq!(d.plan.kind, c.plan.kind, "{name} query {i} plan diverged");
             assert_eq!(
@@ -103,19 +100,19 @@ fn chain_backend_stays_correct_after_live_updates() {
 
     let chain_engine = engine_with(ClosureBackend::Chain);
     let mut rng = phom::graph::XorShift64::new(99);
-    let mut current = Arc::clone(&data);
+    let mut prepared = chain_engine.prepare(&data);
     let mut incremental_rounds = 0usize;
     for round in 0..6 {
         let a = NodeId(rng.below(n) as u32);
         let b = NodeId(rng.below(n) as u32);
-        let update = if current.has_edge(a, b) {
+        let update = if prepared.graph().has_edge(a, b) {
             GraphUpdate::RemoveEdge(a, b)
         } else {
             GraphUpdate::InsertEdge(a, b)
         };
-        let outcome = chain_engine.apply_updates(&current, &[update]);
-        current = Arc::clone(outcome.prepared.graph());
-        let prepared = Arc::clone(&outcome.prepared);
+        let outcome = chain_engine.apply_updates(&prepared, &[update]);
+        prepared = Arc::clone(&outcome.prepared);
+        let current = prepared.graph();
         assert_eq!(
             prepared.stats().closure_backend,
             "chain",
@@ -134,7 +131,7 @@ fn chain_backend_stays_correct_after_live_updates() {
         }
         // The maintained chain index answers exactly like a fresh dense
         // closure of the mutated graph.
-        let reference = TransitiveClosure::new(&*current);
+        let reference = TransitiveClosure::new(&**current);
         for u in current.nodes() {
             for v in current.nodes() {
                 assert_eq!(
@@ -163,7 +160,7 @@ fn batch_stats_report_tail_latencies() {
     let data = Arc::new(inst.g2.clone());
     let queries = mixed_queries(&inst, &data, 20);
     let engine = engine_with(ClosureBackend::Auto);
-    let batch = engine.execute_batch(&data, &queries);
+    let batch = engine.execute_batch(&engine.prepare(&data), &queries);
     let s = &batch.stats;
     assert!(s.last_batch_p50_micros > 0, "p50 recorded");
     assert!(s.last_batch_p95_micros >= s.last_batch_p50_micros);

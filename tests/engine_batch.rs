@@ -65,7 +65,7 @@ fn websim_mixed_batch_matches_direct_calls() {
     }
 
     let engine: Engine<phom::workloads::Page> = Engine::default();
-    let batch = engine.execute_batch(&data, &queries);
+    let batch = engine.execute_batch(&engine.prepare(&data), &queries);
     assert_eq!(batch.stats.prepares, 1, "one closure for the whole batch");
 
     let mut kinds_seen = std::collections::HashSet::new();
@@ -138,15 +138,19 @@ fn email_batch_matches_direct_calls_and_caches_per_graph() {
     let engine: Engine<phom::workloads::email::Part> = Engine::default();
     // Spam detection inverts the batch shape: one pattern (the campaign
     // template), many data graphs (the mailbox). Each distinct message
-    // prepares once; repeating the mailbox hits the cache.
+    // prepares once; repeating the mailbox reuses the held versions.
+    let prepared: Vec<_> = inst
+        .mailbox
+        .iter()
+        .map(|(msg, _)| engine.prepare(&Arc::new(msg.clone())))
+        .collect();
     for round in 0..2 {
-        for (msg, _) in &inst.mailbox {
-            let data = Arc::new(msg.clone());
+        for ((msg, _), data) in inst.mailbox.iter().zip(&prepared) {
             let mat = email_matrix(&template, msg);
             let mut q = Query::new(Arc::clone(&template), mat);
             q.config.xi = 0.4;
             q.config.restarts = Some(1);
-            let batch = engine.execute_batch(&data, &[q.clone()]);
+            let batch = engine.execute_batch(data, &[q.clone()]);
             let direct = match_graphs(
                 &template,
                 msg,
@@ -174,8 +178,8 @@ fn email_batch_matches_direct_calls_and_caches_per_graph() {
     );
     assert_eq!(
         stats.cache_hits,
-        inst.mailbox.len(),
-        "second round served entirely from the cache"
+        2 * inst.mailbox.len(),
+        "no query built a bounded closure"
     );
 }
 
@@ -209,11 +213,11 @@ fn hundred_query_batch_prepares_once_and_runs_in_parallel() {
         .collect();
 
     let engine: Engine<phom::workloads::synthetic::Label> = Engine::new(EngineConfig {
-        cache_capacity: 4,
         threads: 4,
         ..Default::default()
     });
-    let batch = engine.execute_batch(&data, &queries);
+    let prepared = engine.prepare(&data);
+    let batch = engine.execute_batch(&prepared, &queries);
 
     assert_eq!(batch.results.len(), 100);
     let stats = &batch.stats;
@@ -227,13 +231,14 @@ fn hundred_query_batch_prepares_once_and_runs_in_parallel() {
         stats.approx_plans + stats.exact_plans + stats.baseline_plans,
         80
     );
-    // All 20 bounded queries share one memoized k=3 closure.
-    let prepared = engine.prepare(&data);
+    // All 20 bounded queries share one memoized k=3 closure. Its one
+    // build is a miss for each query in flight on a worker when it
+    // landed; every other query ran on prepared state.
     assert_eq!(prepared.bounded_closures_computed(), 1);
-    assert_eq!(
-        engine.stats().cache_hits,
-        1,
-        "the reporting lookup above was served from the cache"
+    assert!(
+        (100 - stats.last_batch_workers..100).contains(&stats.cache_hits),
+        "cache hits {}",
+        stats.cache_hits
     );
     // Parallel execution: all four workers ran, and the start-of-batch
     // rendezvous proves they held queries simultaneously.

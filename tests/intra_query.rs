@@ -76,7 +76,6 @@ fn engine_with(intra: usize, timeout: Option<Duration>) -> Engine<Label> {
             timeout,
             ..Default::default()
         },
-        ..Default::default()
     })
 }
 
@@ -85,8 +84,8 @@ fn parallel_batch_is_result_identical_to_sequential() {
     let fx = fixture(6);
     let seq = engine_with(1, None);
     let par = engine_with(4, None);
-    let seq_batch = seq.execute_batch(&fx.data, &fx.queries);
-    let par_batch = par.execute_batch(&fx.data, &fx.queries);
+    let seq_batch = seq.execute_batch(&seq.prepare(&fx.data), &fx.queries);
+    let par_batch = par.execute_batch(&par.prepare(&fx.data), &fx.queries);
 
     for (a, b) in seq_batch.results.iter().zip(&par_batch.results) {
         assert_eq!(
@@ -122,11 +121,13 @@ fn zero_deadline_queries_time_out_without_affecting_others() {
             q.config.timeout = Some(Duration::ZERO);
         }
     }
-    let batch = engine.execute_batch(&fx.data, &queries);
+    let batch = engine.execute_batch(&engine.prepare(&fx.data), &queries);
     assert_eq!(batch.stats.timeouts, 4, "the four zero-budget queries");
-    assert_eq!(batch.stats.prepares, 1, "timeouts never poison the cache");
+    assert_eq!(batch.stats.prepares, 1, "timeouts never force a re-prepare");
 
-    let reference = engine_with(1, None).execute_batch(&fx.data, &fx.queries);
+    let reference_engine = engine_with(1, None);
+    let reference =
+        reference_engine.execute_batch(&reference_engine.prepare(&fx.data), &fx.queries);
     for (i, (r, full)) in batch.results.iter().zip(&reference.results).enumerate() {
         if i % 2 == 0 {
             assert!(r.outcome.stats.timed_out, "query {i} had a zero budget");
@@ -150,8 +151,8 @@ fn generous_deadline_changes_nothing() {
     let fx = fixture(4);
     let with_deadline = engine_with(2, Some(Duration::from_secs(3600)));
     let without = engine_with(2, None);
-    let a = with_deadline.execute_batch(&fx.data, &fx.queries);
-    let b = without.execute_batch(&fx.data, &fx.queries);
+    let a = with_deadline.execute_batch(&with_deadline.prepare(&fx.data), &fx.queries);
+    let b = without.execute_batch(&without.prepare(&fx.data), &fx.queries);
     assert_eq!(a.stats.timeouts, 0);
     for (x, y) in a.results.iter().zip(&b.results) {
         assert_eq!(

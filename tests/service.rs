@@ -11,6 +11,10 @@
 //!    bounded queue depth sheds with `ServiceError::Overloaded`, while
 //!    the p99 *service* latency of the admitted queries stays within 2×
 //!    of an uncontended run of the same queries.
+//! 3. **Cache-hit accounting** — the engine's `cache_hits` counts the
+//!    queries that built no hop-bounded closure, on unsharded and
+//!    sharded graphs alike, and the service's hit ratios read
+//!    `cache_hits / queries`.
 
 use phom::prelude::*;
 use phom::service::ShardMap;
@@ -130,7 +134,7 @@ fn instance(seed: u64, parts: usize) -> Instance {
     }
 }
 
-fn sharded_service(max_shards: usize) -> Service<u8> {
+fn sharded_service<L: ServiceLabel>(max_shards: usize) -> Service<L> {
     Service::new(
         ServiceConfig::builder()
             .sharding(ShardingConfig {
@@ -145,16 +149,17 @@ fn pairs(m: &PHomMapping) -> Vec<(NodeId, NodeId)> {
     m.pairs().collect()
 }
 
-/// Asserts the sharded service and the unsharded engine agree on every
-/// grid configuration for the given data/pattern.
+/// Asserts the sharded service and the unsharded engine, on its
+/// prepared version of the same graph, agree on every grid
+/// configuration for the given pattern.
 fn assert_identical(
     service: &Service<u8>,
     engine: &Engine<u8>,
-    data: &Arc<DiGraph<u8>>,
+    prepared: &PreparedGraph<u8>,
     pattern: &Arc<DiGraph<u8>>,
     context: &str,
 ) {
-    let prepared = engine.prepare(data);
+    let data = prepared.graph();
     for (ci, config) in config_grid().into_iter().enumerate() {
         let matrix = SimMatrix::label_equality(pattern, data);
         let mut query = Query::new(Arc::clone(pattern), matrix);
@@ -166,7 +171,7 @@ fn assert_identical(
         // reference must run the same semantics.
         let mut reference_query = query.clone();
         reference_query.config.partition = true;
-        let reference = engine.execute(&prepared, &reference_query);
+        let reference = engine.execute(prepared, &reference_query);
         assert_eq!(
             pairs(&sharded.mapping),
             pairs(&reference.outcome.mapping),
@@ -213,21 +218,21 @@ mod prop {
                 info.shards
             );
             let engine: Engine<u8> = Engine::default();
-            assert_identical(&service, &engine, &inst.data, &inst.pattern, "fresh");
+            let prepared = engine.prepare(&inst.data);
+            assert_identical(&service, &engine, &prepared, &inst.pattern, "fresh");
 
             if inst.updates.is_empty() {
                 return Ok(());
             }
             // Apply the same batch both sides and compare again.
             service.apply_updates("g", &inst.updates).expect("apply");
-            let reference = engine.apply_updates(&inst.data, &inst.updates);
-            let mutated = Arc::clone(reference.prepared.graph());
+            let reference = engine.apply_updates(&prepared, &inst.updates);
             prop_assert_eq!(
                 service.graph("g").expect("registered").edge_count(),
-                mutated.edge_count(),
+                reference.prepared.graph().edge_count(),
                 "full graphs diverged after updates"
             );
-            assert_identical(&service, &engine, &mutated, &inst.pattern, "post-update");
+            assert_identical(&service, &engine, &reference.prepared, &inst.pattern, "post-update");
         }
     }
 }
@@ -249,9 +254,163 @@ fn cross_shard_insert_stays_identical_after_resharding() {
     let summary = service.apply_updates("g", &bridge).expect("apply");
     assert!(summary.resharded, "cross-shard insert re-splits");
     let engine: Engine<u8> = Engine::default();
-    let reference = engine.apply_updates(&inst.data, &bridge);
-    let mutated = Arc::clone(reference.prepared.graph());
-    assert_identical(&service, &engine, &mutated, &inst.pattern, "post-bridge");
+    let reference = engine.apply_updates(&engine.prepare(&inst.data), &bridge);
+    assert_identical(
+        &service,
+        &engine,
+        &reference.prepared,
+        &inst.pattern,
+        "post-bridge",
+    );
+}
+
+/// One service holding an unsharded graph (`"one"`, a single WCC) and a
+/// sharded one (`"parts"`, three 4-node WCCs with disjoint alphabets).
+fn cache_service() -> Service<String> {
+    let service = sharded_service(4);
+    let one = graph_from_labels(
+        &["a", "b", "c", "d", "e"],
+        &[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
+    );
+    let labels: Vec<String> = ["p", "q", "r"]
+        .iter()
+        .flat_map(|part| (0..4).map(move |i| format!("{part}{i}")))
+        .collect();
+    let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let edges: Vec<(&str, &str)> = refs
+        .chunks(4)
+        .flat_map(|part| part.windows(2).map(|w| (w[0], w[1])))
+        .collect();
+    let parts = graph_from_labels(&refs, &edges);
+    let info = service
+        .register("one".into(), Arc::new(one))
+        .expect("register");
+    assert_eq!(info.shards, 1);
+    let info = service
+        .register("parts".into(), Arc::new(parts))
+        .expect("register");
+    assert_eq!(info.shards, 3);
+    service
+}
+
+/// A label-equality query against `graph`'s current version.
+fn labeled_query(
+    service: &Service<String>,
+    graph: &str,
+    labels: &[&str],
+    edges: &[(&str, &str)],
+    max_stretch: Option<usize>,
+) -> Query<String> {
+    let pattern = Arc::new(graph_from_labels(labels, edges));
+    let data = service.graph(graph).expect("registered");
+    let mut query = Query::new(
+        Arc::clone(&pattern),
+        SimMatrix::label_equality(&pattern, &data),
+    );
+    query.config.max_stretch = max_stretch;
+    query
+}
+
+/// Runs one query and returns its response with the change it made to
+/// the engine's `(cache_hits, queries)` counters.
+fn run_counted(
+    service: &Service<String>,
+    graph: &str,
+    query: &Query<String>,
+    trace: bool,
+) -> (QueryResponse, usize, usize) {
+    let before = service.engine_stats();
+    let response = service.query_traced(graph, query, trace).expect("query");
+    let after = service.engine_stats();
+    (
+        response,
+        after.cache_hits - before.cache_hits,
+        after.queries - before.queries,
+    )
+}
+
+/// Queries without a stretch bound run entirely on prepared state, so
+/// every one of them is a cache hit — on the unsharded fast path, the
+/// batch executor and the sharded scatter/gather alike.
+#[test]
+fn queries_without_a_stretch_bound_are_all_cache_hits() {
+    let service = cache_service();
+    let on_one = labeled_query(&service, "one", &["a", "c"], &[("a", "c")], None);
+    let on_parts = labeled_query(
+        &service,
+        "parts",
+        &["p0", "p2", "q1", "q3"],
+        &[("p0", "p2"), ("q1", "q3")],
+        None,
+    );
+    for _ in 0..3 {
+        let (r, hits, queries) = run_counted(&service, "one", &on_one, false);
+        assert_eq!((hits, queries), (1, 1));
+        assert_eq!(r.qual_card, 1.0);
+        let (r, hits, queries) = run_counted(&service, "parts", &on_parts, false);
+        assert_eq!(r.shards_consulted, 2);
+        assert_eq!(
+            (hits, queries),
+            (2, 2),
+            "one engine query per consulted shard"
+        );
+        assert_eq!(r.qual_card, 1.0);
+    }
+    service
+        .query_batch("one", &[on_one.clone(), on_one])
+        .expect("batch");
+    let stats = service.stats();
+    assert_eq!(stats.engine.queries, 3 + 3 * 2 + 2);
+    assert_eq!(stats.engine.cache_hits, stats.engine.queries);
+    assert_eq!(stats.engine.prepares, 4, "one per shard, at registration");
+    assert_eq!(stats.cache_hit_ratio_lifetime, 1.0);
+    assert_eq!(stats.cache_hit_ratio, 1.0);
+    assert_eq!(stats.cache_hit_ratio_windowed, 1.0);
+}
+
+/// The first stretch-bound query on a fresh version builds a hop-bounded
+/// closure in each shard it consults, one miss apiece; its repeat reads
+/// the memo and hits. The traced run's `cache_hit` agrees with the
+/// change in the counter on every query.
+#[test]
+fn first_stretch_bound_query_misses_once_per_shard_then_hits() {
+    let service = cache_service();
+    let on_one = labeled_query(&service, "one", &["a", "c"], &[("a", "c")], Some(2));
+    let on_parts = labeled_query(
+        &service,
+        "parts",
+        &["p0", "p2", "q1", "q3"],
+        &[("p0", "p2"), ("q1", "q3")],
+        Some(2),
+    );
+    for (graph, query, shards) in [("one", &on_one, 1), ("parts", &on_parts, 2)] {
+        // (traced, expected hits): the fresh version misses once per
+        // consulted shard, then every repeat hits.
+        for (step, (traced, expect_hits)) in [(true, 0), (true, shards), (false, shards)]
+            .into_iter()
+            .enumerate()
+        {
+            let (r, hits, queries) = run_counted(&service, graph, query, traced);
+            assert_eq!(r.shards_consulted, shards, "{graph} step {step}");
+            assert_eq!(queries, shards, "{graph} step {step}");
+            assert_eq!(hits, expect_hits, "{graph} step {step}");
+            if let Some(t) = r.trace.as_deref() {
+                assert_eq!(
+                    t.counters.cache_hit,
+                    hits == queries,
+                    "{graph} step {step}: the trace agrees with the counter"
+                );
+            }
+            assert_eq!(r.qual_card, 1.0, "{graph} step {step}: within 2 hops");
+        }
+    }
+    let stats = service.stats();
+    assert_eq!(stats.engine.queries, 3 + 3 * 2);
+    assert_eq!(stats.engine.cache_hits, 2 + 2 * 2, "three first-run misses");
+    assert_eq!(stats.engine.prepares, 4, "closure builds are not prepares");
+    let ratio = stats.engine.cache_hits as f64 / stats.engine.queries as f64;
+    assert_eq!(stats.cache_hit_ratio_lifetime, ratio);
+    assert_eq!(stats.cache_hit_ratio_windowed, ratio);
 }
 
 /// The admission-control acceptance criterion: a registry with queue

@@ -31,7 +31,7 @@ fn untraced_paths_construct_no_trace_state() {
         let r = engine.execute(&prepared, &query);
         assert!(r.trace.is_none());
     }
-    let batch = engine.execute_batch_prepared(&prepared, &[query.clone(), query.clone()]);
+    let batch = engine.execute_batch(&prepared, &[query.clone(), query.clone()]);
     assert!(batch.results.iter().all(|r| r.trace.is_none()));
     assert_eq!(
         phom::trace::constructions(),
