@@ -19,7 +19,10 @@
 //! write-only parts, each a §6 data graph of m = 40): cloning and
 //! dropping the full graph, which shares all adjacency a batch does not
 //! write, and a one-toggle apply on the prepared shard holding the last
-//! write-only part.
+//! write-only part. `dynamic_versions_live_mixed` times a one-toggle
+//! apply on one graph shaped like the benchmark's `live-mixed` graphs (a
+//! §6 data graph of m = 300 under the `Auto` compression policy), where
+//! every version rebuilds its Appendix-B `G2*`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use phom_engine::{
@@ -195,12 +198,44 @@ fn bench_versions(c: &mut Criterion) {
         ..Default::default()
     };
     let prepared = PreparedGraph::prepare(Arc::clone(&shard), options);
+    bench_one_toggle(&mut group, "shard_apply_one_toggle", &prepared);
+    group.finish();
+
+    let live = generate_instance(
+        &SyntheticConfig {
+            m: 300,
+            noise: 0.10,
+            seed: 1,
+        },
+        1,
+    )
+    .g2;
+    let options = PrepareOptions {
+        compression: CompressionPolicy::Auto,
+        ..Default::default()
+    };
+    let prepared = PreparedGraph::prepare(Arc::new(live), options);
+    let mut group = c.benchmark_group("dynamic_versions_live_mixed");
+    group.sample_size(10);
+    bench_one_toggle(&mut group, "apply_one_toggle", &prepared);
+    group.finish();
+}
+
+/// Times applying one seeded edge toggle at a time to `prepared`, each
+/// derived from the same version (a toggle deletes the edge if present
+/// and inserts it otherwise).
+fn bench_one_toggle<L: Clone>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    prepared: &PreparedGraph<L>,
+) {
+    let graph = prepared.graph();
     let mut rng = XorShift64::new(0x7066);
-    let n = shard.node_count();
+    let n = graph.node_count();
     let toggles: Vec<GraphUpdate> = (0..256)
         .map(|_| {
             let (a, b) = (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
-            if shard.has_edge(a, b) {
+            if graph.has_edge(a, b) {
                 GraphUpdate::RemoveEdge(a, b)
             } else {
                 GraphUpdate::InsertEdge(a, b)
@@ -208,14 +243,13 @@ fn bench_versions(c: &mut Criterion) {
         })
         .collect();
     let cursor = Cell::new(0usize);
-    group.bench_function(BenchmarkId::from_parameter("shard_apply_one_toggle"), |b| {
+    group.bench_function(BenchmarkId::from_parameter(name), |b| {
         b.iter(|| {
             let i = cursor.get();
             cursor.set(i + 1);
             criterion::black_box(prepared.apply(&toggles[i % toggles.len()..][..1]))
         })
     });
-    group.finish();
 }
 
 fn bench_dynamic(c: &mut Criterion) {

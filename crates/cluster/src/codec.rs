@@ -1125,6 +1125,8 @@ fn decode_query_response(d: &mut Dec) -> Result<QueryResponse, CodecError> {
         shards_consulted,
         timed_out,
         micros,
+        // The frame has no cache-hit field; only a trace knows it.
+        cache_hit: trace.as_ref().is_some_and(|t| t.counters.cache_hit),
         trace,
     })
 }

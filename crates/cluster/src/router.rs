@@ -879,6 +879,7 @@ impl Router {
                 Ok(ShardAnswer {
                     mapping: r.mapping,
                     timed_out: r.timed_out,
+                    cache_hit: r.cache_hit,
                     trace: r.trace,
                     span: SpanKind::WorkerMatch {
                         shard: si as u32,

@@ -63,8 +63,8 @@ pub use exact::{
 pub use mapping::{verify_phom, PHomMapping, Violation};
 pub use naive::{naive_max_card, naive_max_sim};
 pub use optimize::{
-    compression_worthwhile, match_graphs, match_graphs_prepared, Algorithm, CompressedClosure,
-    MatchOutcome, MatchStats, MatcherConfig, PreparedInputs,
+    compression_worthwhile, match_graphs, match_graphs_prepared, Algorithm, MatchOutcome,
+    MatchStats, MatcherConfig, PreparedInputs,
 };
 pub use prefilter::{ac_prefilter, ac_prefilter_matrix, PrefilterStats};
 pub use product::ProductGraph;

@@ -6,9 +6,10 @@
 //!   (Proposition 1), and shortcut singleton components to their best
 //!   candidate;
 //! * **Compressing `G2+`** — collapse every SCC-clique of the closure into
-//!   one bag-of-labels node with a self-loop and match against the
-//!   compressed graph (p-hom modes; the 1-1 problems keep the original
-//!   graph since distinct pattern nodes must claim distinct data nodes);
+//!   one node with a self-loop and match against the compressed graph,
+//!   scoring each compressed node by its best member (p-hom modes; the
+//!   1-1 problems keep the original graph since distinct pattern nodes
+//!   must claim distinct data nodes);
 //! * **Greedy extension** *(our addition, off by default)* — after the
 //!   approximation returns, greedily add remaining compatible pairs;
 //!   monotone in both quality metrics.
@@ -17,7 +18,7 @@ use crate::algo::{comp_max_card_with, comp_max_sim_with, AlgoConfig, Selection};
 use crate::budget::MatchBudget;
 use crate::mapping::PHomMapping;
 use phom_graph::{
-    compress_closure, weakly_connected_components, CompressedGraph, DiGraph, NodeId,
+    compress_closure, weakly_connected_components, CompressedClosure, DiGraph, NodeId,
     ReachabilityIndex, TransitiveClosure,
 };
 use phom_sim::{NodeWeights, SimMatrix};
@@ -162,32 +163,23 @@ pub struct MatchOutcome {
     pub stats: MatchStats,
 }
 
-/// A compressed data graph (`G2*`, Appendix B) together with the closure
-/// of the compressed graph — the pair a compressed matching run needs.
-#[derive(Debug, Clone)]
-pub struct CompressedClosure<L> {
-    /// The SCC-condensed data graph with member bags.
-    pub compressed: CompressedGraph<L>,
-    /// Transitive closure of [`CompressedClosure::compressed`].
-    pub closure: TransitiveClosure,
-}
-
 /// Borrowed, query-independent artifacts of one data graph, computed once
 /// and shared across many [`match_graphs_prepared`] calls (the engine's
 /// `PreparedGraph` holds the owning side). The reachability index is
 /// backend-agnostic: dense closure and compressed chain index plug in
 /// interchangeably.
-#[derive(Debug)]
-pub struct PreparedInputs<'a, L> {
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedInputs<'a> {
     /// Full proper reachability index over `G2` (any backend).
     pub closure: &'a dyn ReachabilityIndex,
     /// A hop-bounded closure `(k, closure)`; used when `cfg.max_stretch`
     /// is exactly `k`, otherwise the bounded closure is rebuilt locally.
     pub bounded: Option<(usize, &'a dyn ReachabilityIndex)>,
-    /// Compressed graph + closure; `None` means the preparer determined
-    /// compression unprofitable (see [`compression_worthwhile`]), and
-    /// compressed runs fall back to the full closure.
-    pub compressed: Option<&'a CompressedClosure<L>>,
+    /// `G2*`'s member lists and closure; `None` means the preparer
+    /// determined compression unprofitable (see
+    /// [`compression_worthwhile`]), and compressed runs fall back to the
+    /// full closure.
+    pub compressed: Option<&'a CompressedClosure>,
     /// Per-query deadline. When it expires the matcher stops at the next
     /// iteration boundary (component, restart, kernel outer loop, or
     /// weight group), returns its best-so-far mapping, and sets
@@ -195,18 +187,8 @@ pub struct PreparedInputs<'a, L> {
     pub budget: MatchBudget,
 }
 
-// Manual impls: the struct holds only references, so it is `Copy` for
-// every `L` (derive would demand `L: Copy`).
-impl<L> Clone for PreparedInputs<'_, L> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<L> Copy for PreparedInputs<'_, L> {}
-
 /// Whether collapsing `original_nodes` data nodes into `compressed_nodes`
-/// SCC bags pays for the matrix-translation overhead of a compressed run
+/// SCC nodes pays for the matrix-translation overhead of a compressed run
 /// (Appendix B). Compression only wins when the condensation removes at
 /// least ~10% of the nodes; (near-)acyclic graphs should skip it.
 pub fn compression_worthwhile(original_nodes: usize, compressed_nodes: usize) -> bool {
@@ -237,7 +219,7 @@ pub fn match_graphs_prepared<L: Clone + Send + Sync>(
     mat: &SimMatrix,
     weights: &NodeWeights,
     cfg: &MatcherConfig,
-    prep: PreparedInputs<'_, L>,
+    prep: PreparedInputs<'_>,
 ) -> MatchOutcome {
     match_graphs_inner(g1, g2, mat, weights, cfg, Some(prep))
 }
@@ -266,7 +248,7 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
     mat: &SimMatrix,
     weights: &NodeWeights,
     cfg: &MatcherConfig,
-    prep: Option<PreparedInputs<'_, L>>,
+    prep: Option<PreparedInputs<'_>>,
 ) -> MatchOutcome {
     use std::borrow::Cow;
 
@@ -306,15 +288,14 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
 
     /// Builds the compressed-space matrix and translation table for one
     /// query (these depend on `G1`/`mat` and cannot be shared).
-    fn compressed_side<'m, L: Clone>(
+    fn compressed_side<'m, L>(
         g1: &DiGraph<L>,
         g2_nodes: usize,
         mat: &SimMatrix,
-        comp: &CompressedGraph<L>,
-        closure: ReachView<'m>,
+        comp: &'m CompressedClosure,
         stats: &mut MatchStats,
     ) -> DataSide<'m> {
-        let cn = comp.graph.node_count();
+        let cn = comp.node_count();
         stats.compression = Some((g2_nodes, cn));
         let mut cmat = SimMatrix::new(g1.node_count(), cn);
         let mut translate: Vec<Vec<NodeId>> = vec![Vec::new(); g1.node_count()];
@@ -335,7 +316,7 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
             translate[v.index()] = best;
         }
         DataSide {
-            closure,
+            closure: ReachView::Borrowed(comp),
             mat: Cow::Owned(cmat),
             translate: Some(translate),
             n2: cn,
@@ -347,36 +328,14 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
     // add matrix-translation overhead, so fall back adaptively. A
     // preparer makes that call once (`prep.compressed` is `None` when it
     // declined); the unprepared path decides per call.
-    let data = if use_compression {
-        match prep {
-            Some(p) => p.compressed.map(|cc| {
-                compressed_side(
-                    g1,
-                    g2.node_count(),
-                    mat,
-                    &cc.compressed,
-                    ReachView::Borrowed(&cc.closure),
-                    &mut stats,
-                )
-            }),
-            None => {
-                let comp = compress_closure(g2);
-                compression_worthwhile(g2.node_count(), comp.graph.node_count()).then(|| {
-                    let closure = TransitiveClosure::new(&comp.graph);
-                    compressed_side(
-                        g1,
-                        g2.node_count(),
-                        mat,
-                        &comp,
-                        ReachView::Owned(closure),
-                        &mut stats,
-                    )
-                })
-            }
-        }
-    } else {
-        None
+    let local_comp = (use_compression && prep.is_none())
+        .then(|| compress_closure(g2))
+        .filter(|comp| compression_worthwhile(g2.node_count(), comp.node_count()));
+    let comp = match prep {
+        Some(p) if use_compression => p.compressed,
+        _ => local_comp.as_ref(),
     };
+    let data = comp.map(|comp| compressed_side(g1, g2.node_count(), mat, comp, &mut stats));
 
     let data = data.unwrap_or_else(|| {
         let closure: ReachView<'_> = match (cfg.max_stretch, &prep) {
@@ -1317,18 +1276,12 @@ mod tests {
         bound: Option<usize>,
     ) -> (
         TransitiveClosure,
-        Option<CompressedClosure<String>>,
+        Option<CompressedClosure>,
         Option<(usize, TransitiveClosure)>,
     ) {
         let closure = TransitiveClosure::new(g2);
-        let comp = phom_graph::compress_closure(g2);
-        let compressed =
-            compression_worthwhile(g2.node_count(), comp.graph.node_count()).then(|| {
-                CompressedClosure {
-                    closure: TransitiveClosure::new(&comp.graph),
-                    compressed: comp,
-                }
-            });
+        let compressed = Some(phom_graph::compress_closure(g2))
+            .filter(|comp| compression_worthwhile(g2.node_count(), comp.node_count()));
         let bounded = bound.map(|k| (k, TransitiveClosure::bounded(g2, k)));
         (closure, compressed, bounded)
     }
@@ -1545,15 +1498,8 @@ mod tests {
                 let mat = SimMatrix::label_equality(&g1, &g2);
                 let w = NodeWeights::uniform(g1.node_count());
                 let closure = TransitiveClosure::new(&g2);
-                let comp = phom_graph::compress_closure(&g2);
-                let compressed = compression_worthwhile(
-                    g2.node_count(),
-                    comp.graph.node_count(),
-                )
-                .then(|| CompressedClosure {
-                    closure: TransitiveClosure::new(&comp.graph),
-                    compressed: comp,
-                });
+                let compressed = Some(phom_graph::compress_closure(&g2))
+                    .filter(|comp| compression_worthwhile(g2.node_count(), comp.node_count()));
                 let prep = PreparedInputs {
                     closure: &closure,
                     bounded: None,

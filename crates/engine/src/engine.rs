@@ -96,14 +96,12 @@ impl EngineConfigBuilder {
 pub struct EngineStats {
     /// Full preparations run (each computes the closure exactly once).
     pub prepares: usize,
-    /// Queries that ran entirely on prepared state: no hop-bounded
-    /// closure was built while they executed (the same comparison as
+    /// Queries that ran entirely on prepared state: the query built no
+    /// hop-bounded closure itself ([`QueryResult::cache_hit`], also
     /// [`phom_trace::TraceCounters::cache_hit`]). A stretch-bound query
-    /// that builds its closure counts as a miss; repeats then hit the
-    /// version's memo. The comparison reads the version's build counter
-    /// before and after the query, so under concurrent queries on one
-    /// version a query that overlaps another's build also counts as a
-    /// miss.
+    /// that builds its closure counts as a miss; every other query on
+    /// the version then hits its memo, including queries that waited
+    /// for that build.
     pub cache_hits: usize,
     /// Queries executed.
     pub queries: usize,
@@ -236,6 +234,10 @@ pub struct QueryResult {
     pub plan: Plan,
     /// Wall-clock microseconds spent executing (excludes preparation).
     pub micros: u128,
+    /// Whether the query ran entirely on prepared state: it built no
+    /// hop-bounded closure ([`PreparedGraph::bounded_closure`] reported
+    /// no build). Decided for every query, traced or not.
+    pub cache_hit: bool,
     /// The query's trace when tracing was requested
     /// ([`Engine::execute_traced`]); `None` on the untraced hot path,
     /// which never constructs a trace.
@@ -559,10 +561,9 @@ impl<L: Clone + Send + Sync> Engine<L> {
         if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
             t.end(SpanKind::Plan, open);
         }
-        // A cache hit means the query ran entirely on prepared state: no
-        // hop-bounded closure was built during execution. Two relaxed
-        // loads of the version's memo counter decide it for every query.
-        let closures_before = prepared.bounded_closures_computed();
+        // A cache hit means the query ran entirely on prepared state: it
+        // built no hop-bounded closure itself.
+        let mut built = false;
         let match_open = tr.as_ref().map(|t| t.begin());
         // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
         let started = Instant::now();
@@ -595,10 +596,12 @@ impl<L: Clone + Send + Sync> Engine<L> {
                 // A stretch bound (reachable only via force_plan, since the
                 // planner routes bounded queries to Bounded) is honored by
                 // solving against the hop-bounded closure.
-                let bounded_arc: Option<Arc<dyn ReachabilityIndex>> = query
-                    .config
-                    .max_stretch
-                    .map(|k| prepared.bounded_closure(k));
+                let bounded_arc: Option<Arc<dyn ReachabilityIndex>> =
+                    query.config.max_stretch.map(|k| {
+                        let (closure, fresh) = prepared.bounded_closure(k);
+                        built = fresh;
+                        closure
+                    });
                 let closure: &dyn ReachabilityIndex =
                     bounded_arc.as_deref().unwrap_or_else(|| prepared.closure());
                 // The branch-and-bound honors the same deadline as the
@@ -639,10 +642,12 @@ impl<L: Clone + Send + Sync> Engine<L> {
                 };
                 // Hold the memoized bounded closure for the duration of
                 // the call; the borrowed view points into it.
-                let bounded_arc: Option<(usize, Arc<dyn ReachabilityIndex>)> = query
-                    .config
-                    .max_stretch
-                    .map(|k| (k, prepared.bounded_closure(k)));
+                let bounded_arc: Option<(usize, Arc<dyn ReachabilityIndex>)> =
+                    query.config.max_stretch.map(|k| {
+                        let (closure, fresh) = prepared.bounded_closure(k);
+                        built = fresh;
+                        (k, closure)
+                    });
                 let bounded_ref = bounded_arc.as_ref().map(|(k, c)| (*k, &**c));
                 let mut inputs = prepared.inputs(bounded_ref);
                 inputs.budget = budget;
@@ -657,7 +662,7 @@ impl<L: Clone + Send + Sync> Engine<L> {
             }
         };
 
-        let cache_hit = prepared.bounded_closures_computed() == closures_before;
+        let cache_hit = !built;
         if cache_hit {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -701,6 +706,7 @@ impl<L: Clone + Send + Sync> Engine<L> {
             outcome,
             plan,
             micros: started.elapsed().as_micros(),
+            cache_hit,
             trace: tr,
         }
     }
@@ -917,6 +923,7 @@ mod tests {
                 usize::from(hit),
                 "step {step}"
             );
+            assert_eq!(r.cache_hit, hit, "step {step}: the result agrees");
             if let Some(t) = r.trace {
                 assert_eq!(t.counters.cache_hit, hit, "step {step}: trace agrees");
             }

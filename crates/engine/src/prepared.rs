@@ -13,8 +13,9 @@
 //!   large graphs to pick between the compressed backends);
 //! * the **SCC decomposition** itself (reused by the index build and
 //!   exposed for diagnostics);
-//! * the **compressed graph** `G2*` of Appendix B plus *its* closure,
-//!   kept only when compression actually shrinks the graph;
+//! * the **compressed graph** `G2*` of Appendix B (member lists plus
+//!   *its* closure, built from the Tarjan pass), kept only when
+//!   compression actually shrinks the graph;
 //! * **hop-bounded closures** for bounded-stretch queries, built lazily
 //!   per distinct bound `k` and memoized (always dense: SCC members do
 //!   not share hop-bounded rows, so the chain trick does not apply);
@@ -25,21 +26,20 @@ use crate::planner::{
     ClosureBackend, CompressionPolicy, PlannerConfig, ResolvedBackend, DEFAULT_CHAIN_NODE_THRESHOLD,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use phom_core::{CompressedClosure, PreparedInputs};
+use phom_core::PreparedInputs;
 use phom_dynamic::{
     refresh_bounded_closure, DynamicConfig, GraphUpdate, SemiDynamicChain, SemiDynamicClosure,
 };
 use phom_graph::serialize::ParseError;
 use phom_graph::validate::Violation;
 use phom_graph::{
-    compress_closure_with, reach_density_sample, tarjan_scc, BitSet, ChainIndex, DiGraph,
-    DynamicClosure, NodeId, ReachabilityIndex, SccResult, TransitiveClosure, TwoHopIndex,
+    compress_closure_with, reach_density_sample, tarjan_scc, BitSet, ChainIndex, CompressedClosure,
+    DiGraph, DynamicClosure, NodeId, ReachabilityIndex, SccResult, TransitiveClosure, TwoHopIndex,
     UpdateEffect,
 };
 use phom_sim::NodeWeights;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -351,10 +351,9 @@ pub struct PreparedGraph<L> {
     /// The options this graph was prepared under (inherited by
     /// update-derived versions).
     options: PrepareOptions,
-    compressed: Option<CompressedClosure<L>>,
+    compressed: Option<CompressedClosure>,
     data_weights: NodeWeights,
     bounded: Mutex<HashMap<usize, Arc<TransitiveClosure>>>,
-    bounded_computed: AtomicUsize,
     stats: PrepareStats,
 }
 
@@ -429,14 +428,7 @@ impl<L: Clone> PreparedGraph<L> {
         let compressed = options
             .compression
             .keep(graph.node_count(), scc_count)
-            .then(|| {
-                let scc = scc_cell.get_or_init(|| tarjan_scc(&*graph));
-                let comp = compress_closure_with(&*graph, scc);
-                CompressedClosure {
-                    closure: TransitiveClosure::new(&comp.graph),
-                    compressed: comp,
-                }
-            });
+            .then(|| compress_closure_with(&*graph, scc_cell.get_or_init(|| tarjan_scc(&*graph))));
         let data_weights = NodeWeights::by_degree(&*graph);
         let stats = PrepareStats {
             nodes: graph.node_count(),
@@ -445,12 +437,9 @@ impl<L: Clone> PreparedGraph<L> {
             closure_edges: index.as_dyn().pair_count(),
             closure_backend: index.backend_name().to_owned(),
             closure_memory_bytes: index.as_dyn().memory_bytes(),
-            compressed_nodes: compressed
-                .as_ref()
-                .map(|cc| cc.compressed.graph.node_count()),
+            compressed_nodes: compressed.as_ref().map(CompressedClosure::node_count),
             prepare_micros: started.elapsed().as_micros(),
         };
-        let bounded_computed = AtomicUsize::new(bounded.len());
         PreparedGraph {
             graph,
             scc: scc_cell,
@@ -459,7 +448,6 @@ impl<L: Clone> PreparedGraph<L> {
             compressed,
             data_weights,
             bounded: Mutex::new(bounded),
-            bounded_computed,
             stats,
         }
     }
@@ -486,10 +474,12 @@ impl<L: Clone> PreparedGraph<L> {
     /// rows (one memcpy), each update is patched in (incremental insert /
     /// bounded-cone delete, with the [`DynamicConfig::damage_threshold`]
     /// rebuild fallback), and memoized hop-bounded closures are refreshed
-    /// for affected sources only. The compressed graph and *its* closure
-    /// are still recomputed from linear passes per version (patching them
-    /// incrementally is the ROADMAP's open refinement, and the dominant
-    /// residual cost of an apply on compression-worthy graphs). The
+    /// for affected sources only. When compression is kept, the version's
+    /// `G2*` (member lists and closure) is built in one pass over a
+    /// Tarjan decomposition of the new graph ([`compress_closure_with`]),
+    /// so it is numbered exactly as a fresh prepare numbers it: matching
+    /// breaks ties on compressed ids and member order, and the
+    /// maintainer's component slots depend on the update history. The
     /// **chain** backend is likewise maintained incrementally by a
     /// [`SemiDynamicChain`] — chains are extended, split, and
     /// concatenated from the update's affected cone — with a full
@@ -757,8 +747,8 @@ impl<L: Clone> PreparedGraph<L> {
         self.scc.get_or_init(|| tarjan_scc(&*self.graph))
     }
 
-    /// Appendix-B compressed graph + closure, when kept.
-    pub fn compressed(&self) -> Option<&CompressedClosure<L>> {
+    /// Appendix-B compressed graph (member lists and closure), when kept.
+    pub fn compressed(&self) -> Option<&CompressedClosure> {
         self.compressed.as_ref()
     }
 
@@ -789,26 +779,30 @@ impl<L: Clone> PreparedGraph<L> {
     }
 
     /// The hop-bounded closure for stretch bound `k`, building and
-    /// memoizing it on first use. Bounds at or above the node count
-    /// coincide with the full closure, so the active full index is
-    /// returned without a build.
-    pub fn bounded_closure(&self, k: usize) -> Arc<dyn ReachabilityIndex> {
+    /// memoizing it on first use, and whether this call built it. Bounds
+    /// at or above the node count coincide with the full closure, so the
+    /// active full index is returned without a build. The build runs
+    /// under the memo's lock: a concurrent call for the same `k` waits
+    /// for it and then reads the memo, so exactly one caller per build
+    /// reports `true`.
+    pub fn bounded_closure(&self, k: usize) -> (Arc<dyn ReachabilityIndex>, bool) {
         if k >= self.graph.node_count().max(1) {
-            return self.index.as_dyn_arc();
+            return (self.index.as_dyn_arc(), false);
         }
         let mut memo = self.bounded.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(c) = memo.get(&k) {
-            return Arc::clone(c) as Arc<dyn ReachabilityIndex>;
+            return (Arc::clone(c) as Arc<dyn ReachabilityIndex>, false);
         }
         let built = Arc::new(TransitiveClosure::bounded(&*self.graph, k));
-        self.bounded_computed.fetch_add(1, Ordering::Relaxed);
         memo.insert(k, Arc::clone(&built));
-        built
+        (built, true)
     }
 
-    /// How many distinct hop-bounded closures have been built so far.
+    /// How many distinct hop-bounded closures this version holds: the
+    /// ones it built plus the ones its update refreshed from the version
+    /// it derives from (the memo never evicts).
     pub fn bounded_closures_computed(&self) -> usize {
-        self.bounded_computed.load(Ordering::Relaxed)
+        self.bounded.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Assembles the borrowed view [`phom_core::match_graphs_prepared`]
@@ -820,7 +814,7 @@ impl<L: Clone> PreparedGraph<L> {
     pub fn inputs<'a>(
         &'a self,
         bounded: Option<(usize, &'a dyn ReachabilityIndex)>,
-    ) -> PreparedInputs<'a, L> {
+    ) -> PreparedInputs<'a> {
         PreparedInputs {
             closure: self.index.as_dyn(),
             bounded,
@@ -1267,10 +1261,13 @@ mod tests {
     fn bounded_closures_are_memoized() {
         let p = PreparedGraph::new(cyclic_graph());
         assert_eq!(p.bounded_closures_computed(), 0);
-        let c1 = p.bounded_closure(1);
-        let _c1_again = p.bounded_closure(1);
-        assert_eq!(p.bounded_closures_computed(), 1, "second call is a hit");
-        let _c2 = p.bounded_closure(2);
+        let (c1, built) = p.bounded_closure(1);
+        assert!(built, "first call builds");
+        let (_, built_again) = p.bounded_closure(1);
+        assert!(!built_again, "second call is a hit");
+        assert_eq!(p.bounded_closures_computed(), 1);
+        let (_, built_k2) = p.bounded_closure(2);
+        assert!(built_k2);
         assert_eq!(p.bounded_closures_computed(), 2);
         assert!(!c1.reaches(NodeId(0), NodeId(3)), "3 hops exceed k=1");
     }
@@ -1281,7 +1278,8 @@ mod tests {
             PreparedGraph::new(cyclic_graph()),
             chain_prepared(cyclic_graph()),
         ] {
-            let c = p.bounded_closure(100);
+            let (c, built) = p.bounded_closure(100);
+            assert!(!built);
             assert_eq!(p.bounded_closures_computed(), 0, "no bounded build");
             for u in p.graph().nodes() {
                 for v in p.graph().nodes() {
@@ -1317,7 +1315,7 @@ mod tests {
             },
         );
         assert_eq!(
-            always.compressed().unwrap().compressed.graph.node_count(),
+            always.compressed().unwrap().node_count(),
             3,
             "every SCC is a singleton"
         );
@@ -1356,13 +1354,13 @@ mod tests {
             &[("a", "b"), ("b", "c"), ("c", "d"), ("d", "b"), ("d", "e")],
         )));
         let cc = p.compressed().expect("3-cycle shrinks the graph");
-        assert_eq!(cc.compressed.graph.node_count(), 3);
+        assert_eq!(cc.node_count(), 3);
         assert_eq!(p.stats().compressed_nodes, Some(3));
     }
 
     /// Every artifact of an applied version must behave like a from-scratch
     /// prepare of the mutated graph (closure, compression decision,
-    /// compressed closure, stats).
+    /// compressed numbering, member order and closure, stats).
     fn assert_equivalent_to_fresh(applied: &PreparedGraph<String>) {
         let fresh = PreparedGraph::new(Arc::clone(applied.graph()));
         for u in applied.graph().nodes() {
@@ -1383,14 +1381,23 @@ mod tests {
         match (applied.compressed(), fresh.compressed()) {
             (None, None) => {}
             (Some(a), Some(f)) => {
-                let cg = &a.compressed.graph;
-                assert_eq!(cg.node_count(), f.compressed.graph.node_count());
-                for u in cg.nodes() {
-                    for v in cg.nodes() {
+                let cn = a.node_count();
+                assert_eq!(cn, f.node_count());
+                for v in applied.graph().nodes() {
+                    assert_eq!(
+                        a.representative(v),
+                        f.representative(v),
+                        "representative of {v:?}"
+                    );
+                }
+                let compressed = (0..cn as u32).map(NodeId);
+                for c in compressed.clone() {
+                    assert_eq!(a.expand(c), f.expand(c), "members of {c:?}");
+                    for d in compressed.clone() {
                         assert_eq!(
-                            a.closure.reaches(u, v),
-                            f.closure.reaches(u, v),
-                            "compressed closure diverged at {u:?}->{v:?}"
+                            a.reaches(c, d),
+                            f.reaches(c, d),
+                            "compressed closure diverged at {c:?}->{d:?}"
                         );
                     }
                 }
@@ -1562,7 +1569,7 @@ mod tests {
             PreparedGraph::new(cyclic_graph()),
             chain_prepared(cyclic_graph()),
         ] {
-            let k1 = old.bounded_closure(1);
+            let (k1, _) = old.bounded_closure(1);
             assert!(!k1.reaches(NodeId(0), NodeId(2)), "a->c is 2 hops");
             let outcome = old.apply(&[GraphUpdate::InsertEdge(NodeId(0), NodeId(2))]);
             let new = &outcome.prepared;
@@ -1571,7 +1578,8 @@ mod tests {
                 1,
                 "memo carried over, not dropped"
             );
-            let k1_new = new.bounded_closure(1);
+            let (k1_new, built) = new.bounded_closure(1);
+            assert!(!built, "the refreshed memo serves it");
             assert!(k1_new.reaches(NodeId(0), NodeId(2)), "now one hop");
             assert!(outcome.stats.bounded_rows_recomputed > 0);
             let scratch = TransitiveClosure::bounded(&**new.graph(), 1);

@@ -23,7 +23,8 @@
 //!   (`validate()` / `validate_against()`, see [`validate`]) — the
 //!   machine-checkable form of the invariants above, used by the
 //!   `phom-audit` crate and the snapshot-restore gate;
-//! * [`compress_closure`]: the `G2*` compression of Appendix B;
+//! * [`compress_closure`]: the `G2*` compression of Appendix B (member
+//!   lists plus the closure of `G2*`, as [`CompressedClosure`]);
 //! * [`weakly_connected_components`]: the `G1` partitioning of Appendix B;
 //! * traversal helpers, DOT export, and text/binary serialization.
 
@@ -47,7 +48,7 @@ pub mod validate;
 pub use bitset::BitSet;
 pub use closure::{DenseClosure, DynamicClosure, TransitiveClosure, UpdateEffect};
 pub use components::{component_groups, is_weakly_connected, weakly_connected_components};
-pub use condense::{compress_closure, compress_closure_with, condensation, CompressedGraph};
+pub use condense::{compress_closure, compress_closure_with, condensation, CompressedClosure};
 pub use digraph::{graph_from_labels, DiGraph, NodeId};
 pub use dot::{from_dot, to_dot, DotParseError};
 pub use generators::{

@@ -3,7 +3,7 @@
 //! Used by the transitive-closure computation (Nuutila \[22\] computes closures
 //! through SCC condensation) and by the `G2*` compression of Appendix B,
 //! where every SCC of `G2` becomes a clique of `G2+` and is collapsed to one
-//! bag-of-labels node.
+//! node of `G2*`.
 
 use crate::digraph::{DiGraph, NodeId};
 
@@ -33,6 +33,11 @@ impl SccResult {
     #[inline]
     pub fn component_of(&self, v: NodeId) -> usize {
         self.comp[v.index()] as usize
+    }
+
+    /// Component id of every node, indexed by node.
+    pub(crate) fn component_ids(&self) -> &[u32] {
+        &self.comp
     }
 
     /// Nodes of component `c`.

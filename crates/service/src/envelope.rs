@@ -127,6 +127,11 @@ pub struct QueryResponse {
     /// Service latency: wall-clock microseconds spent routing and
     /// executing (queueing excluded — the gate sheds instead of queueing).
     pub micros: u128,
+    /// Whether every consulted shard answered from prepared state alone
+    /// (built no hop-bounded closure; see `QueryResult::cache_hit`). The
+    /// cluster wire does not carry this flag: a response decoded from a
+    /// frame reads it from its trace, and `false` without one.
+    pub cache_hit: bool,
     /// The query's trace, present iff the request asked for one
     /// (`Request::Query { trace: true, .. }`).
     pub trace: Option<Box<QueryTrace>>,

@@ -159,6 +159,7 @@ impl<L: ServiceLabel> GraphEntry<L> {
                 Ok(ShardAnswer {
                     mapping: r.outcome.mapping,
                     timed_out: r.outcome.stats.timed_out,
+                    cache_hit: r.cache_hit,
                     trace: r.trace,
                     span: SpanKind::ShardMatch(si as u32),
                 })

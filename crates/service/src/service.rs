@@ -656,22 +656,16 @@ impl<L: ServiceLabel> Service<L> {
     }
 
     /// Feeds one completed query into the flight recorder (and the
-    /// windowed timeout counter). Per-query cache-hit status is known
-    /// only for traced queries; untraced records report `false` (the
-    /// engine's [`EngineStats::cache_hits`] counts every query).
+    /// windowed timeout counter), traced or not.
     fn record_flight(&self, response: &QueryResponse) {
         if response.timed_out {
             self.metrics.counter_add("queries_timed_out", 1);
         }
-        let cache_hit = response
-            .trace
-            .as_deref()
-            .is_some_and(|t| t.counters.cache_hit);
         self.flight.record(
             PlanHistograms::index_of(response.plan.kind) as u8,
             response.shards_consulted.min(u16::MAX as usize) as u16,
             response.micros,
-            cache_hit,
+            response.cache_hit,
             response.timed_out,
         );
     }

@@ -118,6 +118,9 @@ pub struct ShardAnswer {
     pub mapping: PHomMapping,
     /// Whether the shard hit the query deadline.
     pub timed_out: bool,
+    /// Whether the shard answered from prepared state alone (built no
+    /// hop-bounded closure).
+    pub cache_hit: bool,
     /// The shard's own trace, when one was asked for; its sampled
     /// counters fold into the query's trace.
     pub trace: Option<Box<QueryTrace>>,
@@ -436,6 +439,7 @@ impl<L: ServiceLabel> ShardMap<L> {
             }
             let answer = run_shard(si, sub, tr.is_some())?;
             timed_out |= answer.timed_out;
+            all_cache_hits &= answer.cache_hit;
             shard_maps.push(PHomMapping::from_pairs(
                 n1,
                 answer.mapping.pairs().map(|(v, lu)| (v, nodes[lu.index()])),
@@ -451,7 +455,6 @@ impl<L: ServiceLabel> ShardMap<L> {
                     t.counters.parallel_components += st.counters.parallel_components;
                     t.counters.candidate_pairs += st.counters.candidate_pairs;
                     t.counters.extended_pairs += st.counters.extended_pairs;
-                    all_cache_hits &= st.counters.cache_hit;
                     if !backends.contains(&st.counters.closure_backend) {
                         backends.push(st.counters.closure_backend.clone());
                     }
@@ -464,6 +467,7 @@ impl<L: ServiceLabel> ShardMap<L> {
         let merged = merge_components(query, &weights, &shard_maps);
         let qual_card = merged.qual_card();
         let qual_sim = merged.qual_sim(&weights, &query.matrix);
+        let cache_hit = consulted > 0 && all_cache_hits;
         if let Some(t) = tr.as_mut() {
             if let Some(open) = merge_open {
                 t.end(SpanKind::Merge, open);
@@ -472,7 +476,7 @@ impl<L: ServiceLabel> ShardMap<L> {
             t.counters.restarts_planned = plan.restarts;
             t.counters.shards_consulted = consulted;
             t.counters.timed_out = timed_out;
-            t.counters.cache_hit = consulted > 0 && all_cache_hits;
+            t.counters.cache_hit = cache_hit;
             t.counters.closure_backend = match backends.len() {
                 0 => "none".to_owned(),
                 1 => backends.swap_remove(0),
@@ -487,6 +491,7 @@ impl<L: ServiceLabel> ShardMap<L> {
             shards_consulted: consulted,
             timed_out,
             micros: started.elapsed().as_micros(),
+            cache_hit,
             trace: tr,
         })
     }
@@ -818,6 +823,7 @@ pub(crate) fn single_shard_response(result: QueryResult) -> QueryResponse {
         shards_consulted: 1,
         timed_out: result.outcome.stats.timed_out,
         micros: result.micros,
+        cache_hit: result.cache_hit,
         trace,
     }
 }

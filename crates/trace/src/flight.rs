@@ -38,8 +38,8 @@ const FLAG_CACHE_HIT: u8 = 1;
 const FLAG_TIMED_OUT: u8 = 1 << 1;
 
 impl FlightRecord {
-    /// True when the query ran entirely on prepared state (known only
-    /// for traced queries; untraced records report `false`).
+    /// True when the query ran entirely on prepared state (built no
+    /// hop-bounded closure), traced or not.
     pub fn cache_hit(&self) -> bool {
         self.flags & FLAG_CACHE_HIT != 0
     }

@@ -1208,6 +1208,8 @@ fn run_engine_batch<L: ServiceLabel>(work: &Workload<L>, f: &Flags) -> ExitCode 
                     shards_consulted: 1,
                     timed_out: out.stats.timed_out,
                     micros: started.elapsed().as_micros(),
+                    // A cold run prepares nothing: it builds every closure.
+                    cache_hit: false,
                     trace: None,
                 })
             },
@@ -2514,6 +2516,7 @@ mod tests {
             shards_consulted: 1,
             timed_out: false,
             micros: 5,
+            cache_hit: true,
             trace: None,
         })
     }

@@ -13,8 +13,9 @@
 //!    of an uncontended run of the same queries.
 //! 3. **Cache-hit accounting** — the engine's `cache_hits` counts the
 //!    queries that built no hop-bounded closure, on unsharded and
-//!    sharded graphs alike, and the service's hit ratios read
-//!    `cache_hits / queries`.
+//!    sharded graphs alike, the service's hit ratios read
+//!    `cache_hits / queries`, and every flight record carries its
+//!    query's flag, traced or not.
 
 use phom::prelude::*;
 use phom::service::ShardMap;
@@ -411,6 +412,46 @@ fn first_stretch_bound_query_misses_once_per_shard_then_hits() {
     let ratio = stats.engine.cache_hits as f64 / stats.engine.queries as f64;
     assert_eq!(stats.cache_hit_ratio_lifetime, ratio);
     assert_eq!(stats.cache_hit_ratio_windowed, ratio);
+}
+
+/// Flight records carry each query's cache-hit flag whether or not it
+/// was traced: untraced queries with no stretch bound record a hit on
+/// the unsharded path, the batch executor and the sharded
+/// scatter/gather alike, and the first stretch-bound query on a fresh
+/// version records a miss before its repeat records a hit.
+#[test]
+fn untraced_flight_records_report_cache_hits() {
+    let service = cache_service();
+    let parts_pattern: (&[&str], &[(&str, &str)]) =
+        (&["p0", "p2", "q1", "q3"], &[("p0", "p2"), ("q1", "q3")]);
+    let on_one = labeled_query(&service, "one", &["a", "c"], &[("a", "c")], None);
+    let on_parts = labeled_query(&service, "parts", parts_pattern.0, parts_pattern.1, None);
+    service.query("one", &on_one).expect("query");
+    service.query("parts", &on_parts).expect("query");
+    service
+        .query_batch("one", &[on_one.clone(), on_one])
+        .expect("batch");
+    let records = service.flight().snapshot();
+    assert_eq!(records.len(), 4);
+    assert!(records.iter().all(|r| r.cache_hit()), "{records:?}");
+
+    let bounded_one = labeled_query(&service, "one", &["a", "c"], &[("a", "c")], Some(2));
+    let bounded_parts = labeled_query(&service, "parts", parts_pattern.0, parts_pattern.1, Some(2));
+    for (graph, query) in [("one", &bounded_one), ("parts", &bounded_parts)] {
+        for _ in 0..2 {
+            let r = service.query(graph, query).expect("query");
+            assert!(r.trace.is_none());
+        }
+    }
+    let flags: Vec<bool> = service.flight().snapshot()[4..]
+        .iter()
+        .map(|r| r.cache_hit())
+        .collect();
+    assert_eq!(
+        flags,
+        [false, true, false, true],
+        "miss, then hit, per graph"
+    );
 }
 
 /// The admission-control acceptance criterion: a registry with queue

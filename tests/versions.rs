@@ -205,28 +205,44 @@ fn sharded_service() -> Service<String> {
     Service::new(ServiceConfig::builder().sharding(SHARDING).build())
 }
 
-/// Queries cut from the data graph itself: a window of each part under
-/// label equality, asked with a cardinality and a similarity algorithm
-/// (one restart, so the sharded answer is the unsharded one).
-fn queries(data: &DiGraph<String>, ranges: &[(usize, usize)]) -> Vec<Query<String>> {
+/// Queries cut from the data graph itself: the first `window` nodes of
+/// each part under label equality, asked once per config.
+fn window_queries(
+    data: &DiGraph<String>,
+    ranges: &[(usize, usize)],
+    window: usize,
+    configs: &[QueryConfig],
+) -> Vec<Query<String>> {
     let mut out = Vec::new();
     for &(base, n) in ranges {
-        let keep: BTreeSet<NodeId> = (base..base + n.min(7)).map(|v| NodeId(v as u32)).collect();
+        let keep: BTreeSet<NodeId> = (base..base + n.min(window))
+            .map(|v| NodeId(v as u32))
+            .collect();
         let pattern = Arc::new(data.induced_subgraph(&keep).0);
-        for algorithm in [Algorithm::MaxCard, Algorithm::MaxSim1to1] {
+        for config in configs {
             let mut q = Query::new(
                 Arc::clone(&pattern),
                 SimMatrix::label_equality(&*pattern, data),
             );
-            q.config = QueryConfig::builder()
-                .xi(0.5)
-                .algorithm(algorithm)
-                .restarts(1)
-                .build();
+            q.config = config.clone();
             out.push(q);
         }
     }
     out
+}
+
+/// A 7-node window of each part, asked with a cardinality and a
+/// similarity algorithm (one restart, so the sharded answer is the
+/// unsharded one).
+fn queries(data: &DiGraph<String>, ranges: &[(usize, usize)]) -> Vec<Query<String>> {
+    let configs = [Algorithm::MaxCard, Algorithm::MaxSim1to1].map(|algorithm| {
+        QueryConfig::builder()
+            .xi(0.5)
+            .algorithm(algorithm)
+            .restarts(1)
+            .build()
+    });
+    window_queries(data, ranges, 7, &configs)
 }
 
 type Answer = (Vec<(NodeId, NodeId)>, f64, f64);
@@ -318,4 +334,148 @@ fn held_versions_of_a_sharded_graph_read_and_answer_as_they_did() {
         .map(|(g, _, _)| Arc::as_ptr(g) as usize)
         .collect();
     assert_eq!(versions.len(), held.len(), "every batch made a new version");
+}
+
+/// Queries that match against `G2*`: a 10-node window of each part,
+/// asked with both p-hom metrics on the approximate plan (the exact plan
+/// never compresses).
+fn compressed_queries(data: &DiGraph<String>, ranges: &[(usize, usize)]) -> Vec<Query<String>> {
+    let configs = [
+        (Algorithm::MaxCard, 1),
+        (Algorithm::MaxSim, 1),
+        (Algorithm::MaxCard, 3),
+    ]
+    .map(|(algorithm, restarts)| {
+        QueryConfig::builder()
+            .xi(0.5)
+            .algorithm(algorithm)
+            .restarts(restarts)
+            .force_plan(PlanKind::Approx)
+            .build()
+    });
+    window_queries(data, ranges, 10, &configs)
+}
+
+/// A seeded batch that merges and splits SCCs: a back edge `v -> u` from
+/// a node `v` that `u` reaches in another component (merging every
+/// component on the way), the removal of a back edge an earlier batch
+/// inserted (splitting what it merged, unless another path remains), and
+/// one toggle inside a part. Returns the batch and its new back edge.
+fn scc_batch(
+    current: &PreparedGraph<String>,
+    ranges: &[(usize, usize)],
+    back_edges: &mut Vec<(NodeId, NodeId)>,
+    rng: &mut XorShift64,
+) -> Vec<GraphUpdate> {
+    let g = current.graph();
+    let scc = current.scc();
+    let mut batch = Vec::new();
+    if !back_edges.is_empty() && rng.below(3) > 0 {
+        let (v, u) = back_edges.swap_remove(rng.below(back_edges.len()));
+        batch.push(GraphUpdate::RemoveEdge(v, u));
+    }
+    for _ in 0..64 {
+        let u = NodeId(rng.below(g.node_count()) as u32);
+        let reached: Vec<NodeId> = current
+            .closure()
+            .successors_iter(u)
+            .filter(|&v| !scc.same_component(u, v))
+            .collect();
+        if let Some(&v) = reached.get(rng.below(reached.len().max(1))) {
+            batch.push(GraphUpdate::InsertEdge(v, u));
+            back_edges.push((v, u));
+            break;
+        }
+    }
+    let (base, n) = ranges[rng.below(ranges.len())];
+    let (a, b) = (
+        NodeId((base + rng.below(n)) as u32),
+        NodeId((base + rng.below(n)) as u32),
+    );
+    batch.push(if g.has_edge(a, b) {
+        GraphUpdate::RemoveEdge(a, b)
+    } else {
+        GraphUpdate::InsertEdge(a, b)
+    });
+    batch
+}
+
+/// An applied version's `G2*` must be the one a fresh prepare of its
+/// graph builds: the same numbering, member order and closure.
+fn assert_same_g2_star(applied: &PreparedGraph<String>, fresh: &PreparedGraph<String>, at: &str) {
+    match (applied.compressed(), fresh.compressed()) {
+        (None, None) => {}
+        (Some(a), Some(f)) => {
+            assert_eq!(a.node_count(), f.node_count(), "{at}: compressed nodes");
+            for v in applied.graph().nodes() {
+                assert_eq!(a.representative(v), f.representative(v), "{at}: {v:?}");
+            }
+            let compressed = (0..a.node_count() as u32).map(NodeId);
+            for c in compressed.clone() {
+                assert_eq!(a.expand(c), f.expand(c), "{at}: members of {c:?}");
+                for d in compressed.clone() {
+                    assert_eq!(a.reaches(c, d), f.reaches(c, d), "{at}: {c:?} -> {d:?}");
+                }
+            }
+        }
+        (a, f) => panic!(
+            "{at}: compression kept {} after the batch, {} by a fresh prepare",
+            a.is_some(),
+            f.is_some()
+        ),
+    }
+}
+
+/// Every version a chain of SCC-merging and -splitting batches derives
+/// builds the `G2*` a fresh prepare of its graph builds, and answers
+/// every compressed query exactly like it, whether compression is
+/// pinned on or decided per version.
+#[test]
+fn applied_versions_build_the_g2_star_of_a_fresh_prepare() {
+    let (data, ranges) = union_graph(7);
+    let queries = compressed_queries(&data, &ranges);
+    let engine: Engine<String> = Engine::default();
+    for compression in [CompressionPolicy::Always, CompressionPolicy::Auto] {
+        let options = PrepareOptions {
+            compression,
+            ..Default::default()
+        };
+        let mut current = Arc::new(PreparedGraph::prepare(Arc::new(data.clone()), options));
+        let mut rng = XorShift64::new(0x6257);
+        let mut back_edges = Vec::new();
+        let (mut merged, mut split, mut kept) = (false, false, 0);
+        for batch in 0..12 {
+            let updates = scc_batch(&current, &ranges, &mut back_edges, &mut rng);
+            let next = current.apply(&updates).prepared;
+            let before = current.stats().scc_count;
+            merged |= next.stats().scc_count < before;
+            split |= next.stats().scc_count > before;
+            let at = format!("{compression:?} batch {batch}");
+            let fresh = PreparedGraph::prepare(Arc::clone(next.graph()), options);
+            assert_same_g2_star(&next, &fresh, &at);
+            kept += usize::from(next.compressed().is_some());
+            for (i, q) in queries.iter().enumerate() {
+                let (a, f) = (engine.execute(&next, q), engine.execute(&fresh, q));
+                assert_eq!(a.plan.kind, PlanKind::Approx);
+                assert_eq!(
+                    a.outcome.stats.compression.is_some(),
+                    next.compressed().is_some(),
+                    "{at}: query {i} matches against G2* whenever it is kept"
+                );
+                assert_eq!(
+                    a.outcome.mapping.pairs().collect::<Vec<_>>(),
+                    f.outcome.mapping.pairs().collect::<Vec<_>>(),
+                    "{at}: query {i}"
+                );
+                assert_eq!(a.outcome.qual_card, f.outcome.qual_card, "{at}: query {i}");
+                assert_eq!(a.outcome.qual_sim, f.outcome.qual_sim, "{at}: query {i}");
+            }
+            current = next;
+        }
+        assert!(
+            merged && split,
+            "{compression:?}: the chain merges and splits"
+        );
+        assert!(kept > 0, "{compression:?}: some version keeps compression");
+    }
 }
