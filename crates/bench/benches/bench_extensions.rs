@@ -71,7 +71,7 @@ fn bounded_matching(c: &mut Criterion) {
     group.finish();
 }
 
-/// E2: restart scaling — r ∈ {1, 4, 8}, threads ∈ {1, 4}.
+/// E2: restart scaling — r ∈ {1, 4, 8}.
 fn restart_scaling(c: &mut Criterion) {
     let inst = instance(150);
     let mat = inst.similarity_matrix();
@@ -82,14 +82,13 @@ fn restart_scaling(c: &mut Criterion) {
     let closure = TransitiveClosure::new(&inst.g2);
     let mut group = c.benchmark_group("ext_restarts");
     group.sample_size(10);
-    for (restarts, threads) in [(1, 1), (4, 1), (4, 4), (8, 4)] {
+    for restarts in [1, 4, 8] {
         let rcfg = RestartConfig {
             restarts,
-            threads,
             ..Default::default()
         };
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("r{restarts}_t{threads}")),
+            BenchmarkId::from_parameter(format!("r{restarts}")),
             &rcfg,
             |b, rcfg| {
                 b.iter(|| comp_max_card_restarts_with(&inst.g1, &closure, &mat, &cfg, false, rcfg))

@@ -328,7 +328,7 @@ impl Dec {
 // ---------------------------------------------------------------------
 
 /// The planner's closed set of plan rationales (see
-/// `phom_engine::plan_query_with`); decoding maps wire strings back to
+/// `phom_engine::plan_query`); decoding maps wire strings back to
 /// these statics, with a marked fallback for strings minted by a newer
 /// peer.
 const KNOWN_PLAN_REASONS: [&str; 5] = [

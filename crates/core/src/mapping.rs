@@ -107,15 +107,6 @@ impl PHomMapping {
             .sum();
         num / denom
     }
-
-    /// Merges a mapping computed on a component back into `self`, where
-    /// `old_of_new[nv]` gives the original id of component node `nv`
-    /// (Appendix B partitioning, Proposition 1).
-    pub fn absorb_renumbered(&mut self, part: &PHomMapping, old_of_new: &[NodeId]) {
-        for (nv, u) in part.pairs() {
-            self.set(old_of_new[nv.index()], u);
-        }
-    }
 }
 
 /// A reason why a candidate mapping is *not* a valid (1-1) p-hom mapping.
@@ -333,15 +324,5 @@ mod tests {
         let closure = TransitiveClosure::new(&g2);
         let m = PHomMapping::from_pairs(2, [(n(0), n(0))]);
         assert_eq!(verify_phom(&g1, &m, &mat, 0.5, &closure, true), Ok(()));
-    }
-
-    #[test]
-    fn absorb_renumbered_translates_component_ids() {
-        let mut whole = PHomMapping::empty(5);
-        let part = PHomMapping::from_pairs(2, [(n(0), n(7)), (n(1), n(9))]);
-        whole.absorb_renumbered(&part, &[n(3), n(4)]);
-        assert_eq!(whole.get(n(3)), Some(n(7)));
-        assert_eq!(whole.get(n(4)), Some(n(9)));
-        assert_eq!(whole.len(), 2);
     }
 }

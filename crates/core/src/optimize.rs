@@ -22,7 +22,7 @@ use phom_graph::{
     ReachabilityIndex, TransitiveClosure,
 };
 use phom_sim::{NodeWeights, SimMatrix};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -80,17 +80,18 @@ pub struct MatcherConfig {
     /// greedy runs, restart 0 unperturbed. `1` is the paper's algorithm.
     pub restarts: usize,
     /// Intra-query worker threads for per-component matching when
-    /// [`MatcherConfig::partition_g1`] splits the pattern: components are
-    /// independent in p-hom modes (Proposition 1), so they fan out across
-    /// a scoped pool of this many workers. `1` (the default) is the
-    /// sequential paper path; `0` uses the available parallelism. The
-    /// result is identical for every worker count. Injective (1-1)
-    /// components *compete* for data nodes, so they run speculatively in
-    /// parallel and merge in deterministic component order: a component
-    /// whose candidate support is disjoint from the images already
-    /// claimed keeps its speculative answer (provably identical to the
-    /// masked sequential run), and only genuine conflicts re-solve
-    /// sequentially under the mask.
+    /// [`MatcherConfig::partition_g1`] splits the pattern. `1` (the
+    /// default) solves the components one by one in component order, each
+    /// 1-1 component under a mask of the images earlier components
+    /// claimed (1-1 components compete for data nodes; p-hom ones are
+    /// independent, Proposition 1); `0` uses the available parallelism.
+    /// With more than one worker every component is first solved unmasked
+    /// on a scoped work-stealing pool. The merge then walks the components
+    /// in order and keeps each unmasked answer, unless the mode is 1-1 and
+    /// a claimed image scores in the component's rows (above 0, or at
+    /// least the threshold the component is solved at), checked at merge
+    /// time; such a component is solved again under the mask. The result
+    /// is identical for every worker count.
     pub intra_workers: usize,
 }
 
@@ -128,18 +129,21 @@ pub struct MatchStats {
     pub extended_pairs: usize,
     /// Prefilter statistics when [`MatcherConfig::prefilter`] is on.
     pub prefilter: Option<crate::prefilter::PrefilterStats>,
-    /// Components matched on the intra-query parallel path (0 when the
-    /// run was sequential — one component or one worker). In injective
-    /// mode this counts components solved speculatively, whether or not
-    /// the deterministic merge later re-solved them under the mask.
+    /// Components solved on the intra-query pool (0 when the run was
+    /// sequential: one component or one worker), whether or not the merge
+    /// later solved them again under the 1-1 mask.
     pub parallel_components: usize,
-    /// Restart kernel runs actually executed, summed across components
-    /// (0 when restarts are off; ≤ `components × restarts` when the
-    /// deadline cut restart loops short).
+    /// Restart kernel runs actually executed, summed across component
+    /// solves, merge-time re-solves included (0 when restarts are off;
+    /// fewer than `restarts` in a solve whose deadline cut the loop short).
     pub restarts_taken: usize,
-    /// Deadline polls at iteration boundaries (per component claimed,
-    /// per restart, plus the final flag sample) — the hot-path
-    /// observability counter traces export.
+    /// Deadline polls at iteration boundaries, the hot-path observability
+    /// counter traces export: one per component solve (each component
+    /// once, plus each 1-1 component the merge solves again under the
+    /// mask), one per restart after the first, plus the final flag sample.
+    /// Once the deadline has expired, every remaining component still
+    /// polls once and a component the pool skipped polls again at the
+    /// merge, so the count then depends on where the clock crossed.
     pub budget_polls: usize,
     /// Per-restart kernel microseconds, appended across components in
     /// completion order (becomes nested `restart{i}` trace spans).
@@ -196,9 +200,8 @@ pub fn compression_worthwhile(original_nodes: usize, compressed_nodes: usize) ->
 }
 
 /// Runs the configured algorithm with the configured optimizations.
-/// (`L: Send + Sync` because the restart extension may fan runs out to
-/// worker threads, which share the graphs' `Arc`'d label columns; label
-/// types are plain data in practice.)
+/// (`L: Send + Sync` because intra-query workers share the pattern and
+/// its `Arc`'d label column; label types are plain data in practice.)
 pub fn match_graphs<L: Clone + Send + Sync>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
@@ -370,7 +373,7 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
         data
     };
 
-    // Shared observability counters: `run_algorithm` executes on intra-
+    // Shared observability counters: components are solved on intra-
     // query worker threads, so the trace counters accumulate through
     // atomics (and a mutex for the restart timing list) and fold into
     // `stats` once all workers are done.
@@ -426,333 +429,114 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
 
     // --- Appendix B: optionally partition G1. ---
     let mut mapping = if cfg.partition_g1 {
-        // S1: pattern nodes that cannot match anything (incl. self-loop
-        // filtering, which is static).
+        // A pattern node with a self-loop needs an image that reaches
+        // itself (static, so it filters candidates up front).
+        let fits = |v: NodeId, u: NodeId| !g1.has_self_loop(v) || data.closure.get().reaches(u, u);
+        // S1: pattern nodes that cannot match anything.
         let keep: BTreeSet<NodeId> = g1
             .nodes()
-            .filter(|&v| {
-                data.mat
-                    .candidates(v, cfg.xi)
-                    .any(|u| !g1.has_self_loop(v) || data.closure.get().reaches(u, u))
-            })
+            .filter(|&v| data.mat.candidates(v, cfg.xi).any(|u| fits(v, u)))
             .collect();
         stats.unmatchable_nodes = g1.node_count() - keep.len();
 
+        // The weakly connected components, in G1 ids.
         let (reduced, old_of_new) = g1.induced_subgraph(&keep);
-        let comps = weakly_connected_components(&reduced);
+        let comps: Vec<Vec<NodeId>> = weakly_connected_components(&reduced)
+            .into_iter()
+            .map(|comp| comp.iter().map(|nv| old_of_new[nv.index()]).collect())
+            .collect();
         stats.components = comps.len();
 
-        // Proposition 1 makes per-component matching sound for p-hom, but
-        // 1-1 components *compete* for data nodes. In injective mode we
-        // match components sequentially, masking the images already
-        // claimed (their scores drop to 0 and the component threshold is
-        // bumped above 0 so they cannot re-enter at ξ = 0).
-        let mut whole = PHomMapping::empty(g1.node_count());
-        if injective {
-            let component_xi = cfg.xi.max(f64::MIN_POSITIVE);
-            let mut used: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-            let workers = intra_worker_count(cfg.intra_workers, comps.len());
-            // Speculative results of the parallel phase: each component
-            // solved *unmasked*, together with its candidate **support**
-            // — every data node whose score is nonzero in some component
-            // row (for singletons, the full filtered candidate list).
-            // Masking only zeroes columns; if no already-claimed image
-            // lies in the support, the masked matrix equals the unmasked
-            // one entry-for-entry, so the speculative answer IS the
-            // sequential answer and the merge below accepts it.
-            enum Spec {
-                /// Deadline expired before this component was claimed.
-                Skipped,
-                /// Singleton: best unmasked candidate + full support.
-                Singleton(NodeId, Option<NodeId>, Vec<NodeId>),
-                /// Multi-node: unmasked part, sub-id -> g1 id, support.
-                Matched(PHomMapping, Vec<NodeId>, Vec<NodeId>),
+        // Proposition 1 makes components independent for p-hom, but 1-1
+        // components compete for data nodes: each one is solved with the
+        // images earlier components claimed masked out (their columns
+        // zeroed). Singletons pick at ξ; a multi-node 1-1 component runs
+        // above 0, so a masked image cannot re-enter at ξ = 0.
+        let xi_of = |comp: &[NodeId]| {
+            if injective && comp.len() > 1 {
+                cfg.xi.max(f64::MIN_POSITIVE)
+            } else {
+                cfg.xi
             }
-            let specs: Option<Vec<Spec>> = if workers > 1 {
-                let data = &data;
-                let run_algorithm = &run_algorithm;
-                let old_of_new = &old_of_new;
-                let reduced = &reduced;
-                let budget_polls = &budget_polls;
-                let spec_solve = move |comp_nodes: &Vec<NodeId>| -> Spec {
-                    budget_polls.fetch_add(1, Ordering::Relaxed);
-                    if budget.expired() {
-                        return Spec::Skipped;
-                    }
-                    if comp_nodes.len() == 1 {
-                        let v_old = old_of_new[comp_nodes[0].index()];
-                        let support: Vec<NodeId> = data
-                            .mat
-                            .candidates(v_old, cfg.xi)
-                            .filter(|&u| {
-                                !g1.has_self_loop(v_old) || data.closure.get().reaches(u, u)
-                            })
-                            .collect();
-                        let best = support.iter().copied().max_by(|&a, &b| {
-                            data.mat
-                                .score(v_old, a)
-                                .total_cmp(&data.mat.score(v_old, b))
-                                .then(b.cmp(&a))
-                        });
-                        return Spec::Singleton(v_old, best, support);
-                    }
-                    let comp_set: BTreeSet<NodeId> = comp_nodes.iter().copied().collect();
-                    let (sub, sub_old) = reduced.induced_subgraph(&comp_set);
-                    let orig: Vec<NodeId> =
-                        sub_old.iter().map(|&nv| old_of_new[nv.index()]).collect();
-                    let sub_mat = SimMatrix::from_fn(sub.node_count(), data.n2, |nv, u| {
-                        data.mat.score(orig[nv.index()], u)
+        };
+        // One component under a mask: its `(v, u)` pairs in G1 ids, or
+        // `None` once the deadline has expired.
+        let solve = |comp: &[NodeId], claimed: &HashSet<NodeId>| -> Option<Vec<(NodeId, NodeId)>> {
+            budget_polls.fetch_add(1, Ordering::Relaxed);
+            if budget.expired() {
+                return None;
+            }
+            if let [v] = *comp {
+                // Singleton shortcut: the best candidate wins outright.
+                let best = data
+                    .mat
+                    .candidates(v, cfg.xi)
+                    .filter(|&u| fits(v, u) && !claimed.contains(&u))
+                    .max_by(|&a, &b| {
+                        data.mat
+                            .score(v, a)
+                            .total_cmp(&data.mat.score(v, b))
+                            .then(b.cmp(&a))
                     });
-                    let sub_w =
-                        NodeWeights::from_vec(orig.iter().map(|&v| weights.get(v)).collect());
-                    let part = run_algorithm(&sub, &sub_mat, &sub_w, component_xi);
-                    let support: Vec<NodeId> = (0..data.n2 as u32)
-                        .map(NodeId)
-                        .filter(|&u| orig.iter().any(|&v| data.mat.score(v, u) > 0.0))
-                        .collect();
-                    Spec::Matched(part, orig, support)
-                };
-                // Work-stealing claim loop, mirroring the p-hom branch.
-                let next = AtomicUsize::new(0);
-                let slots: Mutex<Vec<Option<Spec>>> =
-                    Mutex::new((0..comps.len()).map(|_| None).collect());
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::SeqCst);
-                            if i >= comps.len() {
-                                break;
-                            }
-                            let r = spec_solve(&comps[i]);
-                            let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
-                            slots[i] = Some(r);
-                        });
-                    }
-                });
-                let specs: Vec<Spec> = slots
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .into_iter()
-                    // phom-lint: allow(unwrap, "the scope joins all workers and the claim loop covers every index, so each slot was filled")
-                    .map(|r| r.expect("every component index was claimed"))
-                    .collect();
-                stats.parallel_components =
-                    specs.iter().filter(|r| !matches!(r, Spec::Skipped)).count();
-                Some(specs)
-            } else {
-                None
-            };
-            match specs {
-                // Deterministic conflict-resolution merge, in component
-                // order — exactly the order the sequential path claims
-                // images in, so `used` evolves identically.
-                Some(specs) => {
-                    for (i, spec) in specs.into_iter().enumerate() {
-                        match spec {
-                            Spec::Skipped => {}
-                            Spec::Singleton(v_old, best, support) => {
-                                stats.singleton_shortcuts += 1;
-                                let choice = if support.iter().any(|u| used.contains(u)) {
-                                    // Conflict: redo the masked pick.
-                                    support
-                                        .iter()
-                                        .copied()
-                                        .filter(|u| !used.contains(u))
-                                        .max_by(|&a, &b| {
-                                            data.mat
-                                                .score(v_old, a)
-                                                .total_cmp(&data.mat.score(v_old, b))
-                                                .then(b.cmp(&a))
-                                        })
-                                } else {
-                                    best
-                                };
-                                if let Some(u) = choice {
-                                    whole.set(v_old, u);
-                                    used.insert(u);
-                                }
-                            }
-                            Spec::Matched(part, orig, support) => {
-                                if support.iter().any(|u| used.contains(u)) {
-                                    // Conflict: re-solve under the mask,
-                                    // as the sequential path would have.
-                                    budget_polls.fetch_add(1, Ordering::Relaxed);
-                                    if budget.expired() {
-                                        continue;
-                                    }
-                                    let comp_set: BTreeSet<NodeId> =
-                                        comps[i].iter().copied().collect();
-                                    let (sub, _) = reduced.induced_subgraph(&comp_set);
-                                    let sub_mat =
-                                        SimMatrix::from_fn(sub.node_count(), data.n2, |nv, u| {
-                                            if used.contains(&u) {
-                                                0.0
-                                            } else {
-                                                data.mat.score(orig[nv.index()], u)
-                                            }
-                                        });
-                                    let sub_w = NodeWeights::from_vec(
-                                        orig.iter().map(|&v| weights.get(v)).collect(),
-                                    );
-                                    let part = run_algorithm(&sub, &sub_mat, &sub_w, component_xi);
-                                    used.extend(part.pairs().map(|(_, u)| u));
-                                    whole.absorb_renumbered(&part, &orig);
-                                } else {
-                                    used.extend(part.pairs().map(|(_, u)| u));
-                                    whole.absorb_renumbered(&part, &orig);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Single worker: the paper's sequential masking loop.
-                None => {
-                    for comp_nodes in &comps {
-                        // Deadline: components already matched are kept.
-                        budget_polls.fetch_add(1, Ordering::Relaxed);
-                        if budget.expired() {
-                            break;
-                        }
-                        if comp_nodes.len() == 1 {
-                            // Singleton shortcut: best candidate wins outright.
-                            stats.singleton_shortcuts += 1;
-                            let v_old = old_of_new[comp_nodes[0].index()];
-                            let best = data
-                                .mat
-                                .candidates(v_old, cfg.xi)
-                                .filter(|&u| {
-                                    !g1.has_self_loop(v_old) || data.closure.get().reaches(u, u)
-                                })
-                                .filter(|u| !used.contains(u))
-                                .max_by(|&a, &b| {
-                                    data.mat
-                                        .score(v_old, a)
-                                        .total_cmp(&data.mat.score(v_old, b))
-                                        .then(b.cmp(&a))
-                                });
-                            if let Some(u) = best {
-                                whole.set(v_old, u);
-                                used.insert(u);
-                            }
-                            continue;
-                        }
-                        let comp_set: BTreeSet<NodeId> = comp_nodes.iter().copied().collect();
-                        let (sub, sub_old) = reduced.induced_subgraph(&comp_set);
-                        // sub ids -> original g1 ids.
-                        let orig: Vec<NodeId> =
-                            sub_old.iter().map(|&nv| old_of_new[nv.index()]).collect();
-                        let sub_mat = SimMatrix::from_fn(sub.node_count(), data.n2, |nv, u| {
-                            if used.contains(&u) {
-                                0.0
-                            } else {
-                                data.mat.score(orig[nv.index()], u)
-                            }
-                        });
-                        let sub_w =
-                            NodeWeights::from_vec(orig.iter().map(|&v| weights.get(v)).collect());
-                        let part = run_algorithm(&sub, &sub_mat, &sub_w, component_xi);
-                        used.extend(part.pairs().map(|(_, u)| u));
-                        whole.absorb_renumbered(&part, &orig);
-                    }
+                return Some(best.map(|u| (v, u)).into_iter().collect());
+            }
+            let (sub, orig) = g1.induced_subgraph(&comp.iter().copied().collect());
+            let mut sub_mat = SimMatrix::from_fn(sub.node_count(), data.n2, |nv, u| {
+                data.mat.score(orig[nv.index()], u)
+            });
+            for &u in claimed {
+                for nv in sub.nodes() {
+                    sub_mat.set(nv, u, 0.0);
                 }
             }
-        } else {
-            // p-hom modes: components are fully independent, so they can
-            // be solved in any order — including concurrently. `solve`
-            // is a pure function of one component; the merge below is
-            // order-insensitive because components are disjoint node
-            // sets. A worker count of 1 runs the identical code inline.
-            enum Solved {
-                /// Deadline expired before this component was claimed.
-                Skipped,
-                /// Singleton shortcut: its best candidate (if any).
-                Singleton(Option<(NodeId, NodeId)>),
-                /// A matched multi-node component (part, sub-id -> g1 id).
-                Matched(PHomMapping, Vec<NodeId>),
-            }
-            let data = &data;
-            let run_algorithm = &run_algorithm;
-            let old_of_new = &old_of_new;
-            let reduced = &reduced;
-            let budget_polls = &budget_polls;
-            let solve = move |comp_nodes: &Vec<NodeId>| -> Solved {
-                // Deadline: checked per component, so an expired query
-                // stops claiming work at the next component boundary.
-                budget_polls.fetch_add(1, Ordering::Relaxed);
-                if budget.expired() {
-                    return Solved::Skipped;
-                }
-                if comp_nodes.len() == 1 {
-                    let v_old = old_of_new[comp_nodes[0].index()];
-                    let best = data
-                        .mat
-                        .candidates(v_old, cfg.xi)
-                        .filter(|&u| !g1.has_self_loop(v_old) || data.closure.get().reaches(u, u))
-                        .max_by(|&a, &b| {
-                            data.mat
-                                .score(v_old, a)
-                                .total_cmp(&data.mat.score(v_old, b))
-                                .then(b.cmp(&a))
-                        });
-                    return Solved::Singleton(best.map(|u| (v_old, u)));
-                }
-                let comp_set: BTreeSet<NodeId> = comp_nodes.iter().copied().collect();
-                let (sub, sub_old) = reduced.induced_subgraph(&comp_set);
-                // sub ids -> original g1 ids.
-                let orig: Vec<NodeId> = sub_old.iter().map(|&nv| old_of_new[nv.index()]).collect();
-                let sub_mat = SimMatrix::from_fn(sub.node_count(), data.n2, |nv, u| {
-                    data.mat.score(orig[nv.index()], u)
-                });
-                let sub_w = NodeWeights::from_vec(orig.iter().map(|&v| weights.get(v)).collect());
-                let part = run_algorithm(&sub, &sub_mat, &sub_w, cfg.xi);
-                Solved::Matched(part, orig)
-            };
+            let sub_w = NodeWeights::from_vec(orig.iter().map(|&v| weights.get(v)).collect());
+            let part = run_algorithm(&sub, &sub_mat, &sub_w, xi_of(comp));
+            Some(part.pairs().map(|(nv, u)| (orig[nv.index()], u)).collect())
+        };
+        // Whether masking `claimed` changes what `solve` sees of `comp`:
+        // a claimed image scores above 0 in one of its rows, or is a
+        // candidate at the component's threshold (at ξ = 0 a zero-score
+        // node is a singleton's candidate).
+        let conflicts = |comp: &[NodeId], claimed: &HashSet<NodeId>| {
+            claimed.iter().any(|&u| {
+                comp.iter().any(|&v| {
+                    let s = data.mat.score(v, u);
+                    s > 0.0 || s >= xi_of(comp)
+                })
+            })
+        };
 
-            let workers = intra_worker_count(cfg.intra_workers, comps.len());
-            let solved: Vec<Solved> = if workers > 1 {
-                // Work-stealing claim loop (shared atomic index), mirroring
-                // the engine's inter-query batch executor one level down.
-                let next = AtomicUsize::new(0);
-                let slots: Mutex<Vec<Option<Solved>>> =
-                    Mutex::new((0..comps.len()).map(|_| None).collect());
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::SeqCst);
-                            if i >= comps.len() {
-                                break;
-                            }
-                            let r = solve(&comps[i]);
-                            let mut slots = slots.lock().unwrap_or_else(|e| e.into_inner());
-                            slots[i] = Some(r);
-                        });
-                    }
-                });
-                let solved: Vec<Solved> = slots
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .into_iter()
-                    // phom-lint: allow(unwrap, "the scope joins all workers and the claim loop covers every index, so each slot was filled")
-                    .map(|r| r.expect("every component index was claimed"))
-                    .collect();
-                stats.parallel_components = solved
-                    .iter()
-                    .filter(|r| !matches!(r, Solved::Skipped))
-                    .count();
-                solved
-            } else {
-                comps.iter().map(solve).collect()
+        // With more than one worker, every component is first solved
+        // unmasked on the pool. The merge runs in component order and
+        // keeps a component's unmasked answer unless it conflicts with
+        // the images claimed so far (only 1-1 modes claim any), in which
+        // case it solves the component again under the mask: the result
+        // is the sequential one for every worker count.
+        let workers = intra_worker_count(cfg.intra_workers, comps.len());
+        let speculative = if workers > 1 {
+            let unmasked = HashSet::new();
+            let solved = claim_each(comps.len(), workers, |i| solve(&comps[i], &unmasked));
+            stats.parallel_components = solved.iter().filter(|s| s.is_some()).count();
+            solved
+        } else {
+            Vec::new()
+        };
+        let mut speculative = speculative.into_iter();
+        let mut whole = PHomMapping::empty(g1.node_count());
+        let mut claimed = HashSet::new();
+        for comp in &comps {
+            let kept = speculative
+                .next()
+                .flatten()
+                .filter(|_| !conflicts(comp, &claimed));
+            let Some(pairs) = kept.or_else(|| solve(comp, &claimed)) else {
+                continue;
             };
-            for r in solved {
-                match r {
-                    Solved::Skipped => {}
-                    Solved::Singleton(best) => {
-                        stats.singleton_shortcuts += 1;
-                        if let Some((v_old, u)) = best {
-                            whole.set(v_old, u);
-                        }
-                    }
-                    Solved::Matched(part, orig) => whole.absorb_renumbered(&part, &orig),
+            stats.singleton_shortcuts += usize::from(comp.len() == 1);
+            for (v, u) in pairs {
+                whole.set(v, u);
+                if injective {
+                    claimed.insert(u);
                 }
             }
         }
@@ -823,6 +607,35 @@ fn intra_worker_count(requested: usize, components: usize) -> usize {
         requested
     };
     hw.min(components).max(1)
+}
+
+/// Runs `solve(i)` for every `i < n` on `workers` scoped threads that
+/// claim indices from one shared counter (work stealing), and returns the
+/// results in index order.
+fn claim_each<T: Send>(n: usize, workers: usize, solve: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                // The counter only hands out indices; results reach the
+                // caller through the mutex and the scope's join.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = solve(i);
+                slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner())
+        .into_iter()
+        // phom-lint: allow(unwrap, "the scope joins all workers and the claim loop covers every index, so each slot was filled")
+        .map(|r| r.expect("every index was claimed"))
+        .collect()
 }
 
 /// Greedily adds compatible `(v, u)` pairs to `mapping` in descending
@@ -1486,6 +1299,36 @@ mod tests {
                             prop_assert_eq!(seq.qual_sim, par.qual_sim);
                             prop_assert!(!par.stats.timed_out, "no deadline set");
                         }
+                    }
+                }
+            }
+
+            /// At ξ = 0 a 1-1 singleton's candidates include zero-score
+            /// nodes, so the merge must count a claimed zero-score image
+            /// as a conflict; restarts run through the same re-solve.
+            #[test]
+            fn prop_injective_merge_sound_at_zero_xi((g1, g2) in arb_pair()) {
+                let mat = SimMatrix::label_equality(&g1, &g2);
+                let w = NodeWeights::uniform(g1.node_count());
+                for algorithm in [Algorithm::MaxCard1to1, Algorithm::MaxSim1to1] {
+                    for restarts in [1, 3] {
+                        let base = MatcherConfig {
+                            algorithm,
+                            xi: 0.0,
+                            restarts,
+                            ..Default::default()
+                        };
+                        let seq = match_graphs(&g1, &g2, &mat, &w, &base);
+                        let par = match_graphs(&g1, &g2, &mat, &w, &MatcherConfig {
+                            intra_workers: 4,
+                            ..base
+                        });
+                        prop_assert_eq!(
+                            seq.mapping.pairs().collect::<Vec<_>>(),
+                            par.mapping.pairs().collect::<Vec<_>>(),
+                            "algorithm={:?} restarts={}", algorithm, restarts
+                        );
+                        prop_assert!(par.mapping.is_injective());
                     }
                 }
             }

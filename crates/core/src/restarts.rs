@@ -12,9 +12,6 @@
 //! strategies. Restart 0 is the unperturbed paper configuration, so the
 //! best-of run **never does worse** than the deterministic algorithm,
 //! and every run retains the Theorem 5.1 guarantee.
-//!
-//! Restarts are independent, so they parallelize embarrassingly
-//! (crossbeam scoped threads, one chunk per worker).
 
 use crate::algo::{comp_max_card_with, comp_max_sim_with, AlgoConfig, Selection};
 use crate::budget::MatchBudget;
@@ -31,14 +28,10 @@ pub struct RestartConfig {
     pub restarts: usize,
     /// Base seed; restart `i` derives its own stream from `seed` and `i`.
     pub seed: u64,
-    /// Worker threads (1 = sequential). Results are merged
-    /// deterministically regardless of thread count.
-    pub threads: usize,
     /// Deadline budget. Restart 0 always runs (each kernel run checks the
     /// budget itself, so even it stays bounded); later restarts are
     /// skipped once the deadline passes, keeping the best-of guarantee
-    /// over the restarts that did run. A limited budget forces the
-    /// sequential path so which restarts ran is deterministic.
+    /// over the restarts that did run.
     pub budget: MatchBudget,
 }
 
@@ -47,7 +40,6 @@ impl Default for RestartConfig {
         Self {
             restarts: 8,
             seed: 0x5eed_2010,
-            threads: 1,
             budget: MatchBudget::unlimited(),
         }
     }
@@ -125,7 +117,7 @@ impl RestartTelemetry {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn best_of<L: Send + Sync>(
+fn best_of<L>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -165,46 +157,23 @@ fn best_of<L: Send + Sync>(
     };
 
     let mut telemetry = RestartTelemetry::default();
-    let candidates: Vec<(PHomMapping, u64)> =
-        if rcfg.threads <= 1 || rcfg.restarts == 1 || rcfg.budget.is_limited() {
-            let mut out = Vec::with_capacity(rcfg.restarts);
-            for i in 0..rcfg.restarts {
-                // Deadline: restart 0 always runs (the kernel's own budget
-                // checks bound it); later restarts stop at this boundary.
-                if i > 0 {
-                    telemetry.polls += 1;
-                    if rcfg.budget.expired() {
-                        break;
-                    }
-                }
-                out.push(run_one(i));
+    let mut candidates: Vec<(PHomMapping, u64)> = Vec::with_capacity(rcfg.restarts);
+    for i in 0..rcfg.restarts {
+        // Deadline: restart 0 always runs (the kernel's own budget checks
+        // bound it); later restarts stop at this boundary.
+        if i > 0 {
+            telemetry.polls += 1;
+            if rcfg.budget.expired() {
+                break;
             }
-            out
-        } else {
-            let mut out: Vec<Option<(PHomMapping, u64)>> = vec![None; rcfg.restarts];
-            let workers = rcfg.threads.min(rcfg.restarts);
-            std::thread::scope(|s| {
-                for (w, chunk) in out.chunks_mut(rcfg.restarts.div_ceil(workers)).enumerate() {
-                    let run_one = &run_one;
-                    let base = w * rcfg.restarts.div_ceil(workers);
-                    s.spawn(move || {
-                        for (off, slot) in chunk.iter_mut().enumerate() {
-                            *slot = Some(run_one(base + off));
-                        }
-                    });
-                }
-            });
-            out.into_iter()
-                // phom-lint: allow(unwrap, "the scope joined all workers and the chunks partition out, so every slot was filled")
-                .map(|m| m.expect("all restarts ran"))
-                .collect()
-        };
+        }
+        candidates.push(run_one(i));
+    }
 
     telemetry.taken = candidates.len();
     telemetry.micros = candidates.iter().map(|(_, m)| *m).collect();
 
-    // Deterministic argmax: earliest restart wins ties, so threads=1 and
-    // threads=N agree bit-for-bit.
+    // Deterministic argmax: earliest restart wins ties.
     let best = candidates
         .into_iter()
         .map(|(m, _)| m)
@@ -237,7 +206,7 @@ fn best_of<L: Send + Sync>(
 /// let single = comp_max_card(&g1, &g2, &mat, &cfg);
 /// assert!(best.qual_card() >= single.qual_card()); // guaranteed
 /// ```
-pub fn comp_max_card_restarts<L: Send + Sync>(
+pub fn comp_max_card_restarts<L>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -250,7 +219,7 @@ pub fn comp_max_card_restarts<L: Send + Sync>(
 }
 
 /// [`comp_max_card_restarts`] with a precomputed closure.
-pub fn comp_max_card_restarts_with<L: Send + Sync>(
+pub fn comp_max_card_restarts_with<L>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -263,7 +232,7 @@ pub fn comp_max_card_restarts_with<L: Send + Sync>(
 
 /// [`comp_max_card_restarts_with`], also reporting [`RestartTelemetry`]
 /// (restarts taken, budget polls, per-restart timings) for tracing.
-pub fn comp_max_card_restarts_telemetry<L: Send + Sync>(
+pub fn comp_max_card_restarts_telemetry<L>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -276,7 +245,7 @@ pub fn comp_max_card_restarts_telemetry<L: Send + Sync>(
 
 /// Best-of-restarts `compMaxSim` (SPH). Never returns a mapping with
 /// lower `qualSim` than [`comp_max_sim_with`] under the same `cfg`.
-pub fn comp_max_sim_restarts<L: Send + Sync>(
+pub fn comp_max_sim_restarts<L>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,
     mat: &SimMatrix,
@@ -293,7 +262,7 @@ pub fn comp_max_sim_restarts<L: Send + Sync>(
 /// [`TransitiveClosure::bounded`] closure to combine restarts with a
 /// stretch bound).
 #[allow(clippy::too_many_arguments)]
-pub fn comp_max_sim_restarts_with<L: Send + Sync>(
+pub fn comp_max_sim_restarts_with<L>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -308,7 +277,7 @@ pub fn comp_max_sim_restarts_with<L: Send + Sync>(
 /// [`comp_max_sim_restarts_with`], also reporting [`RestartTelemetry`]
 /// (restarts taken, budget polls, per-restart timings) for tracing.
 #[allow(clippy::too_many_arguments)]
-pub fn comp_max_sim_restarts_telemetry<L: Send + Sync>(
+pub fn comp_max_sim_restarts_telemetry<L>(
     g1: &DiGraph<L>,
     closure: &dyn ReachabilityIndex,
     mat: &SimMatrix,
@@ -383,37 +352,6 @@ mod tests {
             let multi = comp_max_card_restarts(&g1, &g2, &mat, &cfg, false, &rcfg);
             assert!(multi.qual_card() >= single, "restarts={restarts}");
         }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let (g1, g2, mat) = setup();
-        let cfg = AlgoConfig::default();
-        let seq = comp_max_card_restarts(
-            &g1,
-            &g2,
-            &mat,
-            &cfg,
-            false,
-            &RestartConfig {
-                restarts: 7,
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let par = comp_max_card_restarts(
-            &g1,
-            &g2,
-            &mat,
-            &cfg,
-            false,
-            &RestartConfig {
-                restarts: 7,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seq, par, "thread count must not change the result");
     }
 
     #[test]

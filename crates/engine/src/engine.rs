@@ -5,7 +5,7 @@
 //! version it gets back (the service registry, a cluster worker, a
 //! test).
 
-use crate::planner::{plan_query_with, Plan, PlanKind, PlannerConfig, Query};
+use crate::planner::{plan_query, Plan, PlanKind, PlannerConfig, Query};
 use crate::prepared::{PrepareOptions, PreparedGraph, UpdateOutcome, UpdateStats};
 use phom_core::{
     exact_optimum_budgeted, match_graphs_prepared, MatchBudget, MatchOutcome, MatchStats,
@@ -557,7 +557,7 @@ impl<L: Clone + Send + Sync> Engine<L> {
     ) -> QueryResult {
         let mut tr = trace.then(|| Box::new(QueryTrace::new()));
         let plan_open = tr.as_ref().map(|t| t.begin());
-        let plan = plan_query_with(query, &self.config.planner);
+        let plan = plan_query(query);
         if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
             t.end(SpanKind::Plan, open);
         }

@@ -71,7 +71,7 @@ pub use engine::{
     QueryResult,
 };
 pub use planner::{
-    plan_query_with, ClosureBackend, CompressionPolicy, Plan, PlanKind, PlannerConfig,
+    plan_query, ClosureBackend, CompressionPolicy, Plan, PlanKind, PlannerConfig,
     PlannerConfigBuilder, Query, QueryConfig, QueryConfigBuilder, ResolvedBackend,
     DEFAULT_CHAIN_NODE_THRESHOLD, DENSE_REACH_DENSITY_CUTOFF,
 };

@@ -162,28 +162,23 @@ impl CompressionPolicy {
     }
 }
 
-/// Planner tuning. Previously the routing cutoffs were hard-coded
-/// (`phom_core::bounds::prefer_exact`'s magic 64 and a private restart
-/// constant); exposing them here lets a deployment tune the exact/approx
-/// trade-off per engine instance without rebuilding.
+/// Candidate-pair count at or below which unbounded approximate plans
+/// default to multiple randomized restarts (restarts are cheap when the
+/// product graph is small).
+const RESTART_FRIENDLY_PAIRS: usize = 2_048;
+
+/// Restarts granted to restart-friendly plans when the query does not pin
+/// a count itself.
+const DEFAULT_RESTARTS: usize = 4;
+
+/// Engine settings: how prepared graphs are built (reachability backend,
+/// compression) and the per-query execution defaults (deadline,
+/// intra-query workers). Routing takes no settings: [`plan_query`] sends
+/// queries with at most 64 candidate pairs to exact branch-and-bound
+/// (`phom_core::prefer_exact`) and grants restarts to small ones by fixed
+/// cutoffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
-    /// Candidate-pair count at or below which the planner routes to exact
-    /// branch-and-bound. Appendix B observes `log²n/n` peaks at `n = e²`,
-    /// so *approximating* tiny instances forfeits quality for no speedup;
-    /// the default (64) matches `phom_core::bounds::prefer_exact` and is
-    /// deliberately larger than `e²` because the branch-and-bound oracle
-    /// stays affordable into the hundreds of product nodes. Lower it if
-    /// exact solving ever dominates tail latency; raise it for
-    /// quality-critical workloads with slack.
-    pub exact_pair_cutoff: usize,
-    /// Candidate-pair count at or below which unbounded approximate plans
-    /// default to multiple randomized restarts (restarts are cheap when
-    /// the product graph is small).
-    pub restart_friendly_pairs: usize,
-    /// Restarts granted to restart-friendly plans when the query does not
-    /// pin a count itself.
-    pub default_restarts: usize,
     /// Reachability-backend policy for prepared graphs.
     pub closure_backend: ClosureBackend,
     /// Node count at which [`ClosureBackend::Auto`] switches to the chain
@@ -197,13 +192,16 @@ pub struct PlannerConfig {
     /// are not interruptible (the planner only routes tiny instances
     /// there). `None` (the default) never times out.
     pub timeout: Option<Duration>,
-    /// Worker threads for *intra*-query per-component parallelism
-    /// (Proposition 1 makes p-hom components independent), applied when
-    /// the query does not set [`QueryConfig::intra_workers`]. `1` (the
-    /// default) keeps the sequential path; `0` uses the available
-    /// parallelism. Injective plans run their components speculatively
-    /// in parallel and merge in deterministic component order
-    /// (result-identical to the sequential masking run).
+    /// Worker threads for *intra*-query per-component matching, applied
+    /// when the query does not set [`QueryConfig::intra_workers`] (see
+    /// `phom_core::MatcherConfig::intra_workers`). `1` (the default)
+    /// solves the pattern's components one by one in component order;
+    /// `0` uses the available parallelism. With more workers every
+    /// component is first solved unmasked in parallel, and a merge in
+    /// component order keeps each answer unless the plan is 1-1 and an
+    /// image an earlier component claimed scores in the component's rows,
+    /// checked at merge time; such a component is solved again under the
+    /// mask. Answers are identical for every worker count.
     pub intra_query_workers: usize,
     /// Whether prepared graphs keep the Appendix-B compressed graph.
     pub compression: CompressionPolicy,
@@ -212,9 +210,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            exact_pair_cutoff: 64,
-            restart_friendly_pairs: 2_048,
-            default_restarts: 4,
             closure_backend: ClosureBackend::Auto,
             chain_node_threshold: DEFAULT_CHAIN_NODE_THRESHOLD,
             timeout: None,
@@ -241,24 +236,6 @@ pub struct PlannerConfigBuilder {
 }
 
 impl PlannerConfigBuilder {
-    /// Sets [`PlannerConfig::exact_pair_cutoff`].
-    pub fn exact_pair_cutoff(mut self, pairs: usize) -> Self {
-        self.config.exact_pair_cutoff = pairs;
-        self
-    }
-
-    /// Sets [`PlannerConfig::restart_friendly_pairs`].
-    pub fn restart_friendly_pairs(mut self, pairs: usize) -> Self {
-        self.config.restart_friendly_pairs = pairs;
-        self
-    }
-
-    /// Sets [`PlannerConfig::default_restarts`].
-    pub fn default_restarts(mut self, restarts: usize) -> Self {
-        self.config.default_restarts = restarts;
-        self
-    }
-
     /// Sets [`PlannerConfig::closure_backend`].
     pub fn closure_backend(mut self, backend: ClosureBackend) -> Self {
         self.config.closure_backend = backend;
@@ -498,20 +475,19 @@ pub struct Plan {
     pub reason: &'static str,
 }
 
-fn pick_restarts(requested: Option<usize>, candidate_pairs: usize, cfg: &PlannerConfig) -> usize {
-    requested.unwrap_or(if candidate_pairs <= cfg.restart_friendly_pairs {
-        cfg.default_restarts
+fn pick_restarts(requested: Option<usize>, candidate_pairs: usize) -> usize {
+    requested.unwrap_or(if candidate_pairs <= RESTART_FRIENDLY_PAIRS {
+        DEFAULT_RESTARTS
     } else {
         1
     })
 }
 
-/// Routes a query under explicit [`PlannerConfig`] cutoffs. Deterministic
-/// in the query and config alone (the prepared data graph's artifacts do
-/// not change the choice, only its cost).
-pub fn plan_query_with<L>(query: &Query<L>, cfg: &PlannerConfig) -> Plan {
+/// Routes a query. Deterministic in the query alone (the prepared data
+/// graph's artifacts do not change the choice, only its cost).
+pub fn plan_query<L>(query: &Query<L>) -> Plan {
     let candidate_pairs = query.matrix.candidate_pair_count(query.config.xi);
-    let restarts = pick_restarts(query.config.restarts, candidate_pairs, cfg);
+    let restarts = pick_restarts(query.config.restarts, candidate_pairs);
     if let Some(kind) = query.config.force_plan {
         return Plan {
             kind,
@@ -533,7 +509,7 @@ pub fn plan_query_with<L>(query: &Query<L>, cfg: &PlannerConfig) -> Plan {
             reason: "edgeless pattern: no path constraints to satisfy",
         };
     }
-    if candidate_pairs <= cfg.exact_pair_cutoff {
+    if phom_core::prefer_exact(candidate_pairs) {
         return Plan {
             kind: PlanKind::Exact,
             restarts: 1,
@@ -566,19 +542,13 @@ mod tests {
     fn stretch_routes_to_bounded() {
         let mut q = query_for(3, &[("n0", "n1")]);
         q.config.max_stretch = Some(2);
-        assert_eq!(
-            plan_query_with(&q, &PlannerConfig::default()).kind,
-            PlanKind::Bounded
-        );
+        assert_eq!(plan_query(&q).kind, PlanKind::Bounded);
     }
 
     #[test]
     fn edgeless_routes_to_baseline() {
         let q = query_for(3, &[]);
-        assert_eq!(
-            plan_query_with(&q, &PlannerConfig::default()).kind,
-            PlanKind::Baseline
-        );
+        assert_eq!(plan_query(&q).kind, PlanKind::Baseline);
     }
 
     #[test]
@@ -592,7 +562,7 @@ mod tests {
                 0.0
             }
         });
-        let plan = plan_query_with(&q, &PlannerConfig::default());
+        let plan = plan_query(&q);
         assert_eq!(plan.kind, PlanKind::Exact);
         assert_eq!(plan.restarts, 1);
     }
@@ -600,7 +570,7 @@ mod tests {
     #[test]
     fn large_instance_routes_to_approx() {
         let q = query_for(10, &[("n0", "n1"), ("n1", "n2")]);
-        let plan = plan_query_with(&q, &PlannerConfig::default());
+        let plan = plan_query(&q);
         assert_eq!(plan.kind, PlanKind::Approx);
         assert_eq!(plan.restarts, 4, "400 candidate pairs: restart-friendly");
     }
@@ -609,7 +579,7 @@ mod tests {
     fn requested_restarts_win() {
         let mut q = query_for(10, &[("n0", "n1")]);
         q.config.restarts = Some(9);
-        assert_eq!(plan_query_with(&q, &PlannerConfig::default()).restarts, 9);
+        assert_eq!(plan_query(&q).restarts, 9);
     }
 
     #[test]
@@ -617,10 +587,7 @@ mod tests {
         let mut q = query_for(10, &[("n0", "n1")]);
         q.config.force_plan = Some(PlanKind::Approx);
         q.config.max_stretch = Some(1); // would otherwise route Bounded
-        assert_eq!(
-            plan_query_with(&q, &PlannerConfig::default()).kind,
-            PlanKind::Approx
-        );
+        assert_eq!(plan_query(&q).kind, PlanKind::Approx);
     }
 
     #[test]
@@ -653,33 +620,5 @@ mod tests {
             Some(ClosureBackend::TwoHop)
         );
         assert_eq!(ClosureBackend::TwoHop.name(), "twohop");
-    }
-
-    #[test]
-    fn planner_config_cutoffs_are_tunable() {
-        // 10 * 40 = 400 candidate pairs: Approx under the default cutoff.
-        let q = query_for(10, &[("n0", "n1")]);
-        assert_eq!(
-            plan_query_with(&q, &PlannerConfig::default()).kind,
-            PlanKind::Approx
-        );
-        // Raising the exact cutoff above 400 routes the same query Exact.
-        let generous = PlannerConfig {
-            exact_pair_cutoff: 500,
-            ..Default::default()
-        };
-        assert_eq!(plan_query_with(&q, &generous).kind, PlanKind::Exact);
-        // Shrinking the restart-friendly window drops restarts to 1.
-        let stingy = PlannerConfig {
-            restart_friendly_pairs: 100,
-            ..Default::default()
-        };
-        assert_eq!(plan_query_with(&q, &stingy).restarts, 1);
-        // And the default-restart count itself is a knob.
-        let eager = PlannerConfig {
-            default_restarts: 9,
-            ..Default::default()
-        };
-        assert_eq!(plan_query_with(&q, &eager).restarts, 9);
     }
 }

@@ -43,8 +43,7 @@ use crate::label::ServiceLabel;
 use phom_core::PHomMapping;
 use phom_dynamic::GraphUpdate;
 use phom_engine::{
-    plan_query_with, CompressionPolicy, PlannerConfig, PrepareStats, Query, QueryResult,
-    UpdateStats,
+    plan_query, CompressionPolicy, PlannerConfig, PrepareStats, Query, QueryResult, UpdateStats,
 };
 use phom_graph::{
     component_groups, tarjan_scc, weakly_connected_components, DiGraph, NodeId, Violation,
@@ -354,7 +353,7 @@ impl<L: ServiceLabel> ShardMap<L> {
         let started = Instant::now();
         let mut tr = trace.then(|| Box::new(QueryTrace::new()));
         let plan_open = tr.as_ref().map(|t| t.begin());
-        let plan = plan_query_with(query, planner);
+        let plan = plan_query(query);
         if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
             t.end(SpanKind::Plan, open);
         }

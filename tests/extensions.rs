@@ -94,7 +94,6 @@ fn restarts_dominate_single_run_on_synthetic_workload() {
         false,
         &RestartConfig {
             restarts: 6,
-            threads: 2,
             ..Default::default()
         },
     )

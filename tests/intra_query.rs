@@ -10,14 +10,17 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A pattern made of `comps` disjoint windows of the synthetic template,
-/// concatenated into one graph: guaranteed ≥ `comps` weakly connected
-/// components (windows share no nodes, so no edges can cross them).
-fn multi_component_pattern(template: &DiGraph<Label>, comps: usize, span: usize) -> DiGraph<Label> {
-    let m = template.node_count();
+/// A pattern made of one copy of the template's `span`-node window at
+/// each of `starts`, concatenated into one graph: each copy is one or
+/// more weakly connected components (copies share no nodes, so no edges
+/// can cross them).
+fn windows_pattern(
+    template: &DiGraph<Label>,
+    starts: impl IntoIterator<Item = usize>,
+    span: usize,
+) -> DiGraph<Label> {
     let mut pattern: DiGraph<Label> = DiGraph::new();
-    for ci in 0..comps {
-        let lo = (ci * (m / comps)).min(m - span);
+    for lo in starts {
         let keep: BTreeSet<NodeId> = (lo..lo + span).map(|x| NodeId(x as u32)).collect();
         let (sub, _) = template.induced_subgraph(&keep);
         let base = pattern.node_count();
@@ -39,7 +42,13 @@ struct Fixture {
     queries: Vec<Query<Label>>,
 }
 
-fn fixture(queries: usize) -> Fixture {
+/// `queries` copies of one query whose pattern holds a `span`-node
+/// window of the synthetic template at each of `starts`.
+fn fixture_of_windows(
+    starts: impl IntoIterator<Item = usize>,
+    span: usize,
+    queries: usize,
+) -> Fixture {
     let inst = phom::workloads::generate_instance(
         &SyntheticConfig {
             m: 80,
@@ -49,7 +58,7 @@ fn fixture(queries: usize) -> Fixture {
         1,
     );
     let data = Arc::new(inst.g2.clone());
-    let pattern = Arc::new(multi_component_pattern(&inst.g1, 4, 12));
+    let pattern = Arc::new(windows_pattern(&inst.g1, starts, span));
     let queries = (0..queries)
         .map(|_| {
             let mat = SimMatrix::from_fn(pattern.node_count(), data.node_count(), |v, u| {
@@ -66,6 +75,11 @@ fn fixture(queries: usize) -> Fixture {
         })
         .collect();
     Fixture { data, queries }
+}
+
+/// Four disjoint 12-node windows spread over the 80-node template.
+fn fixture(queries: usize) -> Fixture {
+    fixture_of_windows((0..4).map(|i| i * 20), 12, queries)
 }
 
 fn engine_with(intra: usize, timeout: Option<Duration>) -> Engine<Label> {
@@ -161,4 +175,39 @@ fn generous_deadline_changes_nothing() {
         );
         assert!(!x.outcome.stats.timed_out);
     }
+}
+
+#[test]
+fn competing_injective_components_match_sequential() {
+    // Two copies each of two windows: copies carry the same labels, so
+    // in the 1-1 modes a copy wants the images its twin claimed, and the
+    // parallel path must re-solve it under the mask. The window at 15 is
+    // one 8-node component; the one at 30 splits into six, mostly
+    // singletons, so both kinds of component compete.
+    let fx = fixture_of_windows([15, 30, 15, 30], 8, 1);
+    let seq = engine_with(1, None);
+    let par = engine_with(4, None);
+    let (seq_prepared, par_prepared) = (seq.prepare(&fx.data), par.prepare(&fx.data));
+    for algorithm in [Algorithm::MaxCard1to1, Algorithm::MaxSim1to1] {
+        let mut query = fx.queries[0].clone();
+        query.config.algorithm = algorithm;
+        let a = seq.execute(&seq_prepared, &query).outcome;
+        let b = par.execute(&par_prepared, &query).outcome;
+        assert_eq!(b.stats.components, 14, "{algorithm:?}: copies stay split");
+        assert!(
+            a.mapping.pairs().count() > 16,
+            "{algorithm:?}: the twins find images of their own"
+        );
+        assert_eq!(
+            a.mapping.pairs().collect::<Vec<_>>(),
+            b.mapping.pairs().collect::<Vec<_>>(),
+            "{algorithm:?}: the merge must reproduce the sequential masking run"
+        );
+        assert!(a.mapping.is_injective(), "{algorithm:?}: sequential");
+        assert!(b.mapping.is_injective(), "{algorithm:?}: parallel");
+        assert_eq!(a.qual_card, b.qual_card);
+        assert_eq!(a.qual_sim, b.qual_sim);
+    }
+    assert_eq!(seq.stats().intra_parallel_components, 0);
+    assert!(par.stats().intra_parallel_components > 0);
 }
