@@ -10,10 +10,14 @@
 //! ```
 //!
 //! All integers are big-endian; `usize` travels as `u64`, `u128` as two
-//! `u64` halves, `f64` as its IEEE-754 bit pattern. Decoding is
-//! **budget-checked**: every declared length and count is validated
-//! against the remaining payload (and the configurable
-//! [`FrameConfig::max_frame_bytes`] cap) before any allocation, so a
+//! `u64` halves, `f64` as its IEEE-754 bit pattern. A similarity matrix
+//! travels sparse: `n1` and `n2`, then per row its cell count and its
+//! non-zero cells as `(u32 column, f64 score)` in ascending column
+//! order. Decoding is **budget-checked**: every declared length and
+//! count is validated against the remaining payload (and the
+//! configurable [`FrameConfig::max_frame_bytes`] cap, which also bounds
+//! the dense matrices a frame's sparse ones fill, all of them together)
+//! before any allocation, so a
 //! truncated, corrupt, or hostile frame yields a typed [`CodecError`] —
 //! never a panic, never an unbounded allocation.
 
@@ -29,7 +33,7 @@ use phom_service::{
     GraphInfo, LatencyHistogram, PlanHistograms, QueryResponse, Request, Response, ServiceError,
     ServiceStats, UpdateSummary,
 };
-use phom_sim::{NodeWeights, SimMatrix};
+use phom_sim::{NodeWeights, SimMatrix, SparseSim};
 use phom_trace::{ObjectiveStatus, SloStatus, WINDOW_BUCKETS};
 use std::fmt;
 use std::sync::Arc;
@@ -39,7 +43,7 @@ use std::time::Duration;
 pub const WIRE_MAGIC: u32 = 0x7048_4331;
 
 /// Wire format version this build reads and writes.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Default frame cap: 64 MiB, far above any realistic envelope but low
 /// enough that a hostile length prefix cannot balloon memory.
@@ -71,9 +75,12 @@ pub enum CodecError {
         /// Bytes actually remaining.
         remaining: usize,
     },
-    /// A frame declared (or would produce) a payload over the cap.
+    /// A frame declared (or would produce) a payload over the cap, or
+    /// declared matrices whose dense `n1 × n2 × 8` bytes together
+    /// exceed it.
     FrameTooLarge {
-        /// Declared / produced payload length.
+        /// Declared / produced payload length, or the dense size of the
+        /// frame's matrices up to the one that crossed the cap.
         declared: usize,
         /// The configured [`FrameConfig::max_frame_bytes`].
         cap: usize,
@@ -213,6 +220,12 @@ fn put_opt_duration(buf: &mut BytesMut, v: Option<Duration>) {
 /// A cursor over one payload that refuses to read past the end.
 struct Dec {
     buf: Bytes,
+    /// The frame cap the payload was decoded under.
+    cap: usize,
+    /// Dense bytes (`n1 × n2 × 8`) of the matrices decoded so far. All
+    /// the matrices of one frame together stay under `cap`, as when the
+    /// payload had to hold every cell.
+    dense_bytes: usize,
 }
 
 impl Dec {
@@ -423,6 +436,8 @@ pub fn decode(payload: &[u8], cfg: &FrameConfig) -> Result<WireMessage, CodecErr
     }
     let mut d = Dec {
         buf: Bytes::from(payload.to_vec()),
+        cap: cfg.max_frame_bytes,
+        dense_bytes: 0,
     };
     let magic = d.u32()?;
     if magic != WIRE_MAGIC {
@@ -614,35 +629,67 @@ fn decode_query_config(d: &mut Dec) -> Result<QueryConfig, CodecError> {
 }
 
 fn encode_matrix(buf: &mut BytesMut, m: &SimMatrix) {
+    let cells = SparseSim::from_dense(m);
     buf.put_u32(m.n1() as u32);
     buf.put_u32(m.n2() as u32);
     for v in 0..m.n1() {
-        for u in 0..m.n2() {
-            put_f64(buf, m.score(NodeId(v as u32), NodeId(u as u32)));
+        let row = cells.row(NodeId(v as u32));
+        buf.put_u32(row.len() as u32);
+        for &(u, s) in row {
+            buf.put_u32(u.0);
+            put_f64(buf, s);
         }
     }
 }
 
+/// Bytes one sparse matrix cell takes on the wire.
+const MATRIX_CELL_BYTES: usize = 4 + 8;
+
 fn decode_matrix(d: &mut Dec) -> Result<SimMatrix, CodecError> {
     let n1 = d.u32()? as usize;
     let n2 = d.u32()? as usize;
-    let cells = n1
+    // The payload holds only the non-zero cells, so it no longer bounds
+    // the dense matrices they fill; the frame cap does, for all the
+    // matrices of the frame together (a query batch holds many).
+    let dense = n1
         .checked_mul(n2)
         .and_then(|c| c.checked_mul(8))
         .ok_or_else(|| CodecError::Corrupt("matrix dimensions overflow".into()))?;
-    d.need(cells)?;
+    let total = d.dense_bytes.saturating_add(dense);
+    if total > d.cap {
+        return Err(CodecError::FrameTooLarge {
+            declared: total,
+            cap: d.cap,
+        });
+    }
+    d.dense_bytes = total;
     let mut m = SimMatrix::new(n1, n2);
     for v in 0..n1 {
-        for u in 0..n2 {
+        let v = NodeId(v as u32);
+        let count = d.u32()? as usize;
+        let bytes = count
+            .checked_mul(MATRIX_CELL_BYTES)
+            .ok_or_else(|| CodecError::Corrupt("matrix cell count overflows".into()))?;
+        d.need(bytes)?;
+        let mut next = 0usize;
+        for _ in 0..count {
+            let u = d.u32()? as usize;
             let s = d.f64_()?;
-            // `SimMatrix::set` panics outside `[0, 1]`; a corrupt frame
-            // must become an error instead.
-            if !(0.0..=1.0).contains(&s) {
+            if u < next || u >= n2 {
                 return Err(CodecError::Corrupt(format!(
-                    "matrix score {s} outside [0,1]"
+                    "matrix column {u} out of order or range (next free {next}, {n2} columns)"
                 )));
             }
-            m.set(NodeId(v as u32), NodeId(u as u32), s);
+            // The encoder sends only non-zero cells, and
+            // `SimMatrix::set` panics outside `[0, 1]`; a corrupt frame
+            // must become an error instead.
+            if !(0.0..=1.0).contains(&s) || s.to_bits() == 0 {
+                return Err(CodecError::Corrupt(format!(
+                    "matrix score {s} outside [0,1] or a stored +0.0"
+                )));
+            }
+            m.set(v, NodeId(u as u32), s);
+            next = u + 1;
         }
     }
     Ok(m)

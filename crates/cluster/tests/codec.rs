@@ -385,6 +385,126 @@ fn declared_lengths_past_the_budget_are_typed_errors() {
     }
 }
 
+/// A query payload over `pattern_graph()` with `matrix`, split around
+/// the matrix: the bytes before it, and the bytes after it.
+fn split_at_matrix(matrix: SimMatrix) -> (Vec<u8>, Vec<u8>) {
+    let query = Query::new(pattern_graph(), matrix);
+    let full = payload(&WireMessage::Request(Request::Query {
+        graph: "g".into(),
+        query: query.clone(),
+        trace: false,
+    }));
+    // Payload layout: magic(4) version(1) kind(1) req-tag(1) name(4+1)
+    // pattern-snapshot(4+len) matrix…
+    let snap_len = u32::from_be_bytes([full[12], full[13], full[14], full[15]]) as usize;
+    let at = 16 + snap_len;
+    let dims: Vec<u8> = [query.matrix.n1(), query.matrix.n2()]
+        .iter()
+        .flat_map(|&d| (d as u32).to_be_bytes())
+        .collect();
+    assert_eq!(&full[at..at + 8], &dims[..], "matrix starts here");
+    let rest = at + 8 + 4 * query.matrix.n1();
+    (full[..at].to_vec(), full[rest..].to_vec())
+}
+
+/// A frame that declares a 65,536 × 65,536 matrix and holds none of its
+/// cells is 256 KiB on the wire but 32 GiB dense: the decoder refuses it
+/// before allocating.
+#[test]
+fn a_huge_matrix_with_no_cells_is_a_typed_error() {
+    // A matrix with no non-zero cell: n1, n2, then one zero count a row.
+    let (head, tail) = split_at_matrix(SimMatrix::new(2, 6));
+    let side = 65_536u32;
+    let mut frame = head;
+    frame.extend_from_slice(&side.to_be_bytes());
+    frame.extend_from_slice(&side.to_be_bytes());
+    frame.resize(frame.len() + 4 * side as usize, 0);
+    frame.extend_from_slice(&tail);
+    match codec::decode(&frame, &cfg()) {
+        Err(CodecError::FrameTooLarge { declared, cap }) => {
+            assert_eq!(declared, 8 << 32);
+            assert_eq!(cap, cfg().max_frame_bytes);
+        }
+        other => panic!("a huge empty matrix must fail typed, got {other:?}"),
+    }
+}
+
+/// The frame cap bounds the dense matrices of a whole frame, not each
+/// one: a query batch of matrices that each fit under the cap but
+/// together exceed it is refused, though its few bytes on the wire are
+/// far under the cap.
+#[test]
+fn a_batch_of_matrices_over_the_cap_together_is_a_typed_error() {
+    let cap = FrameConfig {
+        max_frame_bytes: 1 << 20,
+    };
+    // 2 × 40,000 cells: 640,000 dense bytes, 16 bytes on the wire.
+    let batch = |queries: usize| {
+        let query = Query::new(pattern_graph(), SimMatrix::new(2, 40_000));
+        payload(&WireMessage::Request(Request::QueryBatch {
+            graph: "g".into(),
+            queries: vec![query; queries],
+        }))
+    };
+    match codec::decode(&batch(1), &cap) {
+        Ok(WireMessage::Request(Request::QueryBatch { queries, .. })) => {
+            assert_eq!(queries.len(), 1);
+            assert_eq!(queries[0].matrix.n2(), 40_000);
+        }
+        other => panic!("one matrix under the cap decodes, got {other:?}"),
+    }
+    let two = batch(2);
+    assert!(two.len() < 4096, "the batch is small on the wire");
+    match codec::decode(&two, &cap) {
+        Err(CodecError::FrameTooLarge { declared, cap }) => {
+            assert_eq!(declared, 2 * 640_000);
+            assert_eq!(cap, 1 << 20);
+        }
+        other => panic!("two matrices over the cap together must fail typed, got {other:?}"),
+    }
+}
+
+/// Cells out of column order, past the last column, or scoring +0.0,
+/// NaN or above 1 are typed errors; a stored -0.0 round-trips.
+#[test]
+fn sparse_matrix_cells_are_checked() {
+    let (head, tail) = split_at_matrix(SimMatrix::new(2, 6));
+    let frame_with = |row0: &[(u32, f64)]| {
+        let mut frame = head.clone();
+        frame.extend_from_slice(&2u32.to_be_bytes());
+        frame.extend_from_slice(&6u32.to_be_bytes());
+        frame.extend_from_slice(&(row0.len() as u32).to_be_bytes());
+        for &(u, s) in row0 {
+            frame.extend_from_slice(&u.to_be_bytes());
+            frame.extend_from_slice(&s.to_bits().to_be_bytes());
+        }
+        frame.extend_from_slice(&0u32.to_be_bytes());
+        frame.extend_from_slice(&tail);
+        codec::decode(&frame, &cfg())
+    };
+    for bad in [
+        vec![(3, 0.5), (3, 0.5)],
+        vec![(4, 0.5), (2, 0.5)],
+        vec![(6, 0.5)],
+        vec![(1, 0.0)],
+        vec![(1, f64::NAN)],
+        vec![(1, 1.5)],
+    ] {
+        assert!(
+            matches!(frame_with(&bad), Err(CodecError::Corrupt(_))),
+            "{bad:?} must be rejected"
+        );
+    }
+    let Ok(WireMessage::Request(Request::Query { query, .. })) = frame_with(&[(0, -0.0), (5, 1.0)])
+    else {
+        panic!("well-formed cells decode");
+    };
+    let s = query.matrix.score(NodeId(0), NodeId(0));
+    assert!(s == 0.0 && s.is_sign_negative());
+    assert_eq!(query.matrix.score(NodeId(0), NodeId(5)), 1.0);
+    assert_eq!(query.matrix.score(NodeId(1), NodeId(5)), 0.0);
+}
+
 #[test]
 fn every_truncation_is_a_typed_error() {
     let service = live_service();

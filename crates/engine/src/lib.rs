@@ -71,8 +71,8 @@ pub use engine::{
     QueryResult,
 };
 pub use planner::{
-    plan_query, ClosureBackend, CompressionPolicy, Plan, PlanKind, PlannerConfig,
-    PlannerConfigBuilder, Query, QueryConfig, QueryConfigBuilder, ResolvedBackend,
+    plan_query, plan_query_with_count, ClosureBackend, CompressionPolicy, Plan, PlanKind,
+    PlannerConfig, PlannerConfigBuilder, Query, QueryConfig, QueryConfigBuilder, ResolvedBackend,
     DEFAULT_CHAIN_NODE_THRESHOLD, DENSE_REACH_DENSITY_CUTOFF,
 };
 pub use prepared::{

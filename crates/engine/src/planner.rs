@@ -475,26 +475,42 @@ pub struct Plan {
     pub reason: &'static str,
 }
 
-fn pick_restarts(requested: Option<usize>, candidate_pairs: usize) -> usize {
-    requested.unwrap_or(if candidate_pairs <= RESTART_FRIENDLY_PAIRS {
-        DEFAULT_RESTARTS
-    } else {
-        1
+/// The restarts a plan runs: the query's own count, else a default by
+/// candidate-pair count (read only then).
+fn pick_restarts(requested: Option<usize>, candidate_pairs: impl FnOnce() -> usize) -> usize {
+    requested.unwrap_or_else(|| {
+        if candidate_pairs() <= RESTART_FRIENDLY_PAIRS {
+            DEFAULT_RESTARTS
+        } else {
+            1
+        }
     })
 }
 
 /// Routes a query. Deterministic in the query alone (the prepared data
 /// graph's artifacts do not change the choice, only its cost).
+///
+/// The candidate-pair count scans the query's whole `n1 × n2` matrix. A
+/// query that forces both its plan and its restarts (every shard
+/// sub-query does) needs no count, so it scans nothing; a caller that
+/// already holds the count plans through [`plan_query_with_count`].
 pub fn plan_query<L>(query: &Query<L>) -> Plan {
-    let candidate_pairs = query.matrix.candidate_pair_count(query.config.xi);
-    let restarts = pick_restarts(query.config.restarts, candidate_pairs);
+    plan_query_with_count(query, || query.matrix.candidate_pair_count(query.config.xi))
+}
+
+/// [`plan_query`] with the query's candidate-pair count (pairs scoring at
+/// least `ξ`) taken from `candidate_pairs`, which is called at most once
+/// and not at all when the query forces both its plan and its restarts.
+pub fn plan_query_with_count<L>(query: &Query<L>, candidate_pairs: impl FnOnce() -> usize) -> Plan {
     if let Some(kind) = query.config.force_plan {
         return Plan {
             kind,
-            restarts,
+            restarts: pick_restarts(query.config.restarts, candidate_pairs),
             reason: "forced by query config",
         };
     }
+    let candidate_pairs = candidate_pairs();
+    let restarts = pick_restarts(query.config.restarts, || candidate_pairs);
     if query.config.max_stretch.is_some() {
         return Plan {
             kind: PlanKind::Bounded,
@@ -588,6 +604,23 @@ mod tests {
         q.config.force_plan = Some(PlanKind::Approx);
         q.config.max_stretch = Some(1); // would otherwise route Bounded
         assert_eq!(plan_query(&q).kind, PlanKind::Approx);
+    }
+
+    #[test]
+    fn forced_plan_and_restarts_skip_the_count() {
+        // 8 candidate pairs: unforced, this plans Exact with 1 restart.
+        let mut q = query_for(2, &[("n0", "n1")]);
+        q.matrix = SimMatrix::from_fn(2, 40, |_, u| if u.index() < 4 { 1.0 } else { 0.0 });
+        assert_eq!(plan_query(&q).kind, PlanKind::Exact);
+        q.config.force_plan = Some(PlanKind::Approx);
+        q.config.restarts = Some(3);
+        let plan = plan_query_with_count(&q, || panic!("a forced plan reads no count"));
+        assert_eq!((plan.kind, plan.restarts), (PlanKind::Approx, 3));
+        assert_eq!(plan_query(&q), plan);
+        // Forcing only the kind still reads the count for its restarts.
+        q.config.restarts = None;
+        assert_eq!(plan_query_with_count(&q, || 8).restarts, 4);
+        assert_eq!(plan_query_with_count(&q, || 5_000).restarts, 1);
     }
 
     #[test]

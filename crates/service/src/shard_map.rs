@@ -43,12 +43,13 @@ use crate::label::ServiceLabel;
 use phom_core::PHomMapping;
 use phom_dynamic::GraphUpdate;
 use phom_engine::{
-    plan_query, CompressionPolicy, PlannerConfig, PrepareStats, Query, QueryResult, UpdateStats,
+    plan_query_with_count, CompressionPolicy, PlannerConfig, PrepareStats, Query, QueryResult,
+    UpdateStats,
 };
 use phom_graph::{
     component_groups, tarjan_scc, weakly_connected_components, DiGraph, NodeId, Violation,
 };
-use phom_sim::{NodeWeights, SimMatrix};
+use phom_sim::{NodeWeights, SimMatrix, SparseSim};
 use phom_trace::{QueryTrace, SpanKind};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -335,13 +336,22 @@ impl<L: ServiceLabel> ShardMap<L> {
     /// pair, runs the forced plan on each through `run_shard`, and
     /// merges per pattern component.
     ///
+    /// The query's `n1 × n2` matrix is read once, into its non-zero
+    /// cells ([`SparseSim`]); planning counts the cells scoring at least
+    /// `ξ`, routing sorts them by shard through the locator (a shard
+    /// holding one of them that scores at least `ξ` is consulted), and
+    /// each consulted shard's matrix is its own cells scattered into a
+    /// zeroed `n1 × |shard|` matrix, bit-identical to the dense columns.
+    /// Slicing costs O(non-zero cells) in all, however many shards run.
+    ///
     /// `run_shard(shard, sub_query, traced)` gets the sub-query over the
     /// shard's local ids (its matrix sliced to the shard's columns, plan
     /// and restarts forced, partitioning on, the remaining deadline as
     /// its timeout) and whether to trace it. Shards run in ascending
     /// order under one deadline; the first error aborts the query. With
     /// `trace`, the response carries `plan` / `route` / per-shard /
-    /// `merge` spans; untraced calls construct no trace state.
+    /// `merge` spans (the pass over the matrix is in `plan`); untraced
+    /// calls construct no trace state.
     pub fn scatter_gather<E>(
         &self,
         query: &Query<L>,
@@ -353,7 +363,10 @@ impl<L: ServiceLabel> ShardMap<L> {
         let started = Instant::now();
         let mut tr = trace.then(|| Box::new(QueryTrace::new()));
         let plan_open = tr.as_ref().map(|t| t.begin());
-        let plan = plan_query(query);
+        let n1 = query.pattern.node_count();
+        let xi = query.config.xi;
+        let cells = SparseSim::from_dense(&query.matrix);
+        let plan = plan_query_with_count(query, || cells.candidate_pair_count(xi));
         if let (Some(t), Some(open)) = (tr.as_mut(), plan_open) {
             t.end(SpanKind::Plan, open);
         }
@@ -367,8 +380,6 @@ impl<L: ServiceLabel> ShardMap<L> {
             .or(planner.timeout)
             // phom-lint: allow(clock, "monotonic deadline for the per-request time budget; no wall-clock semantics")
             .map(|t| Instant::now() + t);
-        let n1 = query.pattern.node_count();
-        let xi = query.config.xi;
         // The plan (and its restart grant) was decided on the full
         // candidate set; shards execute it verbatim so the sharded run
         // answers exactly like the unsharded one. Pattern partitioning is
@@ -383,20 +394,25 @@ impl<L: ServiceLabel> ShardMap<L> {
         sub_config.restarts = Some(plan.restarts);
         sub_config.partition = true;
 
-        // Routing: which shards hold at least one candidate pair. The
-        // scan reads only the immutable query matrix, so hoisting it out
-        // of the match loop (as the `route` span) changes no answers.
+        // Routing: one pass over the cells sorts them by shard (in
+        // shard-local ids) and marks the shards that hold at least one
+        // candidate pair. At ξ ≤ 0 every pair is one, zero cells
+        // included, so every non-empty shard is (given a pattern node);
+        // above 0 only a stored cell can be.
         let route_open = tr.as_ref().map(|t| t.begin());
-        let relevant: Vec<bool> = self
-            .layout
-            .nodes
-            .iter()
-            .map(|nodes| {
-                nodes
-                    .iter()
-                    .any(|&g| (0..n1 as u32).any(|v| query.matrix.score(NodeId(v), g) >= xi))
-            })
-            .collect();
+        let shards = self.layout.nodes.len();
+        let mut shard_cells: Vec<Vec<(NodeId, NodeId, f64)>> = vec![Vec::new(); shards];
+        let mut relevant = vec![false; shards];
+        for (v, u, s) in cells.iter() {
+            let (shard, local) = self.layout.locator[u.index()];
+            shard_cells[shard as usize].push((v, NodeId(local), s));
+            relevant[shard as usize] |= s >= xi;
+        }
+        if xi <= 0.0 {
+            for (r, nodes) in relevant.iter_mut().zip(&self.layout.nodes) {
+                *r = n1 > 0 && !nodes.is_empty();
+            }
+        }
         if let (Some(t), Some(open)) = (tr.as_mut(), route_open) {
             t.end(SpanKind::Route, open);
         }
@@ -427,9 +443,10 @@ impl<L: ServiceLabel> ShardMap<L> {
             }
             consulted += 1;
             let shard_open = tr.as_ref().map(|t| t.begin());
-            let local_matrix = SimMatrix::from_fn(n1, nodes.len(), |v, lu| {
-                query.matrix.score(v, nodes[lu.index()])
-            });
+            let mut local_matrix = SimMatrix::new(n1, nodes.len());
+            for &(v, lu, s) in &shard_cells[si] {
+                local_matrix.set(v, lu, s);
+            }
             let mut sub = Query::new(Arc::clone(&query.pattern), local_matrix);
             sub.weights = query.weights.clone();
             sub.config = sub_config.clone();

@@ -4,6 +4,8 @@
 //!
 //! * [`SimMatrix`] — the `mat()` similarity matrix with threshold-`ξ`
 //!   candidate queries;
+//! * [`SparseSim`] — a matrix's non-zero cells, one list per pattern row,
+//!   for passes that read only those;
 //! * [`shingle`] — w-shingling + Jaccard resemblance (Broder \[8\]), the
 //!   paper's textual similarity for Web pages;
 //! * [`tfidf`] — tf–idf cosine, an alternative textual `mat()` generator
@@ -23,6 +25,7 @@ pub mod matrix;
 pub mod minhash;
 pub mod pagerank;
 pub mod shingle;
+pub mod sparse;
 pub mod tfidf;
 pub mod weights;
 
@@ -31,5 +34,6 @@ pub use matrix::{matrix_from_label_fn, SimMatrix, SimMatrixBuilder};
 pub use minhash::{minhash_matrix, MinHashSketch};
 pub use pagerank::{pagerank, top_pagerank_nodes, PageRankConfig};
 pub use shingle::{jaccard, shingle_similarity, shingles, text_similarity, tokenize};
+pub use sparse::SparseSim;
 pub use tfidf::{tfidf_matrix, TfIdfCorpus};
 pub use weights::NodeWeights;

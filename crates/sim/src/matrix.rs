@@ -9,7 +9,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper computes `mat()` only on graph *skeletons* (§3.1, §6), so the
 /// dense representation stays small in practice; entries default to `0.0`
-/// ("totally different").
+/// ("totally different"). Passes that need only the non-zero cells read
+/// them once into a [`SparseSim`](crate::SparseSim) instead of scanning
+/// all `n1 × n2` cells again.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimMatrix {
     n1: usize,
@@ -67,6 +69,11 @@ impl SimMatrix {
         self.n2
     }
 
+    /// Row `v`'s `n2` cells.
+    pub(crate) fn row(&self, v: usize) -> &[f64] {
+        &self.data[v * self.n2..(v + 1) * self.n2]
+    }
+
     /// `mat(v, u)`.
     #[inline]
     pub fn score(&self, v: NodeId, u: NodeId) -> f64 {
@@ -86,8 +93,8 @@ impl SimMatrix {
     /// Data-side candidates of `v` at threshold `xi` — the initial
     /// `H[v].good` of algorithm `compMaxCard` (Fig. 3 line 4).
     pub fn candidates(&self, v: NodeId, xi: f64) -> impl Iterator<Item = NodeId> + '_ {
-        let row = &self.data[v.index() * self.n2..(v.index() + 1) * self.n2];
-        row.iter()
+        self.row(v.index())
+            .iter()
             .enumerate()
             .filter(move |&(_, &s)| s >= xi)
             .map(|(u, _)| NodeId(u as u32))

@@ -6,7 +6,8 @@
 //!    (same mapping, same qualities) to a single unsharded
 //!    `PreparedGraph`, across the partition × compress × algorithm grid,
 //!    including after `ApplyUpdates` batches. Property-tested over random
-//!    multi-part graphs and patterns.
+//!    multi-part graphs and patterns, under label equality and under a
+//!    graded matrix with scores at ξ and between 0 and ξ.
 //! 2. **Cache-hit accounting** — the engine's `cache_hits` counts the
 //!    queries that built no hop-bounded closure, on unsharded and
 //!    sharded graphs alike, the service's hit ratios read
@@ -159,18 +160,62 @@ fn assert_identical(
     pattern: &Arc<DiGraph<u8>>,
     context: &str,
 ) {
-    let data = prepared.graph();
+    let matrix = SimMatrix::label_equality(pattern, prepared.graph());
+    assert_identical_on(service, engine, prepared, pattern, &matrix, context);
+}
+
+/// A graded similarity over an [`instance`]'s labels (part `p` uses
+/// labels `p*8 ..`): equal labels score 1.0 in even parts and exactly
+/// the grid's ξ = 0.5 in odd ones, other pairs in the same part 0.2,
+/// 0.35 or 0.5, and pairs across parts 0. Scores sit at ξ and between 0
+/// and ξ, where label equality has none. A `dimmed` part's scores are
+/// scaled by 0.4, so it holds non-zero pairs but no candidate.
+fn graded_matrix(pattern: &DiGraph<u8>, data: &DiGraph<u8>, dimmed: Option<u8>) -> SimMatrix {
+    SimMatrix::from_fn(pattern.node_count(), data.node_count(), |v, u| {
+        let (a, b) = (*pattern.label(v), *data.label(u));
+        let part = a / 8;
+        let s = if part != b / 8 {
+            0.0
+        } else if a == b {
+            if part % 2 == 0 {
+                1.0
+            } else {
+                0.5
+            }
+        } else {
+            [0.2, 0.35, 0.5][(v.index() + u.index()) % 3]
+        };
+        if dimmed == Some(part) {
+            0.4 * s
+        } else {
+            s
+        }
+    })
+}
+
+/// [`assert_identical`] with the given similarity matrix; returns each
+/// grid configuration's consulted shard count.
+fn assert_identical_on(
+    service: &Service<u8>,
+    engine: &Engine<u8>,
+    prepared: &PreparedGraph<u8>,
+    pattern: &Arc<DiGraph<u8>>,
+    matrix: &SimMatrix,
+    context: &str,
+) -> Vec<usize> {
+    let split = service.graph_info("g").expect("registered").shards > 1;
+    let mut consulted = Vec::new();
     for (ci, config) in config_grid().into_iter().enumerate() {
-        let matrix = SimMatrix::label_equality(pattern, data);
-        let mut query = Query::new(Arc::clone(pattern), matrix);
+        let mut query = Query::new(Arc::clone(pattern), matrix.clone());
         query.config = config;
         let sharded = service
             .query("g", &query)
             .unwrap_or_else(|e| panic!("{context} config {ci}: {e}"));
         // Sharded execution implies pattern partitioning; the unsharded
-        // reference must run the same semantics.
+        // reference must run the same semantics. An entry that an update
+        // joined into one shard runs the query as given.
         let mut reference_query = query.clone();
-        reference_query.config.partition = true;
+        reference_query.config.partition |= split;
         let reference = engine.execute(prepared, &reference_query);
         assert_eq!(
             pairs(&sharded.mapping),
@@ -187,7 +232,9 @@ fn assert_identical(
             sharded.qual_sim, reference.outcome.qual_sim,
             "{context} config {ci}: qualSim diverged"
         );
+        consulted.push(sharded.shards_consulted);
     }
+    consulted
 }
 
 mod prop {
@@ -233,6 +280,74 @@ mod prop {
                 "full graphs diverged after updates"
             );
             assert_identical(&service, &engine, &reference.prepared, &inst.pattern, "post-update");
+        }
+
+        /// Sharded ≡ unsharded on the same instances and grid under the
+        /// graded matrix, whose scores sit at ξ and between 0 and ξ:
+        /// fresh (also with the last part dimmed below ξ), after the
+        /// instance's update batch, and after an insert that bridges the
+        /// first and last parts. Fresh, the query consults exactly the
+        /// shards that hold a pair scoring at least ξ.
+        #[test]
+        fn prop_sharded_identical_to_unsharded_at_boundary_scores(
+            seed in any::<u64>(),
+            parts in 2usize..5,
+            max_shards in 2usize..5,
+        ) {
+            let inst = instance(seed, parts);
+            let service = sharded_service(max_shards);
+            service
+                .register("g".into(), Arc::clone(&inst.data))
+                .expect("register");
+            let engine: Engine<u8> = Engine::default();
+            let prepared = engine.prepare(&inst.data);
+            let sharding = ShardingConfig {
+                max_shards,
+                min_shard_nodes: 0,
+            };
+            let (map, _) =
+                ShardMap::split(Arc::clone(&inst.data), &sharding, CompressionPolicy::Auto);
+            for dimmed in [None, Some((parts - 1) as u8)] {
+                let matrix = graded_matrix(&inst.pattern, &inst.data, dimmed);
+                let consulted = assert_identical_on(
+                    &service,
+                    &engine,
+                    &prepared,
+                    &inst.pattern,
+                    &matrix,
+                    "fresh",
+                );
+                let holding = (0..map.shard_count())
+                    .filter(|&si| {
+                        map.shard_nodes(si).iter().any(|&u| {
+                            inst.pattern.nodes().any(|v| matrix.score(v, u) >= 0.5)
+                        })
+                    })
+                    .count();
+                prop_assert!(
+                    consulted.iter().all(|&c| c == holding),
+                    "dimmed part {:?}: consulted {:?}, {} shards hold a pair at or above xi",
+                    dimmed,
+                    consulted,
+                    holding
+                );
+            }
+
+            let matrix = graded_matrix(&inst.pattern, &inst.data, None);
+            let mut reference = prepared;
+            if !inst.updates.is_empty() {
+                service.apply_updates("g", &inst.updates).expect("apply");
+                reference = engine.apply_updates(&reference, &inst.updates).prepared;
+                assert_identical_on(&service, &engine, &reference, &inst.pattern, &matrix, "post-update");
+            }
+            let last = NodeId((inst.data.node_count() - 1) as u32);
+            let bridge = [
+                GraphUpdate::InsertEdge(NodeId(0), last),
+                GraphUpdate::InsertEdge(last, NodeId(0)),
+            ];
+            service.apply_updates("g", &bridge).expect("apply");
+            reference = engine.apply_updates(&reference, &bridge).prepared;
+            assert_identical_on(&service, &engine, &reference, &inst.pattern, &matrix, "post-bridge");
         }
     }
 }
