@@ -16,8 +16,8 @@
 //!   `validate()` / `validate_against()` methods every reachability
 //!   backend, semi-dynamic maintainer, and the sharded registry expose,
 //!   applied to serialized engine snapshots. Surfaced as `phom audit`
-//!   and wired into the snapshot-restore gate
-//!   (`ServiceConfig::validate_on_restore`).
+//!   and wired into the snapshot-restore gate every `Service::restore`
+//!   passes.
 //!
 //! The lexer is hand-rolled (no syn/proc-macro dependency): the rules
 //! only need token streams with comment and line fidelity, and the

@@ -43,7 +43,7 @@ use std::time::Duration;
 pub const WIRE_MAGIC: u32 = 0x7048_4331;
 
 /// Wire format version this build reads and writes.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Default frame cap: 64 MiB, far above any realistic envelope but low
 /// enough that a hostile length prefix cannot balloon memory.
@@ -588,9 +588,6 @@ fn encode_query_config(buf: &mut BytesMut, c: &QueryConfig) {
         }
     }
     put_opt_duration(buf, c.timeout);
-    put_opt_usize(buf, c.intra_workers);
-    put_bool(buf, c.partition);
-    put_bool(buf, c.compress);
 }
 
 fn decode_query_config(d: &mut Dec) -> Result<QueryConfig, CodecError> {
@@ -612,9 +609,6 @@ fn decode_query_config(d: &mut Dec) -> Result<QueryConfig, CodecError> {
         }
     };
     let timeout = d.opt_duration()?;
-    let intra_workers = d.opt_usize()?;
-    let partition = d.bool_()?;
-    let compress = d.bool_()?;
     Ok(QueryConfig {
         xi,
         algorithm,
@@ -622,9 +616,6 @@ fn decode_query_config(d: &mut Dec) -> Result<QueryConfig, CodecError> {
         restarts,
         force_plan,
         timeout,
-        intra_workers,
-        partition,
-        compress,
     })
 }
 
@@ -1256,9 +1247,6 @@ fn encode_service_stats(buf: &mut BytesMut, s: &ServiceStats) {
     encode_slo(buf, &s.slo);
     buf.put_u64(s.flight_recorded);
     buf.put_u64(s.journal_events);
-    buf.put_u64(s.workers_connected);
-    buf.put_u64(s.workers_lost);
-    buf.put_u64(s.replicas_promoted);
     let e = &s.engine;
     for v in [
         e.prepares,
@@ -1310,9 +1298,6 @@ fn decode_service_stats(d: &mut Dec) -> Result<ServiceStats, CodecError> {
     let slo = decode_slo(d)?;
     let flight_recorded = d.u64()?;
     let journal_events = d.u64()?;
-    let workers_connected = d.u64()?;
-    let workers_lost = d.u64()?;
-    let replicas_promoted = d.u64()?;
     let mut e = [0usize; 20];
     for v in &mut e {
         *v = d.usize_()?;
@@ -1335,9 +1320,6 @@ fn decode_service_stats(d: &mut Dec) -> Result<ServiceStats, CodecError> {
         slo,
         flight_recorded,
         journal_events,
-        workers_connected,
-        workers_lost,
-        replicas_promoted,
         engine: phom_engine::EngineStats {
             prepares: e[0],
             cache_hits: e[1],
@@ -1435,6 +1417,8 @@ fn decode_response(d: &mut Dec) -> Result<Response, CodecError> {
     })
 }
 
+/// Error tags. Tag 4 is unassigned since wire version 3 (version 2 used
+/// it for a strict-deadline error), so decoding it is a `BadTag`.
 fn encode_error(buf: &mut BytesMut, err: &ServiceError) {
     match err {
         ServiceError::NotFound { graph } => {
@@ -1456,10 +1440,6 @@ fn encode_error(buf: &mut BytesMut, err: &ServiceError) {
         ServiceError::InvalidRequest(msg) => {
             buf.put_u8(3);
             put_str(buf, msg);
-        }
-        ServiceError::Timeout { micros } => {
-            buf.put_u8(4);
-            put_u128(buf, *micros);
         }
         ServiceError::SnapshotVersion { found, supported } => {
             buf.put_u8(5);
@@ -1486,7 +1466,6 @@ fn decode_error(d: &mut Dec) -> Result<ServiceError, CodecError> {
             queue_depth: d.usize_()?,
         },
         3 => ServiceError::InvalidRequest(d.str_()?),
-        4 => ServiceError::Timeout { micros: d.u128_()? },
         5 => ServiceError::SnapshotVersion {
             found: d.u32()?,
             supported: d.u32()?,

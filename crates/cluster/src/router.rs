@@ -32,12 +32,12 @@ use crate::codec::{self, WireMessage};
 use crate::transport::Transport;
 use bytes::Bytes;
 use phom_dynamic::GraphUpdate;
-use phom_engine::{CompressionPolicy, PlannerConfig, PrepareStats, Query, SpanKind};
+use phom_engine::{CompressionPolicy, PlannerConfig, Query, SpanKind};
 use phom_graph::serialize::to_snapshot;
 use phom_graph::DiGraph;
 use phom_service::{
-    GraphInfo, QueryResponse, Request, Response, RoutedUpdates, ServiceError, ServiceStats,
-    ShardAnswer, ShardMap, ShardingConfig, UpdateSummary,
+    GraphInfo, QueryResponse, Request, Response, RoutedUpdates, ServiceError, ShardAnswer,
+    ShardMap, ShardingConfig, UpdateSummary,
 };
 use phom_trace::{EventJournal, EventKind, MetricsRegistry, Severity};
 use std::collections::BTreeMap;
@@ -70,10 +70,11 @@ pub struct RouterConfig {
     pub redials: usize,
     /// Sleep between redial attempts.
     pub retry_backoff: Duration,
-    /// Capacity of the router's lifecycle-event journal ring
-    /// (`WorkerConnected` / `WorkerLost` / `ReplicaPromoted`).
-    pub journal_capacity: usize,
 }
+
+/// Capacity of the router's lifecycle-event journal ring
+/// (`WorkerConnected` / `WorkerLost` / `ReplicaPromoted`).
+const JOURNAL_CAPACITY: usize = 256;
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -84,7 +85,6 @@ impl Default for RouterConfig {
             frame: FrameConfig::default(),
             redials: 1,
             retry_backoff: Duration::from_millis(10),
-            journal_capacity: 256,
         }
     }
 }
@@ -177,14 +177,13 @@ struct RoutedGraph {
     shards: Vec<RoutedShard>,
 }
 
+/// The router's own event counts; transport counts live in its
+/// [`MetricsRegistry`].
 #[derive(Default)]
 struct RouterCounters {
     workers_connected: AtomicU64,
     workers_lost: AtomicU64,
     replicas_promoted: AtomicU64,
-    reconnects: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
     queries_routed: AtomicU64,
     updates_routed: AtomicU64,
 }
@@ -202,11 +201,14 @@ pub struct RouterStats {
     pub workers_lost: u64,
     /// Replica promotions after a primary death.
     pub replicas_promoted: u64,
-    /// Reconnect attempts after an I/O failure.
+    /// Reconnect attempts after an I/O failure (the metrics registry's
+    /// `worker_reconnects`).
     pub reconnects: u64,
-    /// Frame bytes sent to workers (length prefixes included).
+    /// Frame bytes sent to workers, length prefixes included
+    /// (`cluster_bytes_sent`).
     pub bytes_sent: u64,
-    /// Frame bytes received from workers (length prefixes included).
+    /// Frame bytes received from workers, length prefixes included
+    /// (`cluster_bytes_received`).
     pub bytes_received: u64,
     /// Queries routed (single queries; batch members count once each).
     pub queries_routed: u64,
@@ -267,7 +269,7 @@ impl Router {
         addrs: &[String],
         config: RouterConfig,
     ) -> Router {
-        let journal = Arc::new(EventJournal::new(config.journal_capacity));
+        let journal = Arc::new(EventJournal::new(JOURNAL_CAPACITY));
         let router = Router {
             workers: addrs
                 .iter()
@@ -333,46 +335,13 @@ impl Router {
             workers_connected: self.counters.workers_connected.load(Ordering::Relaxed),
             workers_lost: self.counters.workers_lost.load(Ordering::Relaxed),
             replicas_promoted: self.counters.replicas_promoted.load(Ordering::Relaxed),
-            reconnects: self.counters.reconnects.load(Ordering::Relaxed),
-            bytes_sent: self.counters.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.counters.bytes_received.load(Ordering::Relaxed),
+            reconnects: self.metrics.counter_lifetime("worker_reconnects"),
+            bytes_sent: self.metrics.counter_lifetime("cluster_bytes_sent"),
+            bytes_received: self.metrics.counter_lifetime("cluster_bytes_received"),
             queries_routed: self.counters.queries_routed.load(Ordering::Relaxed),
             updates_routed: self.counters.updates_routed.load(Ordering::Relaxed),
             graphs: self.graphs.read().unwrap_or_else(|e| e.into_inner()).len(),
         }
-    }
-
-    /// Fetches the first live worker's [`ServiceStats`] and overlays the
-    /// router's cluster counters (`workers_connected` / `workers_lost` /
-    /// `replicas_promoted`) — the cluster-aware view of the stats
-    /// surface those fields exist for.
-    pub fn cluster_stats(&self) -> Result<Box<ServiceStats>, RouterError> {
-        for w in 0..self.workers.len() {
-            if !self.worker_alive(w) {
-                continue;
-            }
-            match self.call_worker(w, &WireMessage::Request(Request::Stats)) {
-                Ok(WireMessage::Ok(Response::Stats(mut stats))) => {
-                    stats.workers_connected =
-                        self.counters.workers_connected.load(Ordering::Relaxed);
-                    stats.workers_lost = self.counters.workers_lost.load(Ordering::Relaxed);
-                    stats.replicas_promoted =
-                        self.counters.replicas_promoted.load(Ordering::Relaxed);
-                    return Ok(stats);
-                }
-                Ok(WireMessage::Err(e)) => return Err(e.into()),
-                Ok(_) => {
-                    return Err(RouterError::Protocol(
-                        "stats request answered with a non-stats message".into(),
-                    ))
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(RouterError::NoQuorum {
-            graph: String::new(),
-            shard: 0,
-        })
     }
 
     /// Pings every worker (`Ping`/`Pong` with a sequence check) and
@@ -515,7 +484,6 @@ impl Router {
                             });
                         }
                         attempts += 1;
-                        self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                         self.metrics.counter_add("worker_reconnects", 1);
                         thread::sleep(self.config.retry_backoff);
                         continue;
@@ -529,10 +497,6 @@ impl Router {
                 Ok(payload) => {
                     let sent = frame.len() as u64;
                     let received = (payload.len() + 4) as u64;
-                    self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
-                    self.counters
-                        .bytes_received
-                        .fetch_add(received, Ordering::Relaxed);
                     self.metrics.counter_add("cluster_bytes_sent", sent);
                     self.metrics.counter_add("cluster_bytes_received", received);
                     return Ok(payload);
@@ -549,7 +513,6 @@ impl Router {
                         });
                     }
                     attempts += 1;
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                     self.metrics.counter_add("worker_reconnects", 1);
                     thread::sleep(self.config.retry_backoff);
                 }
@@ -723,7 +686,7 @@ impl Router {
             };
             match self.register_shard(name, si, to_snapshot(shard_graph), pinned, want) {
                 Ok((members, info)) => {
-                    stats.push(prepare_stats(info));
+                    stats.push(info.prepare_stats());
                     shards.push(RoutedShard {
                         members: Mutex::new(members),
                         rr: AtomicUsize::new(0),
@@ -1009,7 +972,7 @@ impl Router {
                 graph: shard_graph_name(name, si),
             });
             let (resp, _) = self.shard_request(name, si, shard, &msg)?;
-            stats.push(prepare_stats(info_of(resp)?));
+            stats.push(info_of(resp)?.prepare_stats());
         }
         Ok(routed.map.info(name, &stats))
     }
@@ -1042,20 +1005,5 @@ fn info_of(resp: Response) -> Result<GraphInfo, RouterError> {
         _ => Err(RouterError::Protocol(
             "info answered with a non-info response".into(),
         )),
-    }
-}
-
-/// A worker's report on the one shard it holds, as the prepare
-/// statistics [`ShardMap::info`] folds.
-fn prepare_stats(info: GraphInfo) -> PrepareStats {
-    PrepareStats {
-        nodes: info.nodes,
-        edges: info.edges,
-        scc_count: info.scc_count,
-        closure_edges: info.closure_edges,
-        closure_backend: info.closure_backend,
-        closure_memory_bytes: info.closure_memory_bytes,
-        compressed_nodes: info.compressed_nodes,
-        prepare_micros: info.prepare_micros,
     }
 }

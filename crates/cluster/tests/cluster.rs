@@ -1,7 +1,7 @@
 //! End-to-end cluster acceptance tests over the hermetic in-process
 //! channel transport: routed multi-process answers must be
-//! *bit-identical* to a single-process [`Service`] run across
-//! partition × compress × backend — including after dynamic updates —
+//! *bit-identical* to a single-process [`Service`] run across the four
+//! algorithms × closure backend — including after dynamic updates —
 //! a kill-one-worker failover must promote a replica with zero wrong
 //! answers, and every router error path must surface a typed error
 //! (never a hang, never a partial merge reported as success).
@@ -88,7 +88,6 @@ fn router_for(fleet: &Fleet, planner: PlannerConfig, max_shards: usize, replicas
             frame: FrameConfig::default(),
             redials: 1,
             retry_backoff: Duration::from_millis(1),
-            journal_capacity: 128,
         },
     )
 }
@@ -169,32 +168,27 @@ fn instance(seed: u64, parts: usize) -> Instance {
     }
 }
 
-/// The full partition × compress × algorithm grid at one restart (the
-/// deterministic greedy run both sides must reproduce bit-for-bit).
+/// The four algorithms at one restart (the deterministic greedy run
+/// both sides must reproduce bit-for-bit).
 fn queries_for(inst: &Instance) -> Vec<Query<String>> {
     let matrix = SimMatrix::label_equality(&inst.pattern, &inst.data);
-    let mut out = Vec::new();
-    for algorithm in [
+    [
         Algorithm::MaxCard,
         Algorithm::MaxCard1to1,
         Algorithm::MaxSim,
         Algorithm::MaxSim1to1,
-    ] {
-        for partition in [false, true] {
-            for compress in [false, true] {
-                let mut q = Query::new(Arc::clone(&inst.pattern), matrix.clone());
-                q.config = QueryConfig::builder()
-                    .xi(0.5)
-                    .algorithm(algorithm)
-                    .restarts(1)
-                    .build();
-                q.config.partition = partition;
-                q.config.compress = compress;
-                out.push(q);
-            }
-        }
-    }
-    out
+    ]
+    .into_iter()
+    .map(|algorithm| {
+        let mut q = Query::new(Arc::clone(&inst.pattern), matrix.clone());
+        q.config = QueryConfig::builder()
+            .xi(0.5)
+            .algorithm(algorithm)
+            .restarts(1)
+            .build();
+        q
+    })
+    .collect()
 }
 
 /// [`phom_engine::UpdateStats`] minus its wall-clock fields — the
@@ -254,8 +248,8 @@ mod identity {
 
         /// The headline acceptance property: every routed answer —
         /// before and after updates — is bit-identical to the
-        /// single-process service, across partition × compress ×
-        /// closure backend, shard counts, and fleet sizes.
+        /// single-process service, across the algorithms, closure
+        /// backends, shard counts, and fleet sizes.
         #[test]
         fn prop_routed_identical_to_single_process(
             seed in any::<u64>(),
@@ -463,12 +457,6 @@ fn killing_a_worker_mid_replay_promotes_a_replica_with_zero_wrong_answers() {
         stats_fingerprint(&want_sum.stats)
     );
     check_all("post-failover-update", &router, &reference, &inst);
-
-    // Cluster stats still answer from a surviving worker and carry the
-    // router's failover counters.
-    let cluster = router.cluster_stats().expect("cluster stats");
-    assert!(cluster.workers_lost >= 1);
-    assert!(cluster.replicas_promoted >= 1);
 }
 
 // ---------------------------------------------------------------------

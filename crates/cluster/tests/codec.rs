@@ -66,9 +66,6 @@ fn rich_query() -> Query<String> {
         restarts: Some(3),
         force_plan: Some(PlanKind::Approx),
         timeout: Some(Duration::new(1, 250)),
-        intra_workers: Some(2),
-        partition: true,
-        compress: false,
     };
     query
 }
@@ -118,7 +115,6 @@ fn every_service_error_round_trips() {
             queue_depth: 4,
         },
         ServiceError::InvalidRequest("dims mismatch".into()),
-        ServiceError::Timeout { micros: 123_456 },
         ServiceError::SnapshotVersion {
             found: 9,
             supported: 1,
@@ -132,6 +128,23 @@ fn every_service_error_round_trips() {
             other => panic!("error decoded as {other:?}"),
         }
     }
+    // Tag 4 is unassigned: an error frame carrying it is a typed
+    // decode failure.
+    let mut retired = payload(&WireMessage::Err(ServiceError::NotFound {
+        graph: "g".into(),
+    }));
+    assert_eq!(
+        retired[6], 0,
+        "the error tag follows magic, version and kind"
+    );
+    retired[6] = 4;
+    assert!(matches!(
+        codec::decode(&retired, &cfg()),
+        Err(CodecError::BadTag {
+            what: "service error",
+            tag: 4
+        })
+    ));
 }
 
 #[test]
@@ -544,8 +557,6 @@ mod prop {
         fn prop_query_round_trips(
             seed in any::<u64>(),
             xi in 0.0f64..1.0,
-            partition in any::<bool>(),
-            compress in any::<bool>(),
             trace in any::<bool>(),
         ) {
             let mut rng = phom_graph::XorShift64::new(seed);
@@ -576,8 +587,6 @@ mod prop {
             let matrix = SimMatrix::label_equality(&pattern, &data);
             let mut query = Query::new(Arc::clone(&pattern), matrix);
             query.config.xi = xi;
-            query.config.partition = partition;
-            query.config.compress = compress;
             let msg = WireMessage::Request(Request::Query {
                 graph: format!("g{seed}"),
                 query,

@@ -69,7 +69,6 @@ fn router_for(fleet: &Fleet, planner: PlannerConfig, max_shards: usize) -> Route
             frame: FrameConfig::default(),
             redials: 1,
             retry_backoff: Duration::from_millis(1),
-            journal_capacity: 128,
         },
     )
 }

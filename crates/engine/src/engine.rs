@@ -535,9 +535,9 @@ impl<L: Clone + Send + Sync> Engine<L> {
     /// [`PlannerConfig::timeout`]) starts ticking here and bounds the
     /// approximate plans: past it, the matcher returns best-so-far with
     /// `MatchStats::timed_out` set and [`EngineStats::timeouts`] is
-    /// incremented. Per-component fan-out ([`crate::QueryConfig::intra_workers`]
-    /// falling back to [`PlannerConfig::intra_query_workers`]) is
-    /// accounted in [`EngineStats::intra_parallel_components`].
+    /// incremented. Per-component fan-out
+    /// ([`PlannerConfig::intra_query_workers`]) is accounted in
+    /// [`EngineStats::intra_parallel_components`].
     pub fn execute(&self, prepared: &PreparedGraph<L>, query: &Query<L>) -> QueryResult {
         self.execute_traced(prepared, query, false)
     }
@@ -572,10 +572,6 @@ impl<L: Clone + Send + Sync> Engine<L> {
             .timeout
             .or(self.config.planner.timeout)
             .map_or_else(MatchBudget::unlimited, MatchBudget::with_timeout);
-        let intra_workers = query
-            .config
-            .intra_workers
-            .unwrap_or(self.config.planner.intra_query_workers);
         let weights = query.effective_weights();
         let counter = match plan.kind {
             PlanKind::Exact => &self.counters.exact_plans,
@@ -635,9 +631,7 @@ impl<L: Clone + Send + Sync> Engine<L> {
                     xi: query.config.xi,
                     max_stretch: query.config.max_stretch,
                     restarts: plan.restarts,
-                    intra_workers,
-                    partition_g1: query.config.partition,
-                    compress_g2: query.config.compress,
+                    intra_workers: self.config.planner.intra_query_workers,
                     ..Default::default()
                 };
                 // Hold the memoized bounded closure for the duration of

@@ -192,11 +192,10 @@ pub struct PlannerConfig {
     /// are not interruptible (the planner only routes tiny instances
     /// there). `None` (the default) never times out.
     pub timeout: Option<Duration>,
-    /// Worker threads for *intra*-query per-component matching, applied
-    /// when the query does not set [`QueryConfig::intra_workers`] (see
-    /// `phom_core::MatcherConfig::intra_workers`). `1` (the default)
-    /// solves the pattern's components one by one in component order;
-    /// `0` uses the available parallelism. With more workers every
+    /// Worker threads for *intra*-query per-component matching, for
+    /// every query (see `phom_core::MatcherConfig::intra_workers`). `1`
+    /// (the default) solves the pattern's components one by one in
+    /// component order; `0` uses the available parallelism. With more workers every
     /// component is first solved unmasked in parallel, and a merge in
     /// component order keeps each answer unless the plan is 1-1 and an
     /// image an earlier component claimed scores in the component's rows,
@@ -280,7 +279,10 @@ impl PlannerConfigBuilder {
 }
 
 /// Per-query knobs (the pattern-side half of a
-/// [`phom_core::MatcherConfig`], plus planner hints).
+/// [`phom_core::MatcherConfig`], plus planner hints). The Appendix-B
+/// choices are not per query: every query partitions its pattern, and a
+/// p-hom query without a stretch bound matches on the compressed graph
+/// whenever its prepared graph kept one ([`CompressionPolicy`]).
 #[derive(Debug, Clone)]
 pub struct QueryConfig {
     /// Similarity threshold `ξ`.
@@ -299,17 +301,6 @@ pub struct QueryConfig {
     /// Per-query deadline; `None` falls back to
     /// [`PlannerConfig::timeout`]. See that field for semantics.
     pub timeout: Option<Duration>,
-    /// Per-query intra-query worker count; `None` falls back to
-    /// [`PlannerConfig::intra_query_workers`].
-    pub intra_workers: Option<usize>,
-    /// Appendix-B pattern partitioning (`MatcherConfig::partition_g1`)
-    /// for approximate plans.
-    pub partition: bool,
-    /// Appendix-B compressed-graph matching (`MatcherConfig::compress_g2`)
-    /// for approximate plans — effective only when the prepared graph
-    /// kept a compressed graph (see
-    /// [`CompressionPolicy`]).
-    pub compress: bool,
 }
 
 impl Default for QueryConfig {
@@ -321,9 +312,6 @@ impl Default for QueryConfig {
             restarts: None,
             force_plan: None,
             timeout: None,
-            intra_workers: None,
-            partition: true,
-            compress: true,
         }
     }
 }
@@ -377,24 +365,6 @@ impl QueryConfigBuilder {
     /// Sets [`QueryConfig::timeout`].
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.config.timeout = Some(timeout);
-        self
-    }
-
-    /// Sets [`QueryConfig::intra_workers`].
-    pub fn intra_workers(mut self, workers: usize) -> Self {
-        self.config.intra_workers = Some(workers);
-        self
-    }
-
-    /// Sets [`QueryConfig::partition`].
-    pub fn partition(mut self, on: bool) -> Self {
-        self.config.partition = on;
-        self
-    }
-
-    /// Sets [`QueryConfig::compress`].
-    pub fn compress(mut self, on: bool) -> Self {
-        self.config.compress = on;
         self
     }
 

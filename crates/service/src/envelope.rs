@@ -7,7 +7,7 @@ use crate::stats::ServiceStats;
 use bytes::Bytes;
 use phom_core::PHomMapping;
 use phom_dynamic::GraphUpdate;
-use phom_engine::{Plan, Query, QueryTrace, UpdateStats};
+use phom_engine::{Plan, PrepareStats, Query, QueryTrace, UpdateStats};
 use phom_graph::DiGraph;
 use std::sync::Arc;
 
@@ -201,6 +201,23 @@ fn json_escape(s: &str) -> String {
 }
 
 impl GraphInfo {
+    /// The graph's statistics in the engine's [`PrepareStats`] shape:
+    /// the per-shard figures [`crate::ShardMap::info`] folds (a cluster
+    /// router reads each worker's shard this way), and the `"prepare"`
+    /// section of the CLI's `--stats-json`.
+    pub fn prepare_stats(&self) -> PrepareStats {
+        PrepareStats {
+            nodes: self.nodes,
+            edges: self.edges,
+            scc_count: self.scc_count,
+            closure_edges: self.closure_edges,
+            closure_backend: self.closure_backend.clone(),
+            closure_memory_bytes: self.closure_memory_bytes,
+            compressed_nodes: self.compressed_nodes,
+            prepare_micros: self.prepare_micros,
+        }
+    }
+
     /// Compact JSON rendering (field names match the struct).
     pub fn to_json(&self) -> String {
         let shard_nodes: Vec<String> = self.shard_nodes.iter().map(|n| n.to_string()).collect();

@@ -31,13 +31,6 @@ pub enum ServiceError {
     /// The request is malformed (dimension mismatch, empty name, …);
     /// retrying without fixing it cannot succeed.
     InvalidRequest(String),
-    /// The query's deadline expired mid-run and the service is configured
-    /// to reject timed-out partial results
-    /// ([`crate::ServiceConfig::strict_timeouts`]).
-    Timeout {
-        /// Wall-clock microseconds the query had consumed.
-        micros: u128,
-    },
     /// A snapshot was written by an unsupported format version.
     SnapshotVersion {
         /// The version byte found in the snapshot.
@@ -68,9 +61,6 @@ impl fmt::Display for ServiceError {
                 "overloaded: {in_flight} queries in flight at queue depth {queue_depth}"
             ),
             ServiceError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
-            ServiceError::Timeout { micros } => {
-                write!(f, "query deadline expired after {micros} us")
-            }
             ServiceError::SnapshotVersion { found, supported } => write!(
                 f,
                 "unsupported snapshot format version {found} (this build reads {supported})"

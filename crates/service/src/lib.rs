@@ -9,8 +9,10 @@
 //! * [`Request`] / [`Response`] — the envelope: `RegisterGraph`,
 //!   `Query`, `QueryBatch`, `ApplyUpdates`, `Snapshot`, `Stats`, … in;
 //!   typed payloads or a [`ServiceError`] out (`NotFound`, `Overloaded`,
-//!   `InvalidRequest`, `Timeout`, `SnapshotVersion`, …) — errors as
-//!   values replacing the old mix of panics, `Option`s, and strings.
+//!   `InvalidRequest`, `SnapshotVersion`, …) — errors as values
+//!   replacing the old mix of panics, `Option`s, and strings. A query
+//!   past its deadline is not an error: it answers best-so-far with
+//!   `QueryResponse::timed_out` set.
 //! * [`GraphRegistry`] — named graphs, each automatically **sharded by
 //!   weakly connected component** ([`ShardingConfig`]) into per-shard
 //!   `PreparedGraph`s; queries route to the shards that can contain a

@@ -30,8 +30,6 @@ pub struct GraphEntry<L> {
     map: ShardMap<L>,
     /// Shard `s`'s prepared graph, over its shard-local ids.
     shards: Vec<Arc<PreparedGraph<L>>>,
-    /// The (possibly pinned) options every shard was prepared under.
-    options: PrepareOptions,
 }
 
 impl<L: ServiceLabel> GraphEntry<L> {
@@ -55,12 +53,7 @@ impl<L: ServiceLabel> GraphEntry<L> {
             .iter()
             .map(|g| engine.prepare_with(g, options))
             .collect();
-        GraphEntry {
-            name,
-            map,
-            shards,
-            options,
-        }
+        GraphEntry { name, map, shards }
     }
 
     /// The full data graph (current version).
@@ -96,16 +89,17 @@ impl<L: ServiceLabel> GraphEntry<L> {
     /// layout partitions the full graph's nodes (node lists and locator
     /// agree in both directions, lists ascend in global id order — the
     /// monotone-ids condition of [`ShardMap`]), every shard was prepared
-    /// under the entry's pinned options (the pinned-decisions condition),
-    /// and every shard's reachability backend passes its own
+    /// under the compression policy the map pins (the pinned-decisions
+    /// condition; shards may differ in reachability backend), and every
+    /// shard's reachability backend passes its own
     /// [`PreparedGraph::validate`]. Does not recompute any closure.
     pub fn validate(&self) -> Result<(), Violation> {
         self.map.validate(&self.shard_graphs())?;
         for (si, prepared) in self.shards.iter().enumerate() {
-            if prepared.options() != self.options {
+            if prepared.options().compression != self.map.compression() {
                 return Err(Violation::new(
                     "registry-pin",
-                    format!("shard {si} prepared under different options than the entry's pin"),
+                    format!("shard {si} prepared under a different compression than the pin"),
                 ));
             }
             prepared
@@ -214,7 +208,6 @@ impl<L: ServiceLabel> GraphEntry<L> {
             name: self.name.clone(),
             map,
             shards,
-            options: self.options,
         };
         (entry, summary)
     }
@@ -247,7 +240,7 @@ impl<L: ServiceLabel> GraphEntry<L> {
         let mut buf = BytesMut::with_capacity(64);
         buf.put_u32(SERVICE_MAGIC);
         buf.put_u8(SERVICE_SNAPSHOT_VERSION);
-        buf.put_u8(compression_tag(self.options.compression));
+        buf.put_u8(compression_tag(self.map.compression()));
         buf.put_u32(self.graph().node_count() as u32);
         buf.put_u32(self.shards.len() as u32);
         for (si, prepared) in self.shards.iter().enumerate() {
@@ -266,12 +259,10 @@ impl<L: ServiceLabel> GraphEntry<L> {
     /// Restores an entry from [`GraphEntry::snapshot`] bytes: shard
     /// layout and warm indexes come from the snapshot (no closure
     /// recomputation); [`ShardMap`] checks the node lists and
-    /// reassembles the full graph from the shard graphs.
-    pub(crate) fn restore(
-        base_options: PrepareOptions,
-        name: String,
-        mut data: Bytes,
-    ) -> Result<Self, ServiceError> {
+    /// reassembles the full graph from the shard graphs. Each shard keeps
+    /// the backend it was saved with and takes the snapshotted
+    /// compression pin.
+    pub(crate) fn restore(name: String, mut data: Bytes) -> Result<Self, ServiceError> {
         let need = |data: &Bytes, bytes: usize| -> Result<(), ServiceError> {
             if data.remaining() < bytes {
                 Err(ServiceError::SnapshotCorrupt(format!(
@@ -341,19 +332,7 @@ impl<L: ServiceLabel> GraphEntry<L> {
             shards.push(Arc::new(prepared));
             Ok(graph)
         })?;
-        // The restored entry keeps the snapshotted pin (shard prepareds
-        // were loaded under it, so the two always agree — including the
-        // pin-flip comparison on the next update batch).
-        let options = PrepareOptions {
-            compression,
-            ..shards.first().map(|p| p.options()).unwrap_or(base_options)
-        };
-        Ok(GraphEntry {
-            name,
-            map,
-            shards,
-            options,
-        })
+        Ok(GraphEntry { name, map, shards })
     }
 }
 

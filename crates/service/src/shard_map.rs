@@ -23,7 +23,8 @@
 //! 1. **Monotone ids** — shard node lists ascend in global id order
 //!    ([`phom_graph::component_groups`]), so every smallest-id tie-break
 //!    in the matching kernels picks the same node on a shard as on the
-//!    full graph.
+//!    full graph; when two shards answer a pattern component equally
+//!    well, the merge keeps the answer with the smaller global ids.
 //! 2. **Pinned decisions** — the query is planned once against the full
 //!    graph and the plan forced onto every shard, and the Appendix-B
 //!    compression decision the *whole graph* would make is pinned onto
@@ -346,12 +347,12 @@ impl<L: ServiceLabel> ShardMap<L> {
     ///
     /// `run_shard(shard, sub_query, traced)` gets the sub-query over the
     /// shard's local ids (its matrix sliced to the shard's columns, plan
-    /// and restarts forced, partitioning on, the remaining deadline as
-    /// its timeout) and whether to trace it. Shards run in ascending
-    /// order under one deadline; the first error aborts the query. With
-    /// `trace`, the response carries `plan` / `route` / per-shard /
-    /// `merge` spans (the pass over the matrix is in `plan`); untraced
-    /// calls construct no trace state.
+    /// and restarts forced, the remaining deadline as its timeout) and
+    /// whether to trace it. Shards run in ascending order under one
+    /// deadline; the first error aborts the query. With `trace`, the
+    /// response carries `plan` / `route` / per-shard / `merge` spans (the
+    /// pass over the matrix is in `plan`); untraced calls construct no
+    /// trace state.
     pub fn scatter_gather<E>(
         &self,
         query: &Query<L>,
@@ -382,17 +383,10 @@ impl<L: ServiceLabel> ShardMap<L> {
             .map(|t| Instant::now() + t);
         // The plan (and its restart grant) was decided on the full
         // candidate set; shards execute it verbatim so the sharded run
-        // answers exactly like the unsharded one. Pattern partitioning is
-        // forced on: routing components to shards *is* the Appendix-B
-        // partition, so a sharded graph always behaves like a
-        // `partition = true` run (the unpartitioned greedy interleaves
-        // its choices across components and cannot be reproduced from
-        // per-shard runs; `QueryConfig::partition = false` stays honored
-        // on unsharded graphs).
+        // answers exactly like the unsharded one.
         let mut sub_config = query.config.clone();
         sub_config.force_plan = Some(plan.kind);
         sub_config.restarts = Some(plan.restarts);
-        sub_config.partition = true;
 
         // Routing: one pass over the cells sorts them by shard (in
         // shard-local ids) and marks the shards that hold at least one
@@ -774,7 +768,11 @@ impl<L> RoutedUpdates<L> {
 
 /// Proposition 1: pattern components are independent, so each takes its
 /// best shard's assignment — by `qualCard` then `qualSim` (the reverse
-/// for similarity algorithms), the first shard winning ties. A component
+/// for similarity algorithms). Shards that tie on both are told apart by
+/// the component's images as global ids, the smallest winning (see
+/// [`smaller_images`]), which is the node the unsharded kernels'
+/// smallest-id tie-breaks pick; shard order is not id order, since
+/// [`component_groups`] packs the largest WCCs first. A component
 /// chosen from one shard run is internally consistent (same joint run),
 /// and components from different shards have disjoint images, so the
 /// merge preserves validity and injectivity.
@@ -806,7 +804,12 @@ fn merge_components<L>(
             };
             let better = match best {
                 None => true,
-                Some((p, s, _)) => primary > p || (primary == p && secondary > s),
+                Some((p, s, held)) => {
+                    primary > p
+                        || (primary == p
+                            && (secondary > s
+                                || (secondary == s && smaller_images(&comp, map, held))))
+                }
             };
             if better {
                 best = Some((primary, secondary, map));
@@ -821,6 +824,19 @@ fn merge_components<L>(
         }
     }
     merged
+}
+
+/// Whether `a` maps the pattern component `comp` onto smaller global
+/// ids than `b`: the images compared in pattern-node order, an unmapped
+/// node after every image.
+fn smaller_images(comp: &[NodeId], a: &PHomMapping, b: &PHomMapping) -> bool {
+    let key = |m: &PHomMapping, v: NodeId| {
+        let u = m.get(v);
+        (u.is_none(), u)
+    };
+    comp.iter()
+        .map(|&v| key(a, v))
+        .lt(comp.iter().map(|&v| key(b, v)))
 }
 
 /// The response to a query that one shard answered whole (an unsharded

@@ -204,15 +204,6 @@ pub struct ServiceStats {
     /// Lifecycle events the journal has emitted so far (including ones
     /// its ring has since evicted).
     pub journal_events: u64,
-    /// Cluster workers connected (or reconnected) by a routing
-    /// front-end. Always `0` for a single-process [`crate::Service`].
-    pub workers_connected: u64,
-    /// Cluster workers lost to heartbeat timeouts or dropped
-    /// connections. Always `0` for a single-process [`crate::Service`].
-    pub workers_lost: u64,
-    /// Read replicas promoted to primary after a worker death. Always
-    /// `0` for a single-process [`crate::Service`].
-    pub replicas_promoted: u64,
     /// The wrapped engine's counters.
     pub engine: EngineStats,
 }
@@ -236,8 +227,7 @@ impl ServiceStats {
              \"cache_hit_ratio_windowed\":{:.4},\"backend_fallbacks\":{},\
              \"plan_histograms\":{},\"plan_histograms_windowed\":{},\
              \"slow_traces\":[{}],\"slo\":{},\"flight_recorded\":{},\
-             \"journal_events\":{},\"workers_connected\":{},\"workers_lost\":{},\
-             \"replicas_promoted\":{},\"engine\":{}}}",
+             \"journal_events\":{},\"engine\":{}}}",
             self.graphs,
             self.shards,
             self.queries_admitted,
@@ -255,9 +245,6 @@ impl ServiceStats {
             self.slo.to_json(),
             self.flight_recorded,
             self.journal_events,
-            self.workers_connected,
-            self.workers_lost,
-            self.replicas_promoted,
             self.engine.to_json()
         )
     }

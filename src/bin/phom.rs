@@ -1066,21 +1066,6 @@ fn finish_metrics_text(f: &Flags, render: &dyn Fn() -> String) -> Result<(), Str
     Ok(())
 }
 
-/// Converts a service [`GraphInfo`] into the `PrepareStats` shape the
-/// `--stats-json` schema has always exported under `"prepare"`.
-fn prepare_stats_of(info: &GraphInfo) -> PrepareStats {
-    PrepareStats {
-        nodes: info.nodes,
-        edges: info.edges,
-        scc_count: info.scc_count,
-        closure_edges: info.closure_edges,
-        closure_backend: info.closure_backend.clone(),
-        closure_memory_bytes: info.closure_memory_bytes,
-        compressed_nodes: info.compressed_nodes,
-        prepare_micros: info.prepare_micros,
-    }
-}
-
 fn print_graph_info(info: &GraphInfo) {
     println!(
         "data graph: {} nodes, {} edges, {} SCCs, |E+| = {} \
@@ -1224,7 +1209,7 @@ fn run_engine_batch<L: ServiceLabel>(work: &Workload<L>, f: &Flags) -> ExitCode 
     }
     let sections = StatsSections {
         engine: Some(service.engine_stats()),
-        prepare: Some(prepare_stats_of(&info)),
+        prepare: Some(info.prepare_stats()),
         service: Some(service.stats()),
         ..Default::default()
     };
@@ -1735,7 +1720,6 @@ fn serve_sim_cluster(f: &Flags, work: &Workload<String>, arrivals: Arrivals) -> 
             frame: FrameConfig::default(),
             redials: 2,
             retry_backoff: Duration::from_millis(20),
-            journal_capacity: 256,
         },
     );
     if router.heartbeat() == 0 {

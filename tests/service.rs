@@ -4,8 +4,8 @@
 //! 1. **Sharded-vs-unsharded result identity** — a registry that split a
 //!    multi-WCC graph into shards must answer every query *identically*
 //!    (same mapping, same qualities) to a single unsharded
-//!    `PreparedGraph`, across the partition × compress × algorithm grid,
-//!    including after `ApplyUpdates` batches. Property-tested over random
+//!    `PreparedGraph`, across the four algorithms and a stretch-bounded
+//!    row, including after `ApplyUpdates` batches. Property-tested over random
 //!    multi-part graphs and patterns, under label equality and under a
 //!    graded matrix with scores at ξ and between 0 and ξ.
 //! 2. **Cache-hit accounting** — the engine's `cache_hits` counts the
@@ -21,38 +21,30 @@ use phom::prelude::*;
 use phom::service::ShardMap;
 use std::sync::Arc;
 
-/// Grid of query configurations: partition × compress × the four
-/// Table-1 algorithms, plus one bounded-stretch row. Restarts pinned to
-/// 1 (the paper's algorithm): randomized restarts perturb the matrix
-/// with an RNG stream over all data nodes, which is deliberately not
-/// shard-local (see the `phom_service::registry` docs). A sharded entry
-/// always partitions the pattern (routing components to shards *is* the
-/// Appendix-B partition), so the reference run compares with
-/// `partition = true`; the grid's `partition = false` arm checks that
-/// the service's forcing converges to that same answer.
+/// Grid of query configurations: the four Table-1 algorithms, plus one
+/// bounded-stretch row. Restarts pinned to 1 (the paper's algorithm):
+/// randomized restarts perturb the matrix with an RNG stream over all
+/// data nodes, which is deliberately not shard-local (see the
+/// `phom_service::shard_map` docs). The p-hom rows use `G2*` wherever
+/// the prepared graph kept it; the 1-1 rows and the stretch row run the
+/// uncompressed kernel.
 fn config_grid() -> Vec<QueryConfig> {
     let mut grid = Vec::new();
-    for &partition in &[false, true] {
-        for &compress in &[false, true] {
-            for &algorithm in &[
-                Algorithm::MaxCard,
-                Algorithm::MaxCard1to1,
-                Algorithm::MaxSim,
-                Algorithm::MaxSim1to1,
-            ] {
-                let mut config = QueryConfig::builder()
-                    .xi(0.5)
-                    .algorithm(algorithm)
-                    .restarts(1)
-                    .partition(partition)
-                    .compress(compress)
-                    .build();
-                grid.push(config.clone());
-                if algorithm == Algorithm::MaxCard {
-                    config.max_stretch = Some(2);
-                    grid.push(config);
-                }
-            }
+    for algorithm in [
+        Algorithm::MaxCard,
+        Algorithm::MaxCard1to1,
+        Algorithm::MaxSim,
+        Algorithm::MaxSim1to1,
+    ] {
+        let mut config = QueryConfig::builder()
+            .xi(0.5)
+            .algorithm(algorithm)
+            .restarts(1)
+            .build();
+        grid.push(config.clone());
+        if algorithm == Algorithm::MaxCard {
+            config.max_stretch = Some(2);
+            grid.push(config);
         }
     }
     grid
@@ -203,7 +195,6 @@ fn assert_identical_on(
     matrix: &SimMatrix,
     context: &str,
 ) -> Vec<usize> {
-    let split = service.graph_info("g").expect("registered").shards > 1;
     let mut consulted = Vec::new();
     for (ci, config) in config_grid().into_iter().enumerate() {
         let mut query = Query::new(Arc::clone(pattern), matrix.clone());
@@ -211,12 +202,7 @@ fn assert_identical_on(
         let sharded = service
             .query("g", &query)
             .unwrap_or_else(|e| panic!("{context} config {ci}: {e}"));
-        // Sharded execution implies pattern partitioning; the unsharded
-        // reference must run the same semantics. An entry that an update
-        // joined into one shard runs the query as given.
-        let mut reference_query = query.clone();
-        reference_query.config.partition |= split;
-        let reference = engine.execute(prepared, &reference_query);
+        let reference = engine.execute(prepared, &query);
         assert_eq!(
             pairs(&sharded.mapping),
             pairs(&reference.outcome.mapping),
@@ -352,31 +338,171 @@ mod prop {
     }
 }
 
+/// An insert that joins two shards re-splits the entry, which keeps
+/// answering like the unsharded engine. Two inputs: a two-way bridge
+/// between parts 0 and 2 on a fresh graph, and a one-way insert after the
+/// instance's own batch (seed 375 once mapped a pattern node to a
+/// different data node than the engine, at equal qualCard).
 #[test]
 fn cross_shard_insert_stays_identical_after_resharding() {
-    let inst = instance(99, 3);
-    let service = sharded_service(3);
+    // (seed, parts, max_shards, the instance's batch first, two-way)
+    for (seed, parts, max_shards, batch_first, two_way) in
+        [(99, 3, 3, false, true), (375, 4, 4, true, false)]
+    {
+        let inst = instance(seed, parts);
+        let service = sharded_service(max_shards);
+        service
+            .register("g".into(), Arc::clone(&inst.data))
+            .expect("register");
+        let engine: Engine<u8> = Engine::default();
+        let mut reference = engine.prepare(&inst.data);
+        if batch_first {
+            service.apply_updates("g", &inst.updates).expect("apply");
+            reference = engine.apply_updates(&reference, &inst.updates).prepared;
+        }
+        let last = NodeId((inst.data.node_count() - 1) as u32);
+        let mut bridge = vec![GraphUpdate::InsertEdge(NodeId(0), last)];
+        if two_way {
+            bridge.push(GraphUpdate::InsertEdge(last, NodeId(0)));
+        }
+        let summary = service.apply_updates("g", &bridge).expect("apply");
+        assert!(
+            summary.resharded,
+            "seed {seed}: cross-shard insert re-splits"
+        );
+        reference = engine.apply_updates(&reference, &bridge).prepared;
+        assert_identical(
+            &service,
+            &engine,
+            &reference,
+            &inst.pattern,
+            &format!("seed {seed} post-bridge"),
+        );
+    }
+}
+
+/// Shards that answer a pattern component equally well merge to the
+/// smallest global ids, as the unsharded kernels' tie-breaks pick. Three
+/// 2-node WCCs, `z0 → z1` and two `x → y` (nodes 2, 3 and 4, 5), pack
+/// into two shards as {0, 1, 4, 5} and {2, 3}: the first shard holds the
+/// larger ids of the tie.
+#[test]
+fn tied_shard_answers_merge_to_the_smallest_ids() {
+    let mut data: DiGraph<String> = DiGraph::new();
+    for label in ["z0", "z1", "x", "y", "x", "y"] {
+        data.add_node(label.to_owned());
+    }
+    for (a, b) in [(0, 1), (2, 3), (4, 5)] {
+        data.add_edge(NodeId(a), NodeId(b));
+    }
+    let data = Arc::new(data);
+    let service: Service<String> = sharded_service(2);
     service
-        .register("g".into(), Arc::clone(&inst.data))
+        .register("g".into(), Arc::clone(&data))
         .expect("register");
-    // Bridge part 0 and part 2: the entry must re-split and keep
-    // answering like the unsharded engine.
-    let last = NodeId((inst.data.node_count() - 1) as u32);
-    let bridge = vec![
-        GraphUpdate::InsertEdge(NodeId(0), last),
-        GraphUpdate::InsertEdge(last, NodeId(0)),
-    ];
-    let summary = service.apply_updates("g", &bridge).expect("apply");
-    assert!(summary.resharded, "cross-shard insert re-splits");
-    let engine: Engine<u8> = Engine::default();
-    let reference = engine.apply_updates(&engine.prepare(&inst.data), &bridge);
-    assert_identical(
-        &service,
-        &engine,
-        &reference.prepared,
-        &inst.pattern,
-        "post-bridge",
+    let (map, _) = ShardMap::split(
+        Arc::clone(&data),
+        &ShardingConfig {
+            max_shards: 2,
+            min_shard_nodes: 0,
+        },
+        CompressionPolicy::Auto,
     );
+    assert_eq!(map.shard_nodes(0), [0, 1, 4, 5].map(NodeId));
+    assert_eq!(map.shard_nodes(1), [2, 3].map(NodeId));
+    let engine: Engine<String> = Engine::default();
+    let prepared = engine.prepare(&data);
+    let pattern = Arc::new(graph_from_labels(&["x", "y"], &[("x", "y")]));
+    for algorithm in [
+        Algorithm::MaxCard,
+        Algorithm::MaxCard1to1,
+        Algorithm::MaxSim,
+        Algorithm::MaxSim1to1,
+    ] {
+        let mut query = Query::new(
+            Arc::clone(&pattern),
+            SimMatrix::label_equality(&pattern, &data),
+        );
+        query.config.algorithm = algorithm;
+        let sharded = service.query("g", &query).expect("query");
+        let unsharded = engine.execute(&prepared, &query);
+        let want = vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(3))];
+        assert_eq!(sharded.shards_consulted, 2, "{algorithm:?}");
+        assert_eq!(pairs(&unsharded.outcome.mapping), want, "{algorithm:?}");
+        assert_eq!(pairs(&sharded.mapping), want, "{algorithm:?}");
+    }
+}
+
+/// A sharded entry whose shards resolved to different reachability
+/// backends (a 10-node WCC on the chain index, a 3-node one dense)
+/// snapshots, restores through the validation gate, and answers exactly
+/// as the service that wrote the snapshot.
+#[test]
+fn mixed_backend_entry_restores_through_the_gate() {
+    let service = || -> Service<String> {
+        Service::new(
+            ServiceConfig::builder()
+                .engine(
+                    EngineConfig::builder()
+                        .planner(PlannerConfig::builder().chain_node_threshold(8).build())
+                        .build(),
+                )
+                .sharding(ShardingConfig {
+                    max_shards: 2,
+                    min_shard_nodes: 0,
+                })
+                .build(),
+        )
+    };
+    let labels: Vec<String> = (0..10)
+        .map(|i| format!("a{i}"))
+        .chain((0..3).map(|i| format!("b{i}")))
+        .collect();
+    let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let mut edges: Vec<(&str, &str)> = refs[..10].windows(2).map(|w| (w[0], w[1])).collect();
+    edges.extend(refs[10..].windows(2).map(|w| (w[0], w[1])));
+    edges.push(("a6", "a2"));
+    let data = Arc::new(graph_from_labels(&refs, &edges));
+    let original = service();
+    let info = original
+        .register("g".into(), Arc::clone(&data))
+        .expect("register");
+    assert_eq!(info.shard_nodes, vec![10, 3]);
+    assert_eq!(info.closure_backend, "mixed", "chain and dense shards");
+    let bytes = original.snapshot("g").expect("snapshot");
+
+    let restored = service();
+    let rinfo = restored
+        .restore("g".into(), bytes)
+        .expect("the gate admits a snapshot the service wrote");
+    assert_eq!(
+        (rinfo.shard_nodes, rinfo.closure_backend, rinfo.compression),
+        (info.shard_nodes, info.closure_backend, info.compression)
+    );
+    let pattern = Arc::new(graph_from_labels(
+        &["a0", "a5", "a3", "b0", "b2"],
+        &[("a0", "a5"), ("a5", "a3"), ("b0", "b2")],
+    ));
+    for (ci, config) in config_grid().into_iter().enumerate() {
+        let mut query = Query::new(
+            Arc::clone(&pattern),
+            SimMatrix::label_equality(&pattern, &data),
+        );
+        query.config = config;
+        let want = original.query("g", &query).expect("query");
+        let got = restored.query("g", &query).expect("query");
+        assert_eq!(pairs(&got.mapping), pairs(&want.mapping), "config {ci}");
+        assert_eq!(
+            (got.qual_card, got.qual_sim, got.plan, got.shards_consulted),
+            (
+                want.qual_card,
+                want.qual_sim,
+                want.plan,
+                want.shards_consulted
+            ),
+            "config {ci}"
+        );
+    }
 }
 
 /// One service holding an unsharded graph (`"one"`, a single WCC) and a
@@ -689,7 +815,7 @@ fn scatter_gather_slices_per_shard_and_stops_at_the_first_error() {
         |si, sub, traced| {
             assert!(!traced);
             assert_eq!(sub.matrix.n2(), map.shard_nodes(si).len());
-            assert!(sub.config.force_plan.is_some() && sub.config.partition);
+            assert!(sub.config.force_plan.is_some());
             seen.push(si);
             Err(format!("shard {si} down"))
         },
