@@ -56,7 +56,7 @@ fn churn<L>(data: &DiGraph<L>, count: usize, seed: u64) -> Vec<GraphUpdate> {
 }
 
 fn bench_family<L: Clone + std::fmt::Debug>(c: &mut Criterion, name: &str, data: Arc<DiGraph<L>>) {
-    let prepared = PreparedGraph::new(Arc::clone(&data));
+    let prepared = Arc::new(PreparedGraph::new(Arc::clone(&data)));
     let updates = churn(&data, 256, 0xD15C);
     let mut group = c.benchmark_group(format!("dynamic_{name}"));
     group.sample_size(10);
@@ -98,11 +98,11 @@ fn bench_family_chain<L: Clone + std::fmt::Debug>(
     name: &str,
     data: Arc<DiGraph<L>>,
 ) {
-    let prepared = PreparedGraph::with_backend(
+    let prepared = Arc::new(PreparedGraph::with_backend(
         Arc::clone(&data),
         ClosureBackend::Chain,
         DEFAULT_CHAIN_NODE_THRESHOLD,
-    );
+    ));
     let updates = churn(&data, 256, 0xD15C);
     let mut group = c.benchmark_group(format!("dynamic_chain_{name}"));
     group.sample_size(10);
@@ -197,7 +197,7 @@ fn bench_versions(c: &mut Criterion) {
         compression: CompressionPolicy::pinned(full.node_count(), tarjan_scc(&full).count()),
         ..Default::default()
     };
-    let prepared = PreparedGraph::prepare(Arc::clone(&shard), options);
+    let prepared = Arc::new(PreparedGraph::prepare(Arc::clone(&shard), options));
     bench_one_toggle(&mut group, "shard_apply_one_toggle", &prepared);
     group.finish();
 
@@ -214,7 +214,7 @@ fn bench_versions(c: &mut Criterion) {
         compression: CompressionPolicy::Auto,
         ..Default::default()
     };
-    let prepared = PreparedGraph::prepare(Arc::new(live), options);
+    let prepared = Arc::new(PreparedGraph::prepare(Arc::new(live), options));
     let mut group = c.benchmark_group("dynamic_versions_live_mixed");
     group.sample_size(10);
     bench_one_toggle(&mut group, "apply_one_toggle", &prepared);
@@ -227,7 +227,7 @@ fn bench_versions(c: &mut Criterion) {
 fn bench_one_toggle<L: Clone>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
-    prepared: &PreparedGraph<L>,
+    prepared: &Arc<PreparedGraph<L>>,
 ) {
     let graph = prepared.graph();
     let mut rng = XorShift64::new(0x7066);

@@ -146,11 +146,12 @@ impl From<ServiceError> for RouterError {
 }
 
 /// One worker endpoint: its dial address, the (lazily re-established)
-/// connection, and liveness.
+/// connection, liveness, and the name of its request-latency histogram.
 struct WorkerHandle {
     addr: String,
     conn: Mutex<Option<Box<dyn crate::transport::Connection>>>,
     alive: AtomicBool,
+    request_histogram: String,
 }
 
 /// Where one shard of a routed graph lives: the member ring
@@ -273,10 +274,12 @@ impl Router {
         let router = Router {
             workers: addrs
                 .iter()
-                .map(|addr| WorkerHandle {
+                .enumerate()
+                .map(|(w, addr)| WorkerHandle {
                     addr: addr.clone(),
                     conn: Mutex::new(None),
                     alive: AtomicBool::new(false),
+                    request_histogram: format!("worker_{w}_request_micros"),
                 })
                 .collect(),
             transport,
@@ -450,7 +453,7 @@ impl Router {
         let started = Instant::now();
         let payload = self.exchange(w, &frame)?;
         self.metrics.histogram_record(
-            &format!("worker_{w}_request_micros"),
+            &self.workers[w].request_histogram,
             started.elapsed().as_micros(),
         );
         codec::decode(&payload, &self.config.frame)

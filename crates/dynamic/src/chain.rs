@@ -26,42 +26,40 @@
 //!   reaches the target; if the deleted edge was the last direct edge to
 //!   the source's immediate chain successor, the chain is **split**
 //!   there (suffix renumbered to a fresh chain). Only when reachability
-//!   actually shrank does the affected cone recompute, gated by
-//!   [`DynamicConfig::damage_threshold`] — exceeding it falls back to a
-//!   full rebuild, the *damage-threshold* escape hatch.
+//!   actually shrank does the affected cone recompute, gated by the
+//!   damage budget ([`crate::DAMAGE_BUDGET_PERMILLE`] of the live
+//!   components) — exceeding it falls back to a full rebuild, the
+//!   *damage* escape hatch.
 //! * **Intra-SCC deletion** that splits a component falls back to a full
 //!   rebuild (the *unsupported-op* escape hatch): re-covering a
 //!   shattered SCC incrementally is not cheaper than rebuilding.
 //!
 //! The two fallback reasons are counted separately
-//! ([`SemiDynamicChain::fallback_damage`] /
-//! [`SemiDynamicChain::fallback_unsupported`]) so the engine can journal
-//! an expected escape hatch distinctly from a maintenance gap.
+//! ([`crate::DynamicStats::fallback_damage`] /
+//! [`crate::DynamicStats::fallback_unsupported`]) so the engine can
+//! journal an expected escape hatch distinctly from a maintenance gap.
 
-use crate::update::{DynamicConfig, DynamicStats};
+use crate::slots::{Cover, Fallback, Maintainer};
+use crate::update::UpdateEffect;
 use phom_graph::validate::{proper_reach_set, sample_indices, Violation};
-use phom_graph::{tarjan_scc, BitSet, ChainIndex, DiGraph, NodeId, UpdateEffect};
+use phom_graph::{BitSet, ChainIndex, DiGraph, NodeId};
 
 /// A [`ChainIndex`] kept consistent under edge insertions and deletions.
-/// See the module docs for the algorithm. Mirrors the shape of
-/// [`crate::SemiDynamicClosure`]: seed it from a prepared index
+/// See the module docs for the algorithm and [`Maintainer`] for the
+/// shared entry points: seed it from a prepared index
 /// ([`SemiDynamicChain::from_index`]), apply updates, then take the
 /// mutated graph and refreshed index back via
 /// [`SemiDynamicChain::into_parts`].
+pub type SemiDynamicChain<L = ()> = Maintainer<L, ChainCover>;
+
+/// The chain maintainer's per-slot index: a chain cover of the slots plus
+/// one `(chain, min position)` entry list per slot.
 #[derive(Debug, Clone)]
-pub struct SemiDynamicChain<L = ()> {
-    /// The maintained graph (mutate it only through the maintainer).
-    graph: DiGraph<L>,
-    /// `comp[v]` = slot of the component holding `v`.
-    comp: Vec<u32>,
-    /// Members per slot; dead slots are empty.
-    members: Vec<Vec<NodeId>>,
-    /// Whether the slot's component is cyclic.
-    cyclic: Vec<bool>,
+pub struct ChainCover {
     /// `chain_of[c]` / `pos_of[c]`: chain and position of slot `c`.
     /// Dead slots keep (singleton-chain) positions so the `(chain, pos)`
     /// assignment stays bijective — [`ChainIndex::from_parts`] requires
-    /// it at snapshot time.
+    /// it when the maintainer is taken apart.
     chain_of: Vec<u32>,
     pos_of: Vec<u32>,
     /// Materialized chains (slot ids in order). May contain empty chains
@@ -69,47 +67,13 @@ pub struct SemiDynamicChain<L = ()> {
     chains: Vec<Vec<u32>>,
     /// Sorted `(chain, min position)` entry list per slot.
     entries: Vec<Vec<(u32, u32)>>,
-    /// Slot liveness.
-    alive: Vec<bool>,
-    /// Number of live slots.
-    live: usize,
-    config: DynamicConfig,
-    stats: DynamicStats,
-    fallback_damage: usize,
-    fallback_unsupported: usize,
-}
-
-impl<L: Clone> SemiDynamicChain<L> {
-    /// Builds the maintainer from scratch (Tarjan + chain cover over a
-    /// copy of `g`).
-    pub fn new(g: &DiGraph<L>) -> Self {
-        Self::with_config(g, DynamicConfig::default())
-    }
-
-    /// [`SemiDynamicChain::new`] with explicit tuning.
-    pub fn with_config(g: &DiGraph<L>, config: DynamicConfig) -> Self {
-        let graph = g.clone();
-        let idx = ChainIndex::new(&graph);
-        Self::seed(graph, &idx, config, DynamicStats::default(), 0, 0)
-    }
 }
 
 impl<L> SemiDynamicChain<L> {
     /// Seeds the maintainer from an **already built** chain index of
     /// `graph` — the cheap path the engine takes when applying updates
     /// to a prepared graph on the chain backend.
-    pub fn from_index(graph: DiGraph<L>, idx: &ChainIndex, config: DynamicConfig) -> Self {
-        Self::seed(graph, idx, config, DynamicStats::default(), 0, 0)
-    }
-
-    fn seed(
-        graph: DiGraph<L>,
-        idx: &ChainIndex,
-        config: DynamicConfig,
-        stats: DynamicStats,
-        fallback_damage: usize,
-        fallback_unsupported: usize,
-    ) -> Self {
+    pub fn from_index(graph: DiGraph<L>, idx: &ChainIndex) -> Self {
         let p = idx.parts();
         let slots = p.chain_of.len();
         let comp: Vec<u32> = p.comp.to_vec();
@@ -132,147 +96,13 @@ impl<L> SemiDynamicChain<L> {
         let entries: Vec<Vec<(u32, u32)>> = (0..slots)
             .map(|c| p.entries[p.entry_off[c] as usize..p.entry_off[c + 1] as usize].to_vec())
             .collect();
-        // A seed index restored from a snapshot can carry dead slots from
-        // a previous maintainer's merges; memberless slots stay dead.
-        let alive: Vec<bool> = members.iter().map(|m| !m.is_empty()).collect();
-        let live = alive.iter().filter(|&&a| a).count();
-        SemiDynamicChain {
-            graph,
-            comp,
-            members,
-            cyclic,
+        let cover = ChainCover {
             chain_of,
             pos_of,
             chains,
             entries,
-            alive,
-            live,
-            config,
-            stats,
-            fallback_damage,
-            fallback_unsupported,
-        }
-    }
-
-    /// The maintained graph.
-    pub fn graph(&self) -> &DiGraph<L> {
-        &self.graph
-    }
-
-    /// Number of live condensation components.
-    pub fn component_count(&self) -> usize {
-        self.live
-    }
-
-    /// Counters of the work done so far.
-    pub fn stats(&self) -> &DynamicStats {
-        &self.stats
-    }
-
-    /// Rebuild fallbacks taken because a deletion cone exceeded
-    /// [`DynamicConfig::damage_threshold`] — the expected escape hatch.
-    pub fn fallback_damage(&self) -> usize {
-        self.fallback_damage
-    }
-
-    /// Rebuild fallbacks taken because the update shape has no
-    /// incremental chain rule (SCC-splitting deletions).
-    pub fn fallback_unsupported(&self) -> usize {
-        self.fallback_unsupported
-    }
-
-    /// Nonempty-path reachability under the maintained index.
-    pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        let cf = self.comp[from.index()] as usize;
-        let ct = self.comp[to.index()] as usize;
-        if cf == ct {
-            return self.cyclic[cf];
-        }
-        self.comp_probe(cf, ct)
-    }
-
-    /// Checks the maintained state against a from-scratch recomputation
-    /// — the maintenance contract `maintained ≡ ChainIndex::new(graph)`
-    /// at the `reaches` level. Slot bookkeeping is verified first
-    /// (assignments in range, liveness/membership agreement, sorted
-    /// entry lists), then the maintained relation is compared against
-    /// brute-force proper-path BFS from up to `samples` evenly-spaced
-    /// source nodes (pass `samples >= node_count` for an exhaustive
-    /// comparison). Returns the first violated invariant.
-    pub fn validate(&self, samples: usize) -> Result<(), Violation> {
-        let n = self.graph.node_count();
-        let slots = self.chain_of.len();
-        if self.comp.len() != n {
-            return Err(Violation::new(
-                "dynchain-shape",
-                format!("comp covers {} of {n} nodes", self.comp.len()),
-            ));
-        }
-        if self.members.len() != slots
-            || self.cyclic.len() != slots
-            || self.pos_of.len() != slots
-            || self.entries.len() != slots
-            || self.alive.len() != slots
-        {
-            return Err(Violation::new(
-                "dynchain-shape",
-                "slot vectors have diverging lengths",
-            ));
-        }
-        if self.live != self.alive.iter().filter(|&&a| a).count() {
-            return Err(Violation::new(
-                "dynchain-slots",
-                "live counter disagrees with slot liveness",
-            ));
-        }
-        for (v, &c) in self.comp.iter().enumerate() {
-            let c = c as usize;
-            if c >= slots || !self.alive[c] {
-                return Err(Violation::new(
-                    "dynchain-slots",
-                    format!("node {v} assigned to dead or out-of-range slot {c}"),
-                ));
-            }
-            if !self.members[c].contains(&NodeId(v as u32)) {
-                return Err(Violation::new(
-                    "dynchain-slots",
-                    format!("node {v} missing from the member list of slot {c}"),
-                ));
-            }
-        }
-        for c in 0..slots {
-            if !self.alive[c] && !self.members[c].is_empty() {
-                return Err(Violation::new(
-                    "dynchain-slots",
-                    format!("dead slot {c} still holds members"),
-                ));
-            }
-            if self.entries[c].windows(2).any(|w| w[0].0 >= w[1].0) {
-                return Err(Violation::new(
-                    "dynchain-entries",
-                    format!("entry list of slot {c} not strictly sorted by chain"),
-                ));
-            }
-        }
-        for v in sample_indices(n, samples) {
-            let v = NodeId(v as u32);
-            let truth = proper_reach_set(&self.graph, v);
-            for w in self.graph.nodes() {
-                if self.reaches(v, w) != truth.contains(w.index()) {
-                    return Err(Violation::new(
-                        "dynchain-reaches",
-                        format!(
-                            "reaches({}, {}) = {}, BFS says {}",
-                            v.0,
-                            w.0,
-                            self.reaches(v, w),
-                            truth.contains(w.index())
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
+        };
+        Maintainer::from_slots(graph, comp, members, cyclic, cover)
     }
 
     /// Consumes the maintainer into the (mutated) graph plus the
@@ -280,11 +110,11 @@ impl<L> SemiDynamicChain<L> {
     /// prepared version from.
     pub fn into_parts(self) -> (DiGraph<L>, ChainIndex) {
         let n = self.graph.node_count();
-        let slots = self.chain_of.len();
+        let slots = self.cover.chain_of.len();
         let mut entry_off = vec![0u32; slots + 1];
         let mut entries: Vec<(u32, u32)> = Vec::new();
         for c in 0..slots {
-            entries.extend_from_slice(&self.entries[c]);
+            entries.extend_from_slice(&self.cover.entries[c]);
             entry_off[c + 1] = entries.len() as u32;
         }
         let mut cyc = BitSet::new(slots);
@@ -297,8 +127,8 @@ impl<L> SemiDynamicChain<L> {
             n,
             self.comp,
             cyc,
-            self.chain_of,
-            self.pos_of,
+            self.cover.chain_of,
+            self.cover.pos_of,
             entry_off,
             entries,
         )
@@ -310,9 +140,9 @@ impl<L> SemiDynamicChain<L> {
     /// Proper cross-component reach `cf ⇝ ct` (`cf != ct`) via the
     /// entry list.
     fn comp_probe(&self, cf: usize, ct: usize) -> bool {
-        let (tj, tp) = (self.chain_of[ct], self.pos_of[ct]);
-        match self.entries[cf].binary_search_by_key(&tj, |&(j, _)| j) {
-            Ok(i) => self.entries[cf][i].1 <= tp,
+        let (tj, tp) = (self.cover.chain_of[ct], self.cover.pos_of[ct]);
+        match self.cover.entries[cf].binary_search_by_key(&tj, |&(j, _)| j) {
+            Ok(i) => self.cover.entries[cf][i].1 <= tp,
             Err(_) => false,
         }
     }
@@ -360,57 +190,21 @@ impl<L> SemiDynamicChain<L> {
     /// construction (they cannot reach `ca`), those inside come earlier
     /// in post-order.
     fn recompute_cone(&mut self, affected: &[usize]) {
-        let slots = self.members.len();
-        let mut need = vec![false; slots];
-        for &c in affected {
-            need[c] = true;
-        }
-        let mut state = vec![0u8; slots]; // 0 fresh, 1 queued, 2 ordered
-        let mut order: Vec<usize> = Vec::with_capacity(affected.len());
-        let mut stack: Vec<(usize, bool)> = Vec::new();
-        for &start in affected {
-            if state[start] == 2 {
-                continue;
-            }
-            stack.push((start, false));
-            while let Some((c, emit)) = stack.pop() {
-                if emit {
-                    if state[c] != 2 {
-                        state[c] = 2;
-                        order.push(c);
-                    }
-                    continue;
-                }
-                if state[c] != 0 {
-                    continue;
-                }
-                state[c] = 1;
-                stack.push((c, true));
-                for &m in &self.members[c] {
-                    for &w in self.graph.post(m) {
-                        let d = self.comp[w.index()] as usize;
-                        if d != c && need[d] && state[d] == 0 {
-                            stack.push((d, false));
-                        }
-                    }
-                }
-            }
-        }
         // Chain-wise min fold: reach(c) = ∪ over edges c -> d of
         // {d} ∪ reach(d), summarized per chain by the minimum position.
-        let width = self.chains.len();
+        let width = self.cover.chains.len();
         let mut best: Vec<u32> = vec![u32::MAX; width];
         let mut touched: Vec<u32> = Vec::new();
-        for &c in &order {
+        for c in self.post_order(affected) {
             for d in self.out_comps(c) {
-                let (dj, dp) = (self.chain_of[d] as usize, self.pos_of[d]);
+                let (dj, dp) = (self.cover.chain_of[d] as usize, self.cover.pos_of[d]);
                 if best[dj] == u32::MAX {
                     touched.push(dj as u32);
                     best[dj] = dp;
                 } else if dp < best[dj] {
                     best[dj] = dp;
                 }
-                for &(ej, ep) in &self.entries[d] {
+                for &(ej, ep) in &self.cover.entries[d] {
                     let ej = ej as usize;
                     if best[ej] == u32::MAX {
                         touched.push(ej as u32);
@@ -426,22 +220,8 @@ impl<L> SemiDynamicChain<L> {
                 best[j as usize] = u32::MAX;
             }
             touched.clear();
-            self.entries[c] = list;
+            self.cover.entries[c] = list;
         }
-    }
-
-    /// Full from-scratch rebuild — the escape hatch. `damage` selects
-    /// which fallback counter records the reason.
-    fn rebuild(&mut self, damage: bool) {
-        let scc = tarjan_scc(&self.graph);
-        let idx = ChainIndex::from_scc(&self.graph, &scc);
-        let graph = std::mem::take(&mut self.graph);
-        let config = self.config;
-        let mut stats = self.stats;
-        stats.rebuilds += 1;
-        let fd = self.fallback_damage + usize::from(damage);
-        let fu = self.fallback_unsupported + usize::from(!damage);
-        *self = Self::seed(graph, &idx, config, stats, fd, fu);
     }
 
     /// Splits chain `j` after position `p`: the suffix becomes a fresh
@@ -450,29 +230,29 @@ impl<L> SemiDynamicChain<L> {
     /// element at `p` and are therefore in any affected cone about to be
     /// recomputed.
     fn split_chain_after(&mut self, j: usize, p: usize) {
-        if p + 1 >= self.chains[j].len() {
+        if p + 1 >= self.cover.chains[j].len() {
             return;
         }
-        let tail = self.chains[j].split_off(p + 1);
-        let new_chain = self.chains.len() as u32;
+        let tail = self.cover.chains[j].split_off(p + 1);
+        let new_chain = self.cover.chains.len() as u32;
         for (i, &slot) in tail.iter().enumerate() {
-            self.chain_of[slot as usize] = new_chain;
-            self.pos_of[slot as usize] = i as u32;
+            self.cover.chain_of[slot as usize] = new_chain;
+            self.cover.pos_of[slot as usize] = i as u32;
         }
-        self.chains.push(tail);
+        self.cover.chains.push(tail);
         let p = p as u32;
         let j = j as u32;
-        for c in 0..self.entries.len() {
+        for c in 0..self.cover.entries.len() {
             if !self.alive[c] {
                 continue;
             }
-            if let Ok(i) = self.entries[c].binary_search_by_key(&j, |&(ej, _)| ej) {
-                let (_, q) = self.entries[c][i];
+            if let Ok(i) = self.cover.entries[c].binary_search_by_key(&j, |&(ej, _)| ej) {
+                let (_, q) = self.cover.entries[c][i];
                 if q > p {
                     // The new chain id is the maximum, so moving the
                     // entry to the back keeps the list sorted.
-                    self.entries[c].remove(i);
-                    self.entries[c].push((new_chain, q - p - 1));
+                    self.cover.entries[c].remove(i);
+                    self.cover.entries[c].push((new_chain, q - p - 1));
                 }
             }
         }
@@ -484,43 +264,43 @@ impl<L> SemiDynamicChain<L> {
     /// onto the suffix chain — sound because this runs only during SCC
     /// merges, where reachability only grows.
     fn splice_out(&mut self, t: usize) {
-        let j = self.chain_of[t] as usize;
-        let p = self.pos_of[t] as usize;
-        let tail = self.chains[j].split_off(p + 1);
-        self.chains[j].pop(); // t itself
+        let j = self.cover.chain_of[t] as usize;
+        let p = self.cover.pos_of[t] as usize;
+        let tail = self.cover.chains[j].split_off(p + 1);
+        self.cover.chains[j].pop(); // t itself
         let suffix_chain = if tail.is_empty() {
             None
         } else {
-            let id = self.chains.len() as u32;
+            let id = self.cover.chains.len() as u32;
             for (i, &slot) in tail.iter().enumerate() {
-                self.chain_of[slot as usize] = id;
-                self.pos_of[slot as usize] = i as u32;
+                self.cover.chain_of[slot as usize] = id;
+                self.cover.pos_of[slot as usize] = i as u32;
             }
-            self.chains.push(tail);
+            self.cover.chains.push(tail);
             Some(id)
         };
-        let tomb = self.chains.len() as u32;
-        self.chains.push(vec![t as u32]);
-        self.chain_of[t] = tomb;
-        self.pos_of[t] = 0;
+        let tomb = self.cover.chains.len() as u32;
+        self.cover.chains.push(vec![t as u32]);
+        self.cover.chain_of[t] = tomb;
+        self.cover.pos_of[t] = 0;
         let (j, p) = (j as u32, p as u32);
         if let Some(new_chain) = suffix_chain {
-            for c in 0..self.entries.len() {
+            for c in 0..self.cover.entries.len() {
                 if !self.alive[c] {
                     continue;
                 }
-                if let Ok(i) = self.entries[c].binary_search_by_key(&j, |&(ej, _)| ej) {
-                    let (_, q) = self.entries[c][i];
+                if let Ok(i) = self.cover.entries[c].binary_search_by_key(&j, |&(ej, _)| ej) {
+                    let (_, q) = self.cover.entries[c][i];
                     if q > p {
-                        self.entries[c].remove(i);
-                        self.entries[c].push((new_chain, q - p - 1));
+                        self.cover.entries[c].remove(i);
+                        self.cover.entries[c].push((new_chain, q - p - 1));
                     } else if q == p {
-                        self.entries[c].remove(i);
-                        self.entries[c].push((new_chain, 0));
+                        self.cover.entries[c].remove(i);
+                        self.cover.entries[c].push((new_chain, 0));
                     } else {
                         // The claim spanned the splice point: the prefix
                         // part stays, the suffix part gets its own entry.
-                        self.entries[c].push((new_chain, 0));
+                        self.cover.entries[c].push((new_chain, 0));
                     }
                 }
             }
@@ -533,25 +313,25 @@ impl<L> SemiDynamicChain<L> {
     /// the old length of `ja`; holders of entries on `ja` reach the old
     /// tail, hence — through the new edge — everything appended.
     fn concat_chains(&mut self, ja: usize, jb: usize) {
-        let offset = self.chains[ja].len() as u32;
-        let moved = std::mem::take(&mut self.chains[jb]);
+        let offset = self.cover.chains[ja].len() as u32;
+        let moved = std::mem::take(&mut self.cover.chains[jb]);
         for (i, &slot) in moved.iter().enumerate() {
-            self.chain_of[slot as usize] = ja as u32;
-            self.pos_of[slot as usize] = offset + i as u32;
+            self.cover.chain_of[slot as usize] = ja as u32;
+            self.cover.pos_of[slot as usize] = offset + i as u32;
         }
-        self.chains[ja].extend(moved);
+        self.cover.chains[ja].extend(moved);
         let (ja, jb) = (ja as u32, jb as u32);
-        for c in 0..self.entries.len() {
+        for c in 0..self.cover.entries.len() {
             if !self.alive[c] {
                 continue;
             }
-            if let Ok(i) = self.entries[c].binary_search_by_key(&jb, |&(ej, _)| ej) {
-                let (_, q) = self.entries[c].remove(i);
-                match self.entries[c].binary_search_by_key(&ja, |&(ej, _)| ej) {
+            if let Ok(i) = self.cover.entries[c].binary_search_by_key(&jb, |&(ej, _)| ej) {
+                let (_, q) = self.cover.entries[c].remove(i);
+                match self.cover.entries[c].binary_search_by_key(&ja, |&(ej, _)| ej) {
                     // An existing entry on `ja` covers its whole suffix,
                     // which now includes the appended part.
                     Ok(_) => {}
-                    Err(at) => self.entries[c].insert(at, (ja, offset + q)),
+                    Err(at) => self.cover.entries[c].insert(at, (ja, offset + q)),
                 }
             }
         }
@@ -582,7 +362,7 @@ impl<L> SemiDynamicChain<L> {
                 self.comp[m.index()] = ca as u32;
             }
             self.members[ca].extend(moved);
-            self.entries[t].clear();
+            self.cover.entries[t].clear();
             self.cyclic[t] = false;
             self.alive[t] = false;
             self.live -= 1;
@@ -596,122 +376,6 @@ impl<L> SemiDynamicChain<L> {
         self.recompute_cone(&affected);
         self.stats.scc_merges += 1;
         self.stats.incremental_inserts += 1;
-        UpdateEffect::Incremental {
-            affected_components: count,
-        }
-    }
-
-    /// [`SemiDynamicChain::insert_edge`] without the timing wrapper.
-    fn insert_edge_untimed(&mut self, u: NodeId, v: NodeId) -> UpdateEffect {
-        if !self.graph.add_edge(u, v) {
-            self.stats.noops += 1;
-            return UpdateEffect::NoOp;
-        }
-        let ca = self.comp[u.index()] as usize;
-        if u == v {
-            if self.cyclic[ca] {
-                self.stats.unchanged += 1;
-                return UpdateEffect::Unchanged;
-            }
-            self.cyclic[ca] = true;
-            self.stats.incremental_inserts += 1;
-            return UpdateEffect::Incremental {
-                affected_components: 1,
-            };
-        }
-        let cb = self.comp[v.index()] as usize;
-        if ca == cb || self.comp_probe(ca, cb) {
-            // Same SCC, or u already reached v: every path through the
-            // new edge was already witnessed.
-            self.stats.unchanged += 1;
-            return UpdateEffect::Unchanged;
-        }
-        if self.comp_probe(cb, ca) {
-            return self.merge_cycle(u, v);
-        }
-        // Forward edge. If it welds ja's tail to jb's head, concatenate
-        // the chains first — the entry recompute below then folds long
-        // suffixes instead of two short ones.
-        let (ja, jb) = (self.chain_of[ca] as usize, self.chain_of[cb] as usize);
-        if ja != jb && self.pos_of[ca] as usize == self.chains[ja].len() - 1 && self.pos_of[cb] == 0
-        {
-            self.concat_chains(ja, jb);
-        }
-        let affected = self.affected_cone(ca);
-        let count = affected.len();
-        self.recompute_cone(&affected);
-        self.stats.incremental_inserts += 1;
-        UpdateEffect::Incremental {
-            affected_components: count,
-        }
-    }
-
-    /// [`SemiDynamicChain::remove_edge`] without the timing wrapper.
-    fn remove_edge_untimed(&mut self, u: NodeId, v: NodeId) -> UpdateEffect {
-        if !self.graph.remove_edge(u, v) {
-            self.stats.noops += 1;
-            return UpdateEffect::NoOp;
-        }
-        let ca = self.comp[u.index()] as usize;
-        let cb = self.comp[v.index()] as usize;
-        if u == v {
-            if self.members[ca].len() > 1 {
-                self.stats.unchanged += 1;
-                return UpdateEffect::Unchanged;
-            }
-            self.cyclic[ca] = false;
-            self.stats.incremental_removals += 1;
-            return UpdateEffect::Incremental {
-                affected_components: 1,
-            };
-        }
-        if ca == cb {
-            // Intra-SCC deletion: the component survives iff u still
-            // reaches v inside it (any escape path would contradict the
-            // condensation's acyclicity).
-            if self.intra_still_reaches(ca, u, v) {
-                self.stats.unchanged += 1;
-                return UpdateEffect::Unchanged;
-            }
-            self.stats.scc_splits += 1;
-            self.rebuild(false);
-            return UpdateEffect::Rebuilt;
-        }
-        // Cross-component deletion. First repair chain adjacency: if the
-        // deleted edge was the last direct edge from ca to its immediate
-        // chain successor, split the chain there — even when ca still
-        // reaches cb indirectly, the *direct-link* invariant is what
-        // future recomputes lean on.
-        let j = self.chain_of[ca] as usize;
-        let p = self.pos_of[ca] as usize;
-        if p + 1 < self.chains[j].len()
-            && self.chains[j][p + 1] as usize == cb
-            && !self.has_member_edge(ca, cb)
-        {
-            self.split_chain_after(j, p);
-        }
-        // Still-reaches check over ca's live out-neighbors: their
-        // entries cannot have been damaged (successors never reach ca).
-        if self
-            .out_comps(ca)
-            .into_iter()
-            .any(|d| d == cb || self.comp_probe(d, cb))
-        {
-            self.stats.unchanged += 1;
-            return UpdateEffect::Unchanged;
-        }
-        let affected = self.affected_cone(ca);
-        let budget = ((self.config.damage_threshold * self.live as f64).ceil() as usize).max(1);
-        if let Some(permille) = (affected.len() * 1000).checked_div(self.live) {
-            self.stats.peak_damage_permille = self.stats.peak_damage_permille.max(permille);
-        }
-        if affected.len() > budget {
-            self.rebuild(true);
-            return UpdateEffect::Rebuilt;
-        }
-        let count = affected.len();
-        self.recompute_cone(&affected);
-        self.stats.incremental_removals += 1;
         UpdateEffect::Incremental {
             affected_components: count,
         }
@@ -736,31 +400,176 @@ impl<L> SemiDynamicChain<L> {
         }
         false
     }
+}
 
-    /// Inserts edge `(u, v)`, patching the index. Mirrors
-    /// [`phom_graph::DynamicClosure::insert_edge`] semantics.
-    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> UpdateEffect {
-        // phom-lint: allow(clock, "monotonic elapsed-time maintenance stats; no wall-clock semantics")
-        let started = std::time::Instant::now();
-        let effect = self.insert_edge_untimed(u, v);
-        self.stats.maintain_micros += started.elapsed().as_micros();
-        effect
+impl Cover for ChainCover {
+    fn build<L>(graph: DiGraph<L>) -> Maintainer<L, Self> {
+        let idx = ChainIndex::new(&graph);
+        SemiDynamicChain::from_index(graph, &idx)
     }
 
-    /// Removes edge `(u, v)`, patching the index. Mirrors
-    /// [`phom_graph::DynamicClosure::remove_edge`] semantics.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> UpdateEffect {
-        // phom-lint: allow(clock, "monotonic elapsed-time maintenance stats; no wall-clock semantics")
-        let started = std::time::Instant::now();
-        let effect = self.remove_edge_untimed(u, v);
-        self.stats.maintain_micros += started.elapsed().as_micros();
-        effect
+    fn reaches<L>(m: &Maintainer<L, Self>, from: NodeId, to: NodeId) -> bool {
+        let cf = m.comp[from.index()] as usize;
+        let ct = m.comp[to.index()] as usize;
+        if cf == ct {
+            return m.cyclic[cf];
+        }
+        m.comp_probe(cf, ct)
+    }
+
+    fn insert<L>(m: &mut Maintainer<L, Self>, u: NodeId, v: NodeId) -> UpdateEffect {
+        if !m.graph.add_edge(u, v) {
+            m.stats.noops += 1;
+            return UpdateEffect::NoOp;
+        }
+        let ca = m.comp[u.index()] as usize;
+        if u == v {
+            if m.cyclic[ca] {
+                m.stats.unchanged += 1;
+                return UpdateEffect::Unchanged;
+            }
+            m.cyclic[ca] = true;
+            m.stats.incremental_inserts += 1;
+            return UpdateEffect::Incremental {
+                affected_components: 1,
+            };
+        }
+        let cb = m.comp[v.index()] as usize;
+        if ca == cb || m.comp_probe(ca, cb) {
+            // Same SCC, or u already reached v: every path through the
+            // new edge was already witnessed.
+            m.stats.unchanged += 1;
+            return UpdateEffect::Unchanged;
+        }
+        if m.comp_probe(cb, ca) {
+            return m.merge_cycle(u, v);
+        }
+        // Forward edge. If it welds ja's tail to jb's head, concatenate
+        // the chains first — the entry recompute below then folds long
+        // suffixes instead of two short ones.
+        let (ja, jb) = (m.cover.chain_of[ca] as usize, m.cover.chain_of[cb] as usize);
+        if ja != jb
+            && m.cover.pos_of[ca] as usize == m.cover.chains[ja].len() - 1
+            && m.cover.pos_of[cb] == 0
+        {
+            m.concat_chains(ja, jb);
+        }
+        let affected = m.affected_cone(ca);
+        let count = affected.len();
+        m.recompute_cone(&affected);
+        m.stats.incremental_inserts += 1;
+        UpdateEffect::Incremental {
+            affected_components: count,
+        }
+    }
+
+    fn remove<L>(m: &mut Maintainer<L, Self>, u: NodeId, v: NodeId) -> UpdateEffect {
+        if !m.graph.remove_edge(u, v) {
+            m.stats.noops += 1;
+            return UpdateEffect::NoOp;
+        }
+        let ca = m.comp[u.index()] as usize;
+        let cb = m.comp[v.index()] as usize;
+        if u == v {
+            if m.members[ca].len() > 1 {
+                m.stats.unchanged += 1;
+                return UpdateEffect::Unchanged;
+            }
+            m.cyclic[ca] = false;
+            m.stats.incremental_removals += 1;
+            return UpdateEffect::Incremental {
+                affected_components: 1,
+            };
+        }
+        if ca == cb {
+            // Intra-SCC deletion: the component survives iff u still
+            // reaches v inside it (any escape path would contradict the
+            // condensation's acyclicity).
+            if m.intra_still_reaches(ca, u, v) {
+                m.stats.unchanged += 1;
+                return UpdateEffect::Unchanged;
+            }
+            m.stats.scc_splits += 1;
+            m.rebuild(Fallback::Unsupported);
+            return UpdateEffect::Rebuilt;
+        }
+        // Cross-component deletion. First repair chain adjacency: if the
+        // deleted edge was the last direct edge from ca to its immediate
+        // chain successor, split the chain there — even when ca still
+        // reaches cb indirectly, the *direct-link* invariant is what
+        // future recomputes lean on.
+        let j = m.cover.chain_of[ca] as usize;
+        let p = m.cover.pos_of[ca] as usize;
+        if p + 1 < m.cover.chains[j].len()
+            && m.cover.chains[j][p + 1] as usize == cb
+            && !m.has_member_edge(ca, cb)
+        {
+            m.split_chain_after(j, p);
+        }
+        // Still-reaches check over ca's live out-neighbors: their
+        // entries cannot have been damaged (successors never reach ca).
+        if m.out_comps(ca)
+            .into_iter()
+            .any(|d| d == cb || m.comp_probe(d, cb))
+        {
+            m.stats.unchanged += 1;
+            return UpdateEffect::Unchanged;
+        }
+        let affected = m.affected_cone(ca);
+        m.repair_cone(affected)
+    }
+
+    fn recompute<L>(m: &mut Maintainer<L, Self>, affected: &[usize]) {
+        m.recompute_cone(affected);
+    }
+
+    /// Cover shape and sorted entry lists, then the maintained relation
+    /// against brute-force proper-path BFS.
+    fn validate<L>(m: &Maintainer<L, Self>, samples: usize) -> Result<(), Violation> {
+        let cover = &m.cover;
+        let slots = m.members.len();
+        if cover.chain_of.len() != slots
+            || cover.pos_of.len() != slots
+            || cover.entries.len() != slots
+        {
+            return Err(Violation::new(
+                "dynchain-shape",
+                "cover vectors differ from the slot count",
+            ));
+        }
+        if let Some(c) = (0..slots).find(|&c| cover.entries[c].windows(2).any(|w| w[0].0 >= w[1].0))
+        {
+            return Err(Violation::new(
+                "dynchain-entries",
+                format!("entry list of slot {c} not strictly sorted by chain"),
+            ));
+        }
+        for v in sample_indices(m.graph.node_count(), samples) {
+            let v = NodeId(v as u32);
+            let truth = proper_reach_set(&m.graph, v);
+            for w in m.graph.nodes() {
+                if m.reaches(v, w) != truth.contains(w.index()) {
+                    return Err(Violation::new(
+                        "dynchain-reaches",
+                        format!(
+                            "reaches({}, {}) = {}, BFS says {}",
+                            v.0,
+                            w.0,
+                            m.reaches(v, w),
+                            truth.contains(w.index())
+                        ),
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::update::DynamicStats;
     use phom_graph::{graph_from_labels, ReachabilityIndex, TransitiveClosure};
 
     fn assert_matches_scratch<L, M>(dyc: &SemiDynamicChain<L>, g: &DiGraph<M>) {
@@ -854,26 +663,27 @@ mod tests {
         g.remove_edge(NodeId(2), NodeId(0));
         assert_eq!(eff, UpdateEffect::Rebuilt);
         assert_eq!(dyc.stats().scc_splits, 1);
-        assert_eq!(dyc.fallback_unsupported(), 1);
-        assert_eq!(dyc.fallback_damage(), 0);
+        assert_eq!(dyc.stats().fallback_unsupported, 1);
+        assert_eq!(dyc.stats().fallback_damage, 0);
         assert_matches_scratch(&dyc, &g);
     }
 
     #[test]
-    fn zero_damage_threshold_forces_rebuild_with_damage_reason() {
-        let g0 = graph_from_labels(&["a", "b", "c", "d"], &[("a", "b"), ("b", "c"), ("c", "d")]);
-        let mut dyc = SemiDynamicChain::with_config(
-            &g0,
-            DynamicConfig {
-                damage_threshold: 0.0,
-            },
-        );
+    fn deletion_cone_over_the_damage_budget_rebuilds_with_damage_reason() {
+        // Cutting n8 -> n9 damages the entries of n0..n8: a cone of 9 of
+        // 10 live components, over the budget of 5.
+        let labels: Vec<String> = (0..10).map(|i| format!("n{i}")).collect();
+        let names: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let edges: Vec<(&str, &str)> = names.windows(2).map(|w| (w[0], w[1])).collect();
+        let g0 = graph_from_labels(&names, &edges);
+        let mut dyc = SemiDynamicChain::new(&g0);
         let mut g = structure(&g0);
-        let eff = dyc.remove_edge(NodeId(1), NodeId(2));
-        g.remove_edge(NodeId(1), NodeId(2));
+        let eff = dyc.remove_edge(NodeId(8), NodeId(9));
+        g.remove_edge(NodeId(8), NodeId(9));
         assert_eq!(eff, UpdateEffect::Rebuilt);
-        assert_eq!(dyc.fallback_damage(), 1);
-        assert_eq!(dyc.fallback_unsupported(), 0);
+        assert_eq!(dyc.stats().fallback_damage, 1);
+        assert_eq!(dyc.stats().fallback_unsupported, 0);
+        assert_eq!(dyc.stats().peak_damage_permille, 900);
         assert_matches_scratch(&dyc, &g);
     }
 
@@ -948,7 +758,9 @@ mod tests {
                 .prop_map(|(n, edges, ops)| OpSeq { n, edges, ops })
         }
 
-        fn check_sequence(seq: &OpSeq, threshold: f64) -> Result<(), TestCaseError> {
+        /// Applies `seq` step by step, comparing every prefix with a
+        /// from-scratch closure; returns the maintainer's counters.
+        fn check_sequence(seq: &OpSeq) -> Result<DynamicStats, TestCaseError> {
             let mut g: DiGraph<()> = DiGraph::with_capacity(seq.n);
             for _ in 0..seq.n {
                 g.add_node(());
@@ -956,12 +768,7 @@ mod tests {
             for &(a, b) in &seq.edges {
                 g.add_edge(NodeId((a % seq.n) as u32), NodeId((b % seq.n) as u32));
             }
-            let mut dyc = SemiDynamicChain::with_config(
-                &g,
-                DynamicConfig {
-                    damage_threshold: threshold,
-                },
-            );
+            let mut dyc = SemiDynamicChain::new(&g);
             for &(insert, a, b) in &seq.ops {
                 let a = NodeId((a % seq.n) as u32);
                 let b = NodeId((b % seq.n) as u32);
@@ -991,6 +798,7 @@ mod tests {
             // The maintainer's own validator (the audit surface) must
             // accept the maintained state after the full sequence.
             prop_assert_eq!(dyc.validate(g.node_count()).err(), None);
+            let stats = *dyc.stats();
             // Finalization must produce a structurally valid index that
             // still answers identically (this is what the engine
             // snapshots and queries).
@@ -1005,7 +813,24 @@ mod tests {
                 idx.validate_against(&g_back, g_back.node_count()).err(),
                 None
             );
-            Ok(())
+            Ok(stats)
+        }
+
+        /// The property's checks reach both sides of the damage budget:
+        /// on a 10-node path, cutting `n0 -> n1` recomputes a cone of one
+        /// component, and cutting `n8 -> n9` next (a cone of 8 of 10)
+        /// rebuilds.
+        #[test]
+        fn sequence_check_covers_cone_recompute_and_rebuild() {
+            let seq = OpSeq {
+                n: 10,
+                edges: (0..9).map(|i| (i, i + 1)).collect(),
+                ops: vec![(false, 0, 1), (false, 8, 9)],
+            };
+            let stats = check_sequence(&seq).expect("maintained index matches");
+            assert_eq!(stats.incremental_removals, 1, "cone recompute");
+            assert_eq!(stats.rebuilds, 1, "damage rebuild");
+            assert_eq!(stats.fallback_damage, 1);
         }
 
         proptest! {
@@ -1015,18 +840,7 @@ mod tests {
             /// the same grid the dense maintainer is tested under.
             #[test]
             fn prop_chain_maintenance_equals_scratch(seq in arb_ops()) {
-                check_sequence(&seq, DynamicConfig::default().damage_threshold)?;
-            }
-
-            /// Same property with the damage fallback disabled (1.0:
-            /// always repair incrementally — every supported case must
-            /// be correct on its own) and hair-triggered (0.0).
-            #[test]
-            fn prop_chain_maintenance_at_threshold_extremes(
-                seq in arb_ops(),
-                hi in any::<bool>(),
-            ) {
-                check_sequence(&seq, if hi { 1.0 } else { 0.0 })?;
+                check_sequence(&seq)?;
             }
         }
     }

@@ -1,7 +1,6 @@
-//! Update vocabulary shared by the closure maintainer, the engine's
+//! Update vocabulary shared by the maintainers, the engine's
 //! `PreparedGraph::apply`, and the `engine-live` CLI: what an edit is,
-//! how aggressively deletions may cascade before a rebuild, and what the
-//! maintainer did so far.
+//! what it did to a maintained index, and what a maintainer did so far.
 
 use phom_graph::{DiGraph, NodeId};
 
@@ -37,6 +36,16 @@ impl GraphUpdate {
         a.index() < n && b.index() < n
     }
 
+    /// True when applying this edit to `g` would change it: an in-range
+    /// insert of an absent edge or removal of a present one.
+    pub fn changes<L>(self, g: &DiGraph<L>) -> bool {
+        self.in_range(g.node_count())
+            && match self {
+                GraphUpdate::InsertEdge(a, b) => !g.has_edge(a, b),
+                GraphUpdate::RemoveEdge(a, b) => g.has_edge(a, b),
+            }
+    }
+
     /// Applies just the graph edit (no index maintenance). Returns `true`
     /// when the graph actually changed.
     pub fn apply_to<L>(self, g: &mut DiGraph<L>) -> bool {
@@ -47,26 +56,26 @@ impl GraphUpdate {
     }
 }
 
-/// Tuning knobs for [`crate::SemiDynamicClosure`].
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicConfig {
-    /// Deletion damage threshold, as a fraction of live condensation
-    /// components in `(0, 1]`. A deletion whose affected cone (components
-    /// reaching the deleted edge's source, plus any SCC-split fragments)
-    /// exceeds `damage_threshold × live_components` triggers a full
-    /// from-scratch rebuild instead of a cascading cone recompute —
-    /// bounding the worst case at one re-prepare. `0.0` degenerates to
-    /// "rebuild on every structural deletion" (useful for testing);
-    /// `1.0` never falls back.
-    pub damage_threshold: f64,
-}
-
-impl Default for DynamicConfig {
-    fn default() -> Self {
-        DynamicConfig {
-            damage_threshold: 0.5,
-        }
-    }
+/// How an edge update changed a maintained index — what the
+/// maintainers' `insert_edge`/`remove_edge` return and the engine's
+/// update loop counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateEffect {
+    /// The graph itself did not change (duplicate insert, missing delete).
+    NoOp,
+    /// The graph changed but the index was already consistent (e.g. an
+    /// inserted edge whose endpoints were already connected).
+    Unchanged,
+    /// The index was patched in place, touching this many components.
+    Incremental {
+        /// Components whose rows were created, merged, or rewritten.
+        affected_components: usize,
+    },
+    /// The index is rebuilt from scratch: a deletion cone past the
+    /// damage budget, an update shape the maintainer has no incremental
+    /// rule for, or an edit the engine services with one rebuild per
+    /// batch.
+    Rebuilt,
 }
 
 /// Monotone counters of what a maintainer has done since construction.
@@ -85,15 +94,25 @@ pub struct DynamicStats {
     pub scc_merges: usize,
     /// Intra-SCC deletions that split a component.
     pub scc_splits: usize,
-    /// Full from-scratch rebuilds (damage threshold exceeded).
+    /// Full from-scratch rebuilds: always
+    /// [`DynamicStats::fallback_damage`] +
+    /// [`DynamicStats::fallback_unsupported`].
     pub rebuilds: usize,
+    /// Rebuilds taken because a deletion cone exceeded the damage budget
+    /// ([`crate::DAMAGE_BUDGET_PERMILLE`] of the live components) — the
+    /// expected escape hatch.
+    pub fallback_damage: usize,
+    /// Rebuilds taken because the update shape has no incremental rule
+    /// (SCC-splitting deletions on the chain cover).
+    pub fallback_unsupported: usize,
     /// Highest deletion damage observed across all structural removals,
-    /// in permille of live condensation components — the cone size
-    /// [`DynamicConfig::damage_threshold`] gates on, recorded whether or
-    /// not the removal tripped a rebuild. A climbing peak warns that the
-    /// threshold is about to start costing full rebuilds.
+    /// in permille of live condensation components — the cone size the
+    /// damage budget gates on, recorded whether or not the removal
+    /// tripped a rebuild. A peak climbing toward
+    /// [`crate::DAMAGE_BUDGET_PERMILLE`] warns that removals are about to
+    /// start costing full rebuilds.
     pub peak_damage_permille: usize,
-    /// Microseconds spent inside closure maintenance
+    /// Microseconds spent inside index maintenance
     /// (`insert_edge`/`remove_edge`), cumulative — the phase timing the
     /// engine surfaces as `UpdateStats::closure_maintain_micros`.
     pub maintain_micros: u128,

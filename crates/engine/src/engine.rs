@@ -21,11 +21,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
-/// Update admission: a batch longer than this skips incremental
-/// maintenance and re-prepares from scratch once (a huge batch amortizes
-/// the rebuild, and per-edge cascades would only add overhead on top).
-pub(crate) const MAX_UPDATE_BATCH: usize = 256;
-
 /// Engine construction knobs.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
@@ -124,8 +119,11 @@ pub struct EngineStats {
     /// Updates serviced by incremental closure maintenance (including
     /// those that left the closure untouched).
     pub updates_incremental: usize,
-    /// Updates that fell back to a full re-prepare (damage threshold or
-    /// the admission limit of 256 updates per batch).
+    /// Index rebuilds the admitted batches ran
+    /// ([`UpdateStats::rebuilds`]): a maintainer's fallback past the
+    /// damage budget or on an SCC split it has no rule for, a 2-hop
+    /// batch, or a batch past the admission limit of 256 updates. None
+    /// of them counts as a prepare.
     pub update_rebuilds: usize,
     /// Queries whose deadline expired mid-run (best-so-far returned with
     /// `MatchStats::timed_out`).
@@ -382,12 +380,10 @@ impl<L: Clone> Engine<L> {
     }
 
     /// Admits a batch of edge updates against `prepared` and returns the
-    /// post-update version, which inherits `prepared`'s
-    /// [`PrepareOptions`]. The new version comes from incremental
-    /// maintenance ([`PreparedGraph::apply`]), or from one full
-    /// re-prepare when the batch is longer than `MAX_UPDATE_BATCH` (256).
-    /// A batch in which no update can change the graph hands back
-    /// `prepared` itself.
+    /// post-update version ([`PreparedGraph::apply`]), which inherits
+    /// `prepared`'s [`PrepareOptions`]; then counts the batch in
+    /// [`EngineStats`] and journals it. A batch in which no update can
+    /// change the graph hands back `prepared` itself.
     ///
     /// Copy-on-write versioning: `prepared` is untouched, so any
     /// in-flight query holding it keeps reading the old snapshot. The
@@ -397,26 +393,14 @@ impl<L: Clone> Engine<L> {
         prepared: &Arc<PreparedGraph<L>>,
         updates: &[GraphUpdate],
     ) -> UpdateOutcome<L> {
-        // Fast path: a batch in which no update can change the graph
-        // (duplicate inserts, absent deletes, out-of-range nodes — common
-        // in live streams) keeps the current version instead of
-        // assembling an identical new one.
-        if let Some(outcome) = noop_batch(prepared, updates) {
-            self.journal_update(updates, &outcome.stats);
-            return outcome;
-        }
-        let outcome = if updates.len() > MAX_UPDATE_BATCH {
-            self.oversized_rebuild(prepared, updates)
-        } else {
-            prepared.apply(updates)
-        };
+        let outcome = prepared.apply(updates);
         self.count_update(&outcome.stats);
         self.journal_update(updates, &outcome.stats);
         outcome
     }
 
     /// Journals an admitted update batch — and, separately at `Warn`, any
-    /// chain-backend fallbacks it recorded. Payloads are built lazily:
+    /// backend fallbacks it recorded. Payloads are built lazily:
     /// a disabled journal pays one branch per batch.
     fn journal_update(&self, updates: &[GraphUpdate], stats: &UpdateStats) {
         self.journal.emit(Severity::Info, || {
@@ -448,35 +432,6 @@ impl<L: Clone> Engine<L> {
         }
     }
 
-    /// One from-scratch re-prepare of the mutated graph — the admission
-    /// path for batches longer than `MAX_UPDATE_BATCH`.
-    fn oversized_rebuild(
-        &self,
-        prepared: &Arc<PreparedGraph<L>>,
-        updates: &[GraphUpdate],
-    ) -> UpdateOutcome<L> {
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let mut stats = UpdateStats::default();
-        let mut g = (**prepared.graph()).clone();
-        for &update in updates {
-            if !update.in_range(g.node_count()) {
-                stats.rejected += 1;
-            } else if update.apply_to(&mut g) {
-                stats.applied += 1;
-            } else {
-                stats.noops += 1;
-            }
-        }
-        stats.rebuilds += 1;
-        let rebuilt = self.prepare_with(&Arc::new(g), prepared.options());
-        stats.apply_micros = started.elapsed().as_micros();
-        UpdateOutcome {
-            prepared: rebuilt,
-            stats,
-        }
-    }
-
     /// Counts an admitted update batch in the engine's update counters.
     fn count_update(&self, stats: &UpdateStats) {
         self.counters
@@ -490,42 +445,6 @@ impl<L: Clone> Engine<L> {
             .update_rebuilds
             .fetch_add(stats.rebuilds, Ordering::Relaxed);
     }
-}
-
-/// The all-no-ops fast path of [`Engine::apply_updates`]: `Some` when no
-/// update can change the graph, carrying `prepared` itself as the
-/// current version.
-fn noop_batch<L: Clone>(
-    prepared: &Arc<PreparedGraph<L>>,
-    updates: &[GraphUpdate],
-) -> Option<UpdateOutcome<L>> {
-    let graph = prepared.graph();
-    let n = graph.node_count();
-    let changes_graph = |u: &GraphUpdate| {
-        u.in_range(n)
-            && match *u {
-                GraphUpdate::InsertEdge(a, b) => !graph.has_edge(a, b),
-                GraphUpdate::RemoveEdge(a, b) => graph.has_edge(a, b),
-            }
-    };
-    if updates.iter().any(changes_graph) {
-        return None;
-    }
-    // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-    let started = Instant::now();
-    let mut stats = UpdateStats::default();
-    for update in updates {
-        if update.in_range(n) {
-            stats.noops += 1;
-        } else {
-            stats.rejected += 1;
-        }
-    }
-    stats.apply_micros = started.elapsed().as_micros();
-    Some(UpdateOutcome {
-        prepared: Arc::clone(prepared),
-        stats,
-    })
 }
 
 impl<L: Clone + Send + Sync> Engine<L> {
@@ -866,6 +785,7 @@ fn baseline_assignment<L>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::MAX_UPDATE_BATCH;
     use phom_graph::graph_from_labels;
 
     fn data_graph() -> Arc<DiGraph<String>> {
@@ -1150,11 +1070,15 @@ mod tests {
         let outcome = engine.apply_updates(&base, &toggles);
         assert_eq!(outcome.stats.applied, MAX_UPDATE_BATCH + 1);
         assert_eq!(outcome.stats.rebuilds, 1, "admission limit exceeded");
+        assert_eq!(
+            outcome.stats.backend_fallbacks, 0,
+            "admission is not a downgrade"
+        );
         assert_eq!(engine.stats().update_rebuilds, 1);
         assert_eq!(
             engine.stats().prepares,
-            2,
-            "the base version and the rebuild"
+            1,
+            "the batch rebuilt the index without re-preparing"
         );
         assert!(outcome.prepared.closure().reaches(NodeId(3), NodeId(0)));
         assert!(!base.closure().reaches(NodeId(3), NodeId(0)));

@@ -30,9 +30,9 @@
 //! For **live graphs**, [`PreparedGraph::apply`] produces a new prepared
 //! version under edge insertions/deletions via semi-dynamic closure
 //! maintenance (the `phom-dynamic` crate) instead of re-preparing, with
-//! copy-on-write versioning; [`Engine::apply_updates`] admits update
-//! batches against a prepared version (one full re-prepare past 256
-//! updates) and counts the work.
+//! copy-on-write versioning (one index rebuild instead for a batch past
+//! 256 updates); [`Engine::apply_updates`] applies a batch to a prepared
+//! version, counts the work, and journals it.
 //! Prepared graphs also snapshot/restore ([`PreparedGraph::save_snapshot`])
 //! so warm closures survive restarts.
 //!
@@ -81,7 +81,7 @@ pub use prepared::{
 
 // Re-exported so engine consumers can speak the update vocabulary
 // without a direct `phom-dynamic` dependency.
-pub use phom_dynamic::{DynamicConfig, GraphUpdate};
+pub use phom_dynamic::GraphUpdate;
 
 // Re-exported so engine consumers can read [`QueryResult::trace`]
 // without a direct `phom-trace` dependency.

@@ -28,14 +28,14 @@ use crate::planner::{
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use phom_core::PreparedInputs;
 use phom_dynamic::{
-    refresh_bounded_closure, DynamicConfig, GraphUpdate, SemiDynamicChain, SemiDynamicClosure,
+    refresh_bounded_closure, DynamicStats, GraphUpdate, SemiDynamicChain, SemiDynamicClosure,
+    UpdateEffect,
 };
 use phom_graph::serialize::ParseError;
 use phom_graph::validate::Violation;
 use phom_graph::{
     compress_closure_with, reach_density_sample, tarjan_scc, BitSet, ChainIndex, CompressedClosure,
-    DiGraph, DynamicClosure, NodeId, ReachabilityIndex, SccResult, TransitiveClosure, TwoHopIndex,
-    UpdateEffect,
+    DiGraph, NodeId, ReachabilityIndex, SccResult, TransitiveClosure, TwoHopIndex,
 };
 use phom_sim::NodeWeights;
 use serde::{Deserialize, Serialize};
@@ -228,7 +228,7 @@ impl PrepareStats {
     }
 }
 
-/// What one [`PreparedGraph::apply_with`] batch did to the indexes.
+/// What one [`PreparedGraph::apply`] batch did to the indexes.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UpdateStats {
     /// Updates that changed the graph.
@@ -241,14 +241,20 @@ pub struct UpdateStats {
     pub closure_unchanged: usize,
     /// Applied updates patched incrementally.
     pub incremental: usize,
-    /// Applied updates that fell back to a full closure rebuild.
+    /// Full index rebuilds: one per maintainer fallback, or one for a
+    /// batch the rebuild arm services (any 2-hop batch, and any batch
+    /// longer than 256 updates).
     pub rebuilds: usize,
     /// Rebuild fallbacks recorded against the backend — the downgrades
     /// from semi-dynamic maintenance. Always
     /// [`UpdateStats::fallback_damage`] + [`UpdateStats::fallback_unsupported`].
+    /// An oversized batch's rebuild is admission, not a downgrade, and
+    /// is not counted here.
     pub backend_fallbacks: usize,
-    /// Backend fallbacks whose reason was a deletion cone past
-    /// [`DynamicConfig::damage_threshold`] — the tuned escape hatch.
+    /// Backend fallbacks whose reason was a deletion cone past the damage
+    /// budget (`phom_dynamic::DAMAGE_BUDGET_PERMILLE` of the live
+    /// components) — the expected escape hatch, counted alike on the
+    /// dense and chain backends.
     pub fallback_damage: usize,
     /// Backend fallbacks whose reason was an update shape with no
     /// incremental rule for the active backend (SCC-splitting deletions
@@ -264,9 +270,9 @@ pub struct UpdateStats {
     /// memoized bounds).
     pub bounded_rows_recomputed: usize,
     /// Microseconds spent maintaining the full closure (incremental
-    /// patching on the dense and chain backends; the from-scratch index
-    /// rebuild on the 2-hop fallback) — the update-apply phase timing
-    /// traces and the service registry export.
+    /// patching on the dense and chain backends; the one index build of
+    /// the rebuild arm) — the update-apply phase timing traces and the
+    /// service registry export.
     pub closure_maintain_micros: u128,
     /// Microseconds spent refreshing the memoized hop-bounded closures.
     pub bounded_refresh_micros: u128,
@@ -334,6 +340,92 @@ pub struct UpdateOutcome<L> {
     pub prepared: Arc<PreparedGraph<L>>,
     /// What the maintenance pass did.
     pub stats: UpdateStats,
+}
+
+/// Update admission: a batch longer than this skips incremental
+/// maintenance and rebuilds the index once (a huge batch amortizes the
+/// rebuild, and per-edge cascades would only add overhead on top).
+pub(crate) const MAX_UPDATE_BATCH: usize = 256;
+
+/// How one [`PreparedGraph::apply`] batch maintains the index: one arm
+/// per batch, shaped like [`ReachIndex`].
+enum Arm<L> {
+    /// The dense closure, patched per update.
+    Dense(SemiDynamicClosure<L>),
+    /// The chain index, patched per update.
+    Chain(SemiDynamicChain<L>),
+    /// The edits go to the graph; the index is built once at the end.
+    /// `unsupported` records the rebuild as a backend fallback (the
+    /// 2-hop backend has no incremental rule).
+    Rebuild {
+        graph: DiGraph<L>,
+        unsupported: bool,
+    },
+}
+
+impl<L> Arm<L> {
+    /// Applies one in-range update to the graph and, on the maintained
+    /// arms, to the index.
+    fn apply(&mut self, update: GraphUpdate) -> UpdateEffect {
+        match self {
+            Arm::Dense(m) => m.apply(update),
+            Arm::Chain(m) => m.apply(update),
+            Arm::Rebuild { graph, .. } => {
+                if update.apply_to(graph) {
+                    UpdateEffect::Rebuilt
+                } else {
+                    UpdateEffect::NoOp
+                }
+            }
+        }
+    }
+
+    /// Ends the batch: the mutated graph, its index, the Tarjan
+    /// decomposition when the arm ran one, and the component count. The
+    /// arm's maintenance counters (rebuilds and their reasons, peak
+    /// damage, maintenance time) are folded into `stats`.
+    fn finish(
+        self,
+        options: PrepareOptions,
+        stats: &mut UpdateStats,
+    ) -> (DiGraph<L>, ReachIndex, Option<SccResult>, usize) {
+        let (graph, index, scc, scc_count, dynamic) = match self {
+            Arm::Dense(m) => {
+                let (dynamic, scc_count) = (*m.stats(), m.component_count());
+                let (graph, closure) = m.into_parts();
+                let index = ReachIndex::Dense(Arc::new(closure));
+                (graph, index, None, scc_count, dynamic)
+            }
+            Arm::Chain(m) => {
+                let (dynamic, scc_count) = (*m.stats(), m.component_count());
+                let (graph, chain) = m.into_parts();
+                let index = ReachIndex::Chain(Arc::new(chain));
+                (graph, index, None, scc_count, dynamic)
+            }
+            Arm::Rebuild { graph, unsupported } => {
+                // phom-lint: allow(clock, "monotonic elapsed-time stats for closure rebuilds; no wall-clock semantics")
+                let started = Instant::now();
+                let scc = tarjan_scc(&graph);
+                let index =
+                    ReachIndex::build(&graph, &scc, options.backend, options.chain_node_threshold);
+                let dynamic = DynamicStats {
+                    rebuilds: 1,
+                    fallback_unsupported: usize::from(unsupported),
+                    maintain_micros: started.elapsed().as_micros(),
+                    ..Default::default()
+                };
+                let scc_count = scc.count();
+                (graph, index, Some(scc), scc_count, dynamic)
+            }
+        };
+        stats.rebuilds = dynamic.rebuilds;
+        stats.fallback_damage = dynamic.fallback_damage;
+        stats.fallback_unsupported = dynamic.fallback_unsupported;
+        stats.backend_fallbacks = dynamic.fallback_damage + dynamic.fallback_unsupported;
+        stats.peak_damage_permille = dynamic.peak_damage_permille;
+        stats.closure_maintain_micros = dynamic.maintain_micros;
+        (graph, index, scc, scc_count)
+    }
 }
 
 /// A data graph plus every query-independent index the matching
@@ -404,7 +496,7 @@ impl<L: Clone> PreparedGraph<L> {
     /// Builds every remaining artifact around an **already built**
     /// reachability index — the shared tail of
     /// [`PreparedGraph::with_backend`] (index just computed, SCC pass
-    /// reused), [`PreparedGraph::apply_with`] (index maintained or
+    /// reused), [`PreparedGraph::apply`] (index maintained or
     /// rebuilt), and snapshot restore (index deserialized). `scc_count`
     /// is the component count of `graph` (every caller knows it
     /// cheaply); the Tarjan-numbered decomposition itself is optional —
@@ -452,12 +544,6 @@ impl<L: Clone> PreparedGraph<L> {
         }
     }
 
-    /// Applies a batch of edge updates with default maintenance tuning —
-    /// see [`PreparedGraph::apply_with`].
-    pub fn apply(&self, updates: &[GraphUpdate]) -> UpdateOutcome<L> {
-        self.apply_with(updates, &DynamicConfig::default())
-    }
-
     /// Applies a batch of edge updates to this prepared graph and returns
     /// a **new version** — copy-on-write: `self` is untouched, so
     /// in-flight queries holding the old `Arc` keep reading a consistent
@@ -467,197 +553,99 @@ impl<L: Clone> PreparedGraph<L> {
     /// [`DiGraph`]), so versioning the graph costs O(batch), like the
     /// dense closure, whose rows are shared the same way. The version
     /// inherits this graph's options and [`PrepareStats::prepare_micros`];
-    /// the batch's own time is [`UpdateStats::apply_micros`].
+    /// the batch's own time is [`UpdateStats::apply_micros`]. A batch in
+    /// which no update can change the graph (duplicate inserts, absent
+    /// deletes, out-of-range nodes) hands back `self` itself.
     ///
-    /// With the **dense** backend the closure is *maintained*, not
-    /// recomputed: a [`SemiDynamicClosure`] is seeded from the existing
-    /// rows (one memcpy), each update is patched in (incremental insert /
-    /// bounded-cone delete, with the [`DynamicConfig::damage_threshold`]
-    /// rebuild fallback), and memoized hop-bounded closures are refreshed
-    /// for affected sources only. When compression is kept, the version's
-    /// `G2*` (member lists and closure) is built in one pass over a
-    /// Tarjan decomposition of the new graph ([`compress_closure_with`]),
-    /// so it is numbered exactly as a fresh prepare numbers it: matching
-    /// breaks ties on compressed ids and member order, and the
-    /// maintainer's component slots depend on the update history. The
-    /// **chain** backend is likewise maintained incrementally by a
-    /// [`SemiDynamicChain`] — chains are extended, split, and
-    /// concatenated from the update's affected cone — with a full
-    /// rebuild kept only as the escape hatch (deletion cones past the
-    /// damage threshold, or SCC-splitting deletions, which have no
-    /// incremental chain rule); each rebuild is recorded in
-    /// [`UpdateStats::backend_fallbacks`] with its reason split across
+    /// Every batch runs one loop: each update is checked, applied through
+    /// the batch's maintenance arm, and counted by its effect. The arm
+    /// follows the backend:
+    ///
+    /// * **dense** — a [`SemiDynamicClosure`] seeded from the existing
+    ///   rows (one memcpy) patches each update in: incremental insert,
+    ///   bounded-cone delete, or a full rebuild when a deletion cone
+    ///   passes the damage budget;
+    /// * **chain** — a [`SemiDynamicChain`] extends, splits, and
+    ///   concatenates chains from each update's affected cone, and
+    ///   rebuilds past the damage budget or on an SCC-splitting
+    ///   deletion, which has no incremental chain rule;
+    /// * **rebuild** — the edits go to the graph clone, and the index is
+    ///   built once through the version's options, as a prepare builds
+    ///   it. The 2-hop backend, which has no incremental rule, takes
+    ///   this arm for every batch, and so does any batch longer than
+    ///   `MAX_UPDATE_BATCH` (256), which a rebuild amortizes.
+    ///
+    /// Each maintainer fallback and each 2-hop batch is recorded in
+    /// [`UpdateStats::backend_fallbacks`], with its reason split across
     /// [`UpdateStats::fallback_damage`] /
-    /// [`UpdateStats::fallback_unsupported`]. The **2-hop** backend has
-    /// no incremental rule at all: any batch that changes the graph is
-    /// serviced by one from-scratch rebuild, counted the same way.
-    pub fn apply_with(&self, updates: &[GraphUpdate], config: &DynamicConfig) -> UpdateOutcome<L> {
-        match &self.index {
-            ReachIndex::Dense(dense) => self.apply_dense(updates, config, dense),
-            ReachIndex::Chain(chain) => self.apply_chain(updates, config, chain),
-            ReachIndex::TwoHop(_) => self.apply_twohop_rebuild(updates),
-        }
-    }
-
-    /// The semi-dynamic maintenance path (dense backend only).
-    fn apply_dense(
-        &self,
-        updates: &[GraphUpdate],
-        config: &DynamicConfig,
-        dense: &Arc<TransitiveClosure>,
-    ) -> UpdateOutcome<L> {
+    /// [`UpdateStats::fallback_unsupported`]. Memoized hop-bounded
+    /// closures are refreshed for affected sources only. When
+    /// compression is kept, the version's `G2*` (member lists and
+    /// closure) is built in one pass over a Tarjan decomposition of the
+    /// new graph ([`compress_closure_with`]), so it is numbered exactly
+    /// as a fresh prepare numbers it: matching breaks ties on compressed
+    /// ids and member order, and the maintainers' component slots depend
+    /// on the update history.
+    pub fn apply(self: &Arc<Self>, updates: &[GraphUpdate]) -> UpdateOutcome<L> {
         // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
         let started = Instant::now();
         let n = self.graph.node_count();
         let mut stats = UpdateStats::default();
-        // The clone becomes the new version's graph: the maintainer owns
-        // it, applies each edit to graph and closure in lockstep, and
-        // hands both back via `into_parts`. Cloning copies chunk
-        // pointers, not adjacency.
-        let mut dyc = SemiDynamicClosure::from_closure((*self.graph).clone(), dense, *config);
-        let mut touched: Vec<NodeId> = Vec::new();
-        for &update in updates {
-            if !update.in_range(n) {
-                stats.rejected += 1;
-                continue;
-            }
-            let effect = match update {
-                GraphUpdate::InsertEdge(a, b) => dyc.insert_edge(a, b),
-                GraphUpdate::RemoveEdge(a, b) => dyc.remove_edge(a, b),
+        if !updates.iter().any(|u| u.changes(&self.graph)) {
+            stats.rejected = updates.iter().filter(|u| !u.in_range(n)).count();
+            stats.noops = updates.len() - stats.rejected;
+            stats.apply_micros = started.elapsed().as_micros();
+            return UpdateOutcome {
+                prepared: Arc::clone(self),
+                stats,
             };
-            match effect {
-                UpdateEffect::NoOp => stats.noops += 1,
-                UpdateEffect::Unchanged => {
-                    stats.applied += 1;
-                    stats.closure_unchanged += 1;
-                }
-                UpdateEffect::Incremental {
-                    affected_components,
-                } => {
-                    stats.applied += 1;
-                    stats.incremental += 1;
-                    stats.affected_components += affected_components;
-                }
-                UpdateEffect::Rebuilt => {
-                    stats.applied += 1;
-                    stats.rebuilds += 1;
-                }
-            }
-            if effect != UpdateEffect::NoOp {
-                touched.push(update.source());
-            }
         }
-        stats.closure_maintain_micros = dyc.stats().maintain_micros;
-        stats.peak_damage_permille = dyc.stats().peak_damage_permille;
-        let scc_count = dyc.component_count();
-        let (new_graph, closure) = dyc.into_parts();
-        let index = ReachIndex::Dense(Arc::new(closure));
-        self.derive(new_graph, index, None, scc_count, &touched, stats, started)
-    }
-
-    /// The semi-dynamic chain maintenance path: chains are extended,
-    /// split, and concatenated from each update's affected cone; full
-    /// rebuilds happen only through the counted escape hatches (damage
-    /// threshold / SCC-splitting deletion).
-    fn apply_chain(
-        &self,
-        updates: &[GraphUpdate],
-        config: &DynamicConfig,
-        chain: &Arc<ChainIndex>,
-    ) -> UpdateOutcome<L> {
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let n = self.graph.node_count();
-        let mut stats = UpdateStats::default();
-        // The clone becomes the new version's graph, exactly like the
-        // dense path: the maintainer owns it and mutates graph and index
-        // in lockstep.
-        let mut dyc = SemiDynamicChain::from_index((*self.graph).clone(), chain, *config);
-        let mut touched: Vec<NodeId> = Vec::new();
-        for &update in updates {
-            if !update.in_range(n) {
-                stats.rejected += 1;
-                continue;
-            }
-            let effect = match update {
-                GraphUpdate::InsertEdge(a, b) => dyc.insert_edge(a, b),
-                GraphUpdate::RemoveEdge(a, b) => dyc.remove_edge(a, b),
-            };
-            match effect {
-                UpdateEffect::NoOp => stats.noops += 1,
-                UpdateEffect::Unchanged => {
-                    stats.applied += 1;
-                    stats.closure_unchanged += 1;
-                }
-                UpdateEffect::Incremental {
-                    affected_components,
-                } => {
-                    stats.applied += 1;
-                    stats.incremental += 1;
-                    stats.affected_components += affected_components;
-                }
-                UpdateEffect::Rebuilt => {
-                    stats.applied += 1;
-                    stats.rebuilds += 1;
-                }
-            }
-            if effect != UpdateEffect::NoOp {
-                touched.push(update.source());
-            }
-        }
-        stats.closure_maintain_micros = dyc.stats().maintain_micros;
-        stats.peak_damage_permille = dyc.stats().peak_damage_permille;
-        stats.fallback_damage = dyc.fallback_damage();
-        stats.fallback_unsupported = dyc.fallback_unsupported();
-        stats.backend_fallbacks = stats.fallback_damage + stats.fallback_unsupported;
-        let scc_count = dyc.component_count();
-        let (new_graph, index) = dyc.into_parts();
-        let index = ReachIndex::Chain(Arc::new(index));
-        self.derive(new_graph, index, None, scc_count, &touched, stats, started)
-    }
-
-    /// The 2-hop-backend fallback: apply the edits to a graph clone and
-    /// rebuild the labeling from scratch (semi-dynamic by design — never
-    /// worse than a re-prepare, and the downgrade is visible in the
-    /// stats as an unsupported-op backend fallback).
-    fn apply_twohop_rebuild(&self, updates: &[GraphUpdate]) -> UpdateOutcome<L> {
-        // phom-lint: allow(clock, "monotonic elapsed-time stats for prepare/query/update timings; no wall-clock semantics")
-        let started = Instant::now();
-        let n = self.graph.node_count();
-        let mut stats = UpdateStats::default();
-        let mut new_graph = (*self.graph).clone();
-        let mut touched: Vec<NodeId> = Vec::new();
-        for &update in updates {
-            if !update.in_range(n) {
-                stats.rejected += 1;
-            } else if update.apply_to(&mut new_graph) {
-                stats.applied += 1;
-                touched.push(update.source());
-            } else {
-                stats.noops += 1;
-            }
-        }
-        let (index, scc, scc_count) = if stats.applied == 0 {
-            // Nothing changed the graph: keep the existing index (a
-            // pointer bump) — no rebuild ran, so no downgrade to record.
-            (self.index.clone(), None, self.stats.scc_count)
-        } else {
-            stats.backend_fallbacks = 1;
-            stats.fallback_unsupported = 1;
-            stats.rebuilds += 1;
-            // phom-lint: allow(clock, "monotonic elapsed-time stats for closure rebuilds; no wall-clock semantics")
-            let rebuild_started = Instant::now();
-            let scc = tarjan_scc(&new_graph);
-            let scc_count = scc.count();
-            let index = ReachIndex::TwoHop(Arc::new(TwoHopIndex::from_scc(&new_graph, &scc)));
-            stats.closure_maintain_micros = rebuild_started.elapsed().as_micros();
-            (index, Some(scc), scc_count)
+        // The clone becomes the new version's graph: the arm owns it,
+        // applies each edit to graph and index in lockstep, and hands
+        // both back. Cloning copies chunk pointers, not adjacency.
+        let graph = (*self.graph).clone();
+        let mut arm = match &self.index {
+            _ if updates.len() > MAX_UPDATE_BATCH => Arm::Rebuild {
+                graph,
+                unsupported: false,
+            },
+            ReachIndex::Dense(dense) => Arm::Dense(SemiDynamicClosure::from_closure(graph, dense)),
+            ReachIndex::Chain(chain) => Arm::Chain(SemiDynamicChain::from_index(graph, chain)),
+            ReachIndex::TwoHop(_) => Arm::Rebuild {
+                graph,
+                unsupported: true,
+            },
         };
-        self.derive(new_graph, index, scc, scc_count, &touched, stats, started)
+        let mut touched: Vec<NodeId> = Vec::new();
+        for &update in updates {
+            if !update.in_range(n) {
+                stats.rejected += 1;
+                continue;
+            }
+            match arm.apply(update) {
+                UpdateEffect::NoOp => {
+                    stats.noops += 1;
+                    continue;
+                }
+                UpdateEffect::Unchanged => stats.closure_unchanged += 1,
+                UpdateEffect::Incremental {
+                    affected_components,
+                } => {
+                    stats.incremental += 1;
+                    stats.affected_components += affected_components;
+                }
+                // Rebuilds are counted per rebuild when the arm finishes.
+                UpdateEffect::Rebuilt => {}
+            }
+            stats.applied += 1;
+            touched.push(update.source());
+        }
+        let (graph, index, scc, scc_count) = arm.finish(self.options, &mut stats);
+        self.derive(graph, index, scc, scc_count, &touched, stats, started)
     }
 
-    /// The shared tail of the apply paths: refreshes the bounded memo for
-    /// the `touched` sources and assembles the version `self` derives
+    /// The tail of [`PreparedGraph::apply`]: refreshes the bounded memo
+    /// for the `touched` sources and assembles the version `self` derives
     /// from `graph` and its maintained `index`. The version inherits
     /// `self`'s options and preparation time; `stats` gets the batch's
     /// [`UpdateStats::apply_micros`], measured from `started`.
@@ -706,10 +694,6 @@ impl<L: Clone> PreparedGraph<L> {
         };
         let mut bounded = HashMap::with_capacity(old_memo.len());
         for (k, old) in old_memo {
-            if touched.is_empty() {
-                bounded.insert(k, old);
-                continue;
-            }
             let (fresh, recomputed) = refresh_bounded_closure(&old, new_graph, k, touched);
             stats.bounded_rows_recomputed += recomputed;
             bounded.insert(k, Arc::new(fresh));
@@ -1176,8 +1160,12 @@ mod tests {
         ))
     }
 
-    fn chain_prepared(graph: Arc<DiGraph<String>>) -> PreparedGraph<String> {
-        PreparedGraph::with_backend(graph, ClosureBackend::Chain, DEFAULT_CHAIN_NODE_THRESHOLD)
+    fn chain_prepared(graph: Arc<DiGraph<String>>) -> Arc<PreparedGraph<String>> {
+        Arc::new(PreparedGraph::with_backend(
+            graph,
+            ClosureBackend::Chain,
+            DEFAULT_CHAIN_NODE_THRESHOLD,
+        ))
     }
 
     #[test]
@@ -1275,7 +1263,7 @@ mod tests {
     #[test]
     fn huge_bound_reuses_full_closure() {
         for p in [
-            PreparedGraph::new(cyclic_graph()),
+            Arc::new(PreparedGraph::new(cyclic_graph())),
             chain_prepared(cyclic_graph()),
         ] {
             let (c, built) = p.bounded_closure(100);
@@ -1320,13 +1308,13 @@ mod tests {
             "every SCC is a singleton"
         );
         // Cyclic graph: Auto keeps it (see the sibling test), Never drops.
-        let never = PreparedGraph::prepare(
+        let never = Arc::new(PreparedGraph::prepare(
             cyclic_graph(),
             PrepareOptions {
                 compression: CompressionPolicy::Never,
                 ..Default::default()
             },
-        );
+        ));
         assert!(never.compressed().is_none());
         // Update-derived versions inherit the pinned policy.
         let outcome = never.apply(&[GraphUpdate::InsertEdge(NodeId(3), NodeId(0))]);
@@ -1412,7 +1400,7 @@ mod tests {
 
     #[test]
     fn apply_is_copy_on_write_and_equivalent_to_fresh_prepare() {
-        let old = PreparedGraph::new(cyclic_graph());
+        let old = Arc::new(PreparedGraph::new(cyclic_graph()));
         let old_edges = old.stats().edges;
         // d -> a closes a big cycle; then cut b -> c.
         let outcome = old.apply(&[
@@ -1421,7 +1409,16 @@ mod tests {
         ]);
         assert_eq!(outcome.stats.applied, 2);
         assert_eq!(outcome.stats.rejected, 0);
-        assert_eq!(outcome.stats.backend_fallbacks, 0, "dense is semi-dynamic");
+        // The merge is patched in place; the split's cone (3 fragments
+        // of 3 live components) is past the damage budget and rebuilds,
+        // reported as a damage fallback, never an unsupported one.
+        assert_eq!(outcome.stats.incremental, 1);
+        assert_eq!(outcome.stats.rebuilds, 1);
+        assert_eq!(outcome.stats.fallback_damage, 1);
+        assert_eq!(
+            outcome.stats.fallback_unsupported, 0,
+            "dense has a rule for every update"
+        );
         // Copy-on-write: the old version is untouched.
         assert_eq!(old.stats().edges, old_edges);
         assert!(old.closure().reaches(NodeId(0), NodeId(3)));
@@ -1489,36 +1486,37 @@ mod tests {
     }
 
     #[test]
-    fn chain_backend_damage_threshold_falls_back_with_damage_reason() {
-        let old = PreparedGraph::prepare(
-            cyclic_graph(),
-            PrepareOptions {
-                backend: ClosureBackend::Chain,
-                ..Default::default()
-            },
-        );
-        // A zero damage budget turns every reach-changing deletion into
-        // a damage-threshold rebuild.
-        let outcome = old.apply_with(
-            &[GraphUpdate::RemoveEdge(NodeId(2), NodeId(3))],
-            &DynamicConfig {
-                damage_threshold: 0.0,
-            },
-        );
-        assert_eq!(outcome.stats.applied, 1);
-        assert_eq!(outcome.stats.backend_fallbacks, 1);
-        assert_eq!(outcome.stats.fallback_damage, 1, "cone exceeded the budget");
-        assert_eq!(outcome.stats.fallback_unsupported, 0);
-        assert_equivalent_to_fresh(&outcome.prepared);
+    fn damage_rebuilds_fall_back_with_damage_reason_on_both_maintainers() {
+        // Cutting n8 -> n9 off a 10-node path shrinks the reach of n0..n8:
+        // a cone of 9 of 10 components, past the budget of half.
+        let labels: Vec<String> = (0..10).map(|i| format!("n{i}")).collect();
+        let names: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let edges: Vec<(&str, &str)> = names.windows(2).map(|w| (w[0], w[1])).collect();
+        let path = Arc::new(graph_from_labels(&names, &edges));
+        for backend in [ClosureBackend::Dense, ClosureBackend::Chain] {
+            let old = Arc::new(PreparedGraph::with_backend(
+                Arc::clone(&path),
+                backend,
+                DEFAULT_CHAIN_NODE_THRESHOLD,
+            ));
+            let outcome = old.apply(&[GraphUpdate::RemoveEdge(NodeId(8), NodeId(9))]);
+            assert_eq!(outcome.stats.applied, 1, "{backend:?}");
+            assert_eq!(outcome.stats.rebuilds, 1, "{backend:?}");
+            assert_eq!(outcome.stats.backend_fallbacks, 1, "{backend:?}");
+            assert_eq!(outcome.stats.fallback_damage, 1, "{backend:?}");
+            assert_eq!(outcome.stats.fallback_unsupported, 0, "{backend:?}");
+            assert_eq!(outcome.stats.peak_damage_permille, 900, "{backend:?}");
+            assert_equivalent_to_fresh(&outcome.prepared);
+        }
     }
 
     #[test]
     fn twohop_backend_apply_falls_back_to_rebuild() {
-        let old = PreparedGraph::with_backend(
+        let old = Arc::new(PreparedGraph::with_backend(
             cyclic_graph(),
             ClosureBackend::TwoHop,
             DEFAULT_CHAIN_NODE_THRESHOLD,
-        );
+        ));
         let outcome = old.apply(&[
             GraphUpdate::InsertEdge(NodeId(3), NodeId(0)),
             GraphUpdate::RemoveEdge(NodeId(1), NodeId(2)),
@@ -1539,14 +1537,14 @@ mod tests {
         assert!(new.closure().reaches(NodeId(3), NodeId(1)), "d->a->b");
         assert!(old.closure().reaches(NodeId(0), NodeId(2)));
         assert_equivalent_to_fresh(new);
-        // A batch of pure no-ops keeps the index without a rebuild.
+        // A batch of pure no-ops keeps the version without a rebuild.
         let noop = old.apply(&[GraphUpdate::InsertEdge(NodeId(0), NodeId(1))]);
         assert_eq!(noop.stats.backend_fallbacks, 0);
-        assert_eq!(noop.prepared.stats().closure_backend, "twohop");
+        assert!(Arc::ptr_eq(&noop.prepared, &old));
     }
 
     #[test]
-    fn chain_backend_noop_batch_skips_rebuild() {
+    fn chain_backend_no_op_batch_keeps_the_version() {
         let old = chain_prepared(cyclic_graph());
         let outcome = old.apply(&[
             GraphUpdate::InsertEdge(NodeId(0), NodeId(1)), // duplicate
@@ -1559,14 +1557,16 @@ mod tests {
             "no rebuild ran, so no downgrade to record"
         );
         assert_eq!(outcome.stats.rebuilds, 0);
-        assert_eq!(outcome.prepared.stats().closure_backend, "chain");
-        assert_equivalent_to_fresh(&outcome.prepared);
+        assert!(
+            Arc::ptr_eq(&outcome.prepared, &old),
+            "a no-op batch hands back the same version"
+        );
     }
 
     #[test]
     fn apply_refreshes_memoized_bounded_closures() {
         for old in [
-            PreparedGraph::new(cyclic_graph()),
+            Arc::new(PreparedGraph::new(cyclic_graph())),
             chain_prepared(cyclic_graph()),
         ] {
             let (k1, _) = old.bounded_closure(1);
@@ -1619,7 +1619,7 @@ mod tests {
 
     #[test]
     fn apply_counts_noops_and_rejects_out_of_range() {
-        let old = PreparedGraph::new(cyclic_graph());
+        let old = Arc::new(PreparedGraph::new(cyclic_graph()));
         let outcome = old.apply(&[
             GraphUpdate::InsertEdge(NodeId(0), NodeId(1)), // already present
             GraphUpdate::RemoveEdge(NodeId(3), NodeId(0)), // absent
@@ -1628,17 +1628,17 @@ mod tests {
         assert_eq!(outcome.stats.applied, 0);
         assert_eq!(outcome.stats.noops, 2);
         assert_eq!(outcome.stats.rejected, 1);
-        assert_equivalent_to_fresh(&outcome.prepared);
+        assert!(Arc::ptr_eq(&outcome.prepared, &old));
     }
 
     #[test]
     fn apply_keeps_compression_decision_in_sync() {
         // Starts acyclic (compression skipped); a back edge builds a
         // 4-cycle that makes compression worthwhile.
-        let p = PreparedGraph::new(Arc::new(graph_from_labels(
+        let p = Arc::new(PreparedGraph::new(Arc::new(graph_from_labels(
             &["a", "b", "c", "d", "e"],
             &[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
-        )));
+        ))));
         assert!(p.compressed().is_none());
         let outcome = p.apply(&[GraphUpdate::InsertEdge(NodeId(3), NodeId(0))]);
         assert!(
@@ -1652,7 +1652,7 @@ mod tests {
     fn snapshot_roundtrip_restores_warm_closure() {
         let p = PreparedGraph::new(cyclic_graph());
         let bytes = p.save_snapshot();
-        let restored = PreparedGraph::load_snapshot(bytes).expect("restore");
+        let restored = Arc::new(PreparedGraph::load_snapshot(bytes).expect("restore"));
         assert_eq!(restored.stats().nodes, p.stats().nodes);
         assert_eq!(restored.stats().edges, p.stats().edges);
         assert_eq!(restored.stats().closure_edges, p.stats().closure_edges);
@@ -1677,7 +1677,7 @@ mod tests {
     fn snapshot_roundtrip_restores_chain_backend() {
         let p = chain_prepared(cyclic_graph());
         let bytes = p.save_snapshot();
-        let restored = PreparedGraph::load_snapshot(bytes).expect("restore");
+        let restored = Arc::new(PreparedGraph::load_snapshot(bytes).expect("restore"));
         assert_eq!(restored.stats().closure_backend, "chain");
         assert_eq!(restored.stats().closure_edges, p.stats().closure_edges);
         for u in p.graph().nodes() {
@@ -1707,7 +1707,7 @@ mod tests {
             DEFAULT_CHAIN_NODE_THRESHOLD,
         );
         let bytes = p.save_snapshot();
-        let restored = PreparedGraph::load_snapshot(bytes).expect("restore");
+        let restored = Arc::new(PreparedGraph::load_snapshot(bytes).expect("restore"));
         assert_eq!(restored.stats().closure_backend, "twohop");
         assert_eq!(restored.stats().closure_edges, p.stats().closure_edges);
         for u in p.graph().nodes() {

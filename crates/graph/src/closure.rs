@@ -13,12 +13,6 @@ use crate::scc::{tarjan_scc, SccResult};
 use crate::validate::{proper_reach_set, sample_indices, Violation};
 use std::sync::Arc;
 
-/// The dense closure under its backend-family name: the
-/// [`crate::reach::ReachabilityIndex`] implementor with `O(1)` queries
-/// and `O(n²)`-bit rows, as opposed to the compressed
-/// [`crate::reach::ChainIndex`].
-pub type DenseClosure = TransitiveClosure;
-
 /// Reachability matrix of `G+`, stored as one bitset row per SCC
 /// (all members of an SCC reach the same node set).
 #[derive(Debug, Clone)]
@@ -132,7 +126,7 @@ impl TransitiveClosure {
 
     /// Assembles a closure from a component assignment and per-component
     /// reachability rows — the constructor for **closure maintainers**
-    /// (see [`DynamicClosure`]) that keep `comp`/`rows` consistent
+    /// (the `phom-dynamic` crate) that keep `comp`/`rows` consistent
     /// themselves rather than recomputing from a graph.
     ///
     /// Requirements (checked by [`TransitiveClosure::validate`], which
@@ -329,56 +323,6 @@ impl TransitiveClosure {
         }
         h
     }
-}
-
-/// How an edge update changed a maintained closure — the return value of
-/// the [`DynamicClosure`] mutation methods, used by callers (the engine's
-/// update path) for accounting and damage-threshold decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateEffect {
-    /// The graph itself did not change (duplicate insert, missing delete).
-    NoOp,
-    /// The graph changed but the closure was already consistent (e.g. an
-    /// inserted edge whose endpoints were already connected).
-    Unchanged,
-    /// The closure was patched in place, touching this many components.
-    Incremental {
-        /// Components whose rows were created, merged, or rewritten.
-        affected_components: usize,
-    },
-    /// The damage exceeded the maintainer's threshold (or split SCC
-    /// structure beyond repair) and the closure was rebuilt from scratch.
-    Rebuilt,
-}
-
-/// The semi-dynamic closure maintenance boundary: a type that keeps the
-/// transitive closure of an evolving graph consistent under single-edge
-/// insertions and deletions, without recomputing from scratch on every
-/// update.
-///
-/// The contract: after any sequence of `insert_edge`/`remove_edge` calls,
-/// [`DynamicClosure::snapshot`] must equal `TransitiveClosure::new` of the
-/// identically mutated graph (same `reaches` relation; internal component
-/// numbering is free). The canonical implementation lives in the
-/// `phom-dynamic` crate; this trait sits in `graph::closure` so the engine
-/// can consume maintainers without depending on a concrete one.
-pub trait DynamicClosure {
-    /// Number of nodes of the maintained graph (fixed; updates are
-    /// edge-level).
-    fn node_count(&self) -> usize;
-
-    /// True iff there is currently a nonempty path `from ⇝ to`.
-    fn reaches(&self, from: NodeId, to: NodeId) -> bool;
-
-    /// Inserts the edge `(from, to)` and patches the closure.
-    fn insert_edge(&mut self, from: NodeId, to: NodeId) -> UpdateEffect;
-
-    /// Removes the edge `(from, to)` and patches the closure.
-    fn remove_edge(&mut self, from: NodeId, to: NodeId) -> UpdateEffect;
-
-    /// An immutable [`TransitiveClosure`] equal to the current state —
-    /// what a consumer hands to the (closure-agnostic) matching kernels.
-    fn snapshot(&self) -> TransitiveClosure;
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //! * [`ReachabilityIndex`]: the pluggable reachability-backend trait the
 //!   matching kernels consume (`reaches`, successor enumeration, memory
 //!   accounting);
-//! * [`TransitiveClosure`] (alias [`DenseClosure`]): the dense proper
-//!   closure `G+` (Nuutila-style via SCC condensation), i.e. the `H2`
-//!   adjacency matrix of algorithm `compMaxCard`;
+//! * [`TransitiveClosure`]: the dense proper closure `G+`
+//!   (Nuutila-style via SCC condensation), i.e. the `H2` adjacency
+//!   matrix of algorithm `compMaxCard`;
 //! * [`ChainIndex`]: the compressed chain-decomposition backend
 //!   (`O(n·w)` words instead of `O(n²)` bits);
 //! * [`TwoHopIndex`]: the pruned-landmark 2-hop-labeling backend for
@@ -46,7 +46,7 @@ pub mod traversal;
 pub mod validate;
 
 pub use bitset::BitSet;
-pub use closure::{DenseClosure, DynamicClosure, TransitiveClosure, UpdateEffect};
+pub use closure::TransitiveClosure;
 pub use components::{component_groups, is_weakly_connected, weakly_connected_components};
 pub use condense::{compress_closure, compress_closure_with, condensation, CompressedClosure};
 pub use digraph::{graph_from_labels, DiGraph, NodeId};

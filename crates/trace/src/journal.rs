@@ -116,7 +116,7 @@ pub enum EventKind {
         /// Fallbacks in the batch.
         fallbacks: usize,
         /// Why the batch downgraded: `"damage-threshold"` (a deletion
-        /// cone past the tuned budget), `"unsupported-op"` (an update
+        /// cone past the damage budget), `"unsupported-op"` (an update
         /// shape with no incremental rule for the active backend), or
         /// both joined with `+` when one batch hit both.
         reason: String,

@@ -44,6 +44,22 @@ pub struct MetricsSnapshot {
     pub clock_regressions: u64,
 }
 
+/// Runs `write` on the metric `name` in `map`, creating it with `new` on
+/// first use. The name is looked up first and copied into the map only
+/// when it is missing, so a write to an existing metric allocates
+/// nothing.
+fn write_entry<T, R>(
+    map: &mut BTreeMap<String, T>,
+    name: &str,
+    new: impl FnOnce() -> T,
+    write: impl FnOnce(&mut T) -> R,
+) -> R {
+    match map.get_mut(name) {
+        Some(metric) => write(metric),
+        None => write(map.entry(name.to_owned()).or_insert_with(new)),
+    }
+}
+
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MetricsRegistry")
@@ -95,10 +111,12 @@ impl MetricsRegistry {
     pub fn counter_add(&self, name: &str, n: u64) {
         let epoch = self.epoch();
         let mut counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        let regressed = counters
-            .entry(name.to_owned())
-            .or_insert_with(|| WindowedCounter::new(self.epochs))
-            .add(epoch, n);
+        let regressed = write_entry(
+            &mut counters,
+            name,
+            || WindowedCounter::new(self.epochs),
+            |c| c.add(epoch, n),
+        );
         if regressed {
             self.clock_regressions.fetch_add(1, Ordering::Relaxed);
         }
@@ -120,7 +138,7 @@ impl MetricsRegistry {
     /// Sets the gauge `name`.
     pub fn gauge_set(&self, name: &str, value: i64) {
         let mut gauges = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        gauges.insert(name.to_owned(), value);
+        write_entry(&mut gauges, name, || 0, |g| *g = value);
     }
 
     /// The gauge `name` (`0` when absent).
@@ -135,10 +153,12 @@ impl MetricsRegistry {
     pub fn histogram_record(&self, name: &str, value: u128) {
         let epoch = self.epoch();
         let mut histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        let regressed = histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| WindowedHistogram::new(self.epochs))
-            .record(epoch, value);
+        let regressed = write_entry(
+            &mut histograms,
+            name,
+            || WindowedHistogram::new(self.epochs),
+            |h| h.record(epoch, value),
+        );
         if regressed {
             self.clock_regressions.fetch_add(1, Ordering::Relaxed);
         }
@@ -150,9 +170,12 @@ impl MetricsRegistry {
     /// instead of families popping into existence with traffic.
     pub fn histogram_touch(&self, name: &str) {
         let mut histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| WindowedHistogram::new(self.epochs));
+        write_entry(
+            &mut histograms,
+            name,
+            || WindowedHistogram::new(self.epochs),
+            |_| (),
+        );
     }
 
     /// Lifetime bucket counts of histogram `name` (zeros when absent).

@@ -100,7 +100,7 @@ pub mod prelude {
         MatchBudget, MatchOutcome, MatcherConfig, Objective, PHomMapping, PreparedInputs,
         ProductGraph, Selection,
     };
-    pub use phom_dynamic::{DynamicConfig, GraphUpdate, SemiDynamicClosure};
+    pub use phom_dynamic::{GraphUpdate, SemiDynamicClosure, UpdateEffect};
     pub use phom_engine::{
         percentile_micros, BatchOutcome, ClosureBackend, CompressionPolicy, Engine, EngineConfig,
         EngineStats, PlanKind, PlannerConfig, PrepareOptions, PreparedGraph, Query, QueryConfig,
@@ -108,8 +108,8 @@ pub mod prelude {
     };
     pub use phom_graph::{
         component_groups, compress_closure, graph_from_labels, tarjan_scc,
-        weakly_connected_components, BitSet, ChainIndex, DenseClosure, DiGraph, DynamicClosure,
-        NodeId, ReachabilityIndex, TransitiveClosure, UpdateEffect,
+        weakly_connected_components, BitSet, ChainIndex, DiGraph, NodeId, ReachabilityIndex,
+        TransitiveClosure,
     };
     pub use phom_service::{
         plan_name_of, GraphInfo, GraphRegistry, QueryResponse, Request, Response, Service,

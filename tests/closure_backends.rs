@@ -307,11 +307,11 @@ mod prop {
                 })
                 .collect();
             for backend in [ClosureBackend::Chain, ClosureBackend::TwoHop] {
-                let p = PreparedGraph::with_backend(
+                let p = Arc::new(PreparedGraph::with_backend(
                     Arc::clone(&g),
                     backend,
                     DEFAULT_CHAIN_NODE_THRESHOLD,
-                );
+                ));
                 let outcome = p.apply(&updates);
                 let mutated = Arc::clone(outcome.prepared.graph());
                 let reference = TransitiveClosure::new(&*mutated);

@@ -13,6 +13,7 @@ use phom::graph::serialize::to_snapshot;
 use phom::graph::XorShift64;
 use phom::prelude::*;
 use phom::service::ShardMap;
+use phom::trace::{EventKind, Severity};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -376,11 +377,14 @@ fn scc_batch(
     }
     for _ in 0..64 {
         let u = NodeId(rng.below(g.node_count()) as u32);
-        let reached: Vec<NodeId> = current
+        // Sorted: backends enumerate successors in different orders, and
+        // every backend must draw the same batch.
+        let mut reached: Vec<NodeId> = current
             .closure()
             .successors_iter(u)
             .filter(|&v| !scc.same_component(u, v))
             .collect();
+        reached.sort_unstable();
         if let Some(&v) = reached.get(rng.below(reached.len().max(1))) {
             batch.push(GraphUpdate::InsertEdge(v, u));
             back_edges.push((v, u));
@@ -426,56 +430,218 @@ fn assert_same_g2_star(applied: &PreparedGraph<String>, fresh: &PreparedGraph<St
     }
 }
 
-/// Every version a chain of SCC-merging and -splitting batches derives
-/// builds the `G2*` a fresh prepare of its graph builds, and answers
-/// every compressed query exactly like it, whether compression is
-/// pinned on or decided per version.
+/// More updates than one batch maintains edge by edge (256): toggles
+/// inside the parts, with repeats that turn into no-ops, and one update
+/// out of range.
+fn oversized_batch(g: &DiGraph<String>, ranges: &[(usize, usize)]) -> Vec<GraphUpdate> {
+    let mut rng = XorShift64::new(0x0B16);
+    let mut batch: Vec<GraphUpdate> = (0..300)
+        .map(|_| {
+            let (base, n) = ranges[rng.below(ranges.len())];
+            let (a, b) = (
+                NodeId((base + rng.below(n)) as u32),
+                NodeId((base + rng.below(n.min(4))) as u32),
+            );
+            if g.has_edge(a, b) {
+                GraphUpdate::RemoveEdge(a, b)
+            } else {
+                GraphUpdate::InsertEdge(a, b)
+            }
+        })
+        .collect();
+    let n = g.node_count() as u32;
+    batch.push(GraphUpdate::InsertEdge(NodeId(0), NodeId(n)));
+    batch
+}
+
+/// An applied version must read like a fresh prepare of its graph: the
+/// same reachability, every node's successors included.
+fn assert_same_closure(applied: &PreparedGraph<String>, fresh: &PreparedGraph<String>, at: &str) {
+    let successors = |p: &PreparedGraph<String>, u: NodeId| {
+        let mut s: Vec<NodeId> = p.closure().successors_iter(u).collect();
+        s.sort_unstable();
+        s
+    };
+    for u in applied.graph().nodes() {
+        assert_eq!(
+            successors(applied, u),
+            successors(fresh, u),
+            "{at}: successors of {u:?}"
+        );
+    }
+}
+
+/// Every version a chain of SCC-merging and -splitting batches derives,
+/// and then one batch past 256 updates, builds the closure and the
+/// `G2*` a fresh prepare of its graph builds, and answers every
+/// compressed query exactly like it — on every backend, whether
+/// compression is pinned on or decided per version. Every backend
+/// counts each batch's applied, no-op and rejected updates alike.
 #[test]
 fn applied_versions_build_the_g2_star_of_a_fresh_prepare() {
     let (data, ranges) = union_graph(7);
     let queries = compressed_queries(&data, &ranges);
     let engine: Engine<String> = Engine::default();
     for compression in [CompressionPolicy::Always, CompressionPolicy::Auto] {
-        let options = PrepareOptions {
-            compression,
-            ..Default::default()
-        };
-        let mut current = Arc::new(PreparedGraph::prepare(Arc::new(data.clone()), options));
-        let mut rng = XorShift64::new(0x6257);
-        let mut back_edges = Vec::new();
-        let (mut merged, mut split, mut kept) = (false, false, 0);
-        for batch in 0..12 {
-            let updates = scc_batch(&current, &ranges, &mut back_edges, &mut rng);
-            let next = current.apply(&updates).prepared;
-            let before = current.stats().scc_count;
-            merged |= next.stats().scc_count < before;
-            split |= next.stats().scc_count > before;
-            let at = format!("{compression:?} batch {batch}");
-            let fresh = PreparedGraph::prepare(Arc::clone(next.graph()), options);
-            assert_same_g2_star(&next, &fresh, &at);
-            kept += usize::from(next.compressed().is_some());
-            for (i, q) in queries.iter().enumerate() {
-                let (a, f) = (engine.execute(&next, q), engine.execute(&fresh, q));
-                assert_eq!(a.plan.kind, PlanKind::Approx);
+        let mut counts_by_backend = Vec::new();
+        for backend in [
+            ClosureBackend::Dense,
+            ClosureBackend::Chain,
+            ClosureBackend::TwoHop,
+        ] {
+            let options = PrepareOptions {
+                backend,
+                compression,
+                ..Default::default()
+            };
+            let mut current = Arc::new(PreparedGraph::prepare(Arc::new(data.clone()), options));
+            let mut rng = XorShift64::new(0x6257);
+            let mut back_edges = Vec::new();
+            let (mut merged, mut split, mut kept) = (false, false, 0);
+            let mut counts = Vec::new();
+            for batch in 0..=12 {
+                let updates = if batch < 12 {
+                    scc_batch(&current, &ranges, &mut back_edges, &mut rng)
+                } else {
+                    oversized_batch(current.graph(), &ranges)
+                };
+                let outcome = current.apply(&updates);
+                let (next, stats) = (outcome.prepared, outcome.stats);
+                counts.push((stats.applied, stats.noops, stats.rejected));
+                let at = format!("{backend:?} {compression:?} batch {batch}");
+                if batch == 12 {
+                    assert!(updates.len() > 256 && stats.noops > 0, "{at}");
+                    assert_eq!(stats.rejected, 1, "{at}");
+                    assert_eq!(stats.rebuilds, 1, "{at}: one rebuild per oversized batch");
+                    assert_eq!(stats.backend_fallbacks, 0, "{at}: admission, not downgrade");
+                } else if backend == ClosureBackend::TwoHop {
+                    assert_eq!(stats.rebuilds, 1, "{at}: one rebuild per 2-hop batch");
+                    assert_eq!(stats.fallback_unsupported, 1, "{at}");
+                }
+                let before = current.stats().scc_count;
+                merged |= next.stats().scc_count < before;
+                split |= next.stats().scc_count > before;
+                let fresh = PreparedGraph::prepare(Arc::clone(next.graph()), options);
                 assert_eq!(
-                    a.outcome.stats.compression.is_some(),
-                    next.compressed().is_some(),
-                    "{at}: query {i} matches against G2* whenever it is kept"
+                    next.stats().closure_backend,
+                    fresh.stats().closure_backend,
+                    "{at}"
                 );
-                assert_eq!(
-                    a.outcome.mapping.pairs().collect::<Vec<_>>(),
-                    f.outcome.mapping.pairs().collect::<Vec<_>>(),
-                    "{at}: query {i}"
-                );
-                assert_eq!(a.outcome.qual_card, f.outcome.qual_card, "{at}: query {i}");
-                assert_eq!(a.outcome.qual_sim, f.outcome.qual_sim, "{at}: query {i}");
+                assert_same_closure(&next, &fresh, &at);
+                assert_same_g2_star(&next, &fresh, &at);
+                kept += usize::from(next.compressed().is_some());
+                for (i, q) in queries.iter().enumerate() {
+                    let (a, f) = (engine.execute(&next, q), engine.execute(&fresh, q));
+                    assert_eq!(a.plan.kind, PlanKind::Approx);
+                    assert_eq!(
+                        a.outcome.stats.compression.is_some(),
+                        next.compressed().is_some(),
+                        "{at}: query {i} matches against G2* whenever it is kept"
+                    );
+                    assert_eq!(
+                        a.outcome.mapping.pairs().collect::<Vec<_>>(),
+                        f.outcome.mapping.pairs().collect::<Vec<_>>(),
+                        "{at}: query {i}"
+                    );
+                    assert_eq!(a.outcome.qual_card, f.outcome.qual_card, "{at}: query {i}");
+                    assert_eq!(a.outcome.qual_sim, f.outcome.qual_sim, "{at}: query {i}");
+                }
+                current = next;
             }
-            current = next;
+            assert!(
+                merged && split,
+                "{backend:?} {compression:?}: the chain merges and splits"
+            );
+            assert!(
+                kept > 0,
+                "{backend:?} {compression:?}: some version keeps compression"
+            );
+            counts_by_backend.push(counts);
         }
         assert!(
-            merged && split,
-            "{compression:?}: the chain merges and splits"
+            counts_by_backend.windows(2).all(|w| w[0] == w[1]),
+            "{compression:?}: backends count the batches alike: {counts_by_backend:?}"
         );
-        assert!(kept > 0, "{compression:?}: some version keeps compression");
     }
+}
+
+/// A deletion past the damage budget rebuilds the dense closure and the
+/// chain index alike, and the service reports both the same way: equal
+/// `UpdateStats` (timings aside), equal journal events, and a version
+/// that reads like a fresh prepare of its graph.
+#[test]
+fn damage_rebuilds_are_reported_alike_on_every_maintainer() {
+    // n0 -> n1 -> ... -> n9: cutting n8 -> n9 shrinks the reach of
+    // n0..n8, a cone of 9 of 10 components, past the budget of half.
+    let labels: Vec<String> = (0..10).map(|i| format!("n{i}")).collect();
+    let path = Arc::new(DiGraph::from_edges(
+        labels,
+        (0..9).map(|i| (NodeId(i), NodeId(i + 1))),
+    ));
+    let cut = [GraphUpdate::RemoveEdge(NodeId(8), NodeId(9))];
+    let mut reports = Vec::new();
+    for backend in [ClosureBackend::Dense, ClosureBackend::Chain] {
+        let config = ServiceConfig::builder()
+            .engine(
+                EngineConfig::builder()
+                    .planner(PlannerConfig::builder().closure_backend(backend).build())
+                    .build(),
+            )
+            .journal_capacity(16)
+            .build();
+        let service: Service<String> = Service::new(config.clone());
+        service
+            .register("g".into(), Arc::clone(&path))
+            .expect("register");
+        let summary = service.apply_updates("g", &cut).expect("apply");
+        let stats = UpdateStats {
+            closure_maintain_micros: 0,
+            bounded_refresh_micros: 0,
+            apply_micros: 0,
+            ..summary.stats
+        };
+        assert_eq!(stats.rebuilds, 1, "{backend:?}");
+        assert_eq!(stats.fallback_damage, 1, "{backend:?}");
+        let events: Vec<(Severity, EventKind)> = service
+            .journal()
+            .snapshot()
+            .into_iter()
+            .map(|mut e| {
+                if let EventKind::UpdateApplied { micros, .. } = &mut e.kind {
+                    *micros = 0;
+                }
+                (e.severity, e.kind)
+            })
+            .collect();
+        assert!(
+            events.contains(&(
+                Severity::Warn,
+                EventKind::BackendFallback {
+                    fallbacks: 1,
+                    reason: "damage-threshold".into(),
+                }
+            )),
+            "{backend:?}: {events:?}"
+        );
+        // The version reads like a fresh registration of its graph.
+        let graph = service.graph("g").expect("registered");
+        let fresh: Service<String> = Service::new(config);
+        fresh.register("g".into(), graph).expect("register");
+        let info = service.graph_info("g").expect("info");
+        let fresh_info = fresh.graph_info("g").expect("info");
+        assert_eq!(
+            info.closure_backend, fresh_info.closure_backend,
+            "{backend:?}"
+        );
+        assert_eq!(info.scc_count, fresh_info.scc_count, "{backend:?}");
+        assert_eq!(info.closure_edges, fresh_info.closure_edges, "{backend:?}");
+        assert_eq!(
+            info.compressed_nodes, fresh_info.compressed_nodes,
+            "{backend:?}"
+        );
+        let entry = service.registry().get("g").expect("registered");
+        assert_eq!(entry.validate_deep(10).err(), None, "{backend:?}");
+        reports.push((stats, events));
+    }
+    assert_eq!(reports[0], reports[1], "dense and chain report alike");
 }
