@@ -3,7 +3,7 @@
 //! edit distance is essentially based on subgraph isomorphism").
 //!
 //! Exact A* search over node-assignment prefixes with uniform edit costs:
-//! node substitution costs 0 when `mat(v, u) ≥ ξ` and 1 otherwise; node
+//! node substitution costs 0 on a candidate pair at ξ and 1 otherwise; node
 //! insertion/deletion and edge insertion/deletion cost 1. Like the MCS
 //! comparator, the solver is exponential, so it carries a wall-clock
 //! budget and falls back to a greedy edit path (an upper bound) on
@@ -11,7 +11,7 @@
 //! paper reports for its exact comparator.
 
 use phom_graph::{DiGraph, NodeId};
-use phom_sim::SimMatrix;
+use phom_sim::{candidate_floor, SimMatrix};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -114,10 +114,10 @@ fn finalize_cost<L>(g2: &DiGraph<L>, decided: &[Slot]) -> usize {
     node_ins + edge_ins
 }
 
-/// Substitution cost: 0 when the nodes are similar enough, else 1
-/// (relabeling).
+/// Substitution cost: 0 when `(v, u)` is a candidate at `xi`
+/// ([`candidate_floor`]), else 1 (relabeling).
 fn sub_cost(mat: &SimMatrix, xi: f64, v: NodeId, u: NodeId) -> usize {
-    usize::from(mat.score(v, u) < xi)
+    usize::from(mat.score(v, u) < candidate_floor(xi))
 }
 
 /// Greedy edit path: decide pattern nodes in order, taking the locally
@@ -151,7 +151,7 @@ fn greedy_upper_bound<L>(g1: &DiGraph<L>, g2: &DiGraph<L>, mat: &SimMatrix, xi: 
 }
 
 /// Computes the graph edit distance between `g1` and `g2` under uniform
-/// costs, with node compatibility given by `mat(v, u) ≥ xi`.
+/// costs, with node compatibility given by candidacy at `xi`.
 ///
 /// Exact when it finishes within `budget`; otherwise returns the best
 /// upper bound seen (greedy completion or partially explored search) with

@@ -13,7 +13,7 @@
 //! `|E1|·|E2|` edges).
 
 use phom_graph::{DiGraph, NodeId};
-use phom_sim::SimMatrix;
+use phom_sim::{candidate_floor, SimMatrix};
 
 /// Similarity-flooding configuration.
 #[derive(Debug, Clone, Copy)]
@@ -121,7 +121,7 @@ pub fn similarity_flooding<L>(
 }
 
 /// Extracts an injective matching from a similarity matrix: greedily take
-/// the highest-scoring pairs (≥ `threshold`) with both endpoints unused.
+/// the highest-scoring candidates at `threshold` with both endpoints unused.
 /// Shared by the SF and Blondel baselines.
 pub fn extract_matching(scores: &SimMatrix, threshold: f64) -> Vec<(NodeId, NodeId)> {
     let mut ranked: Vec<(NodeId, NodeId, f64)> = Vec::new();
@@ -148,7 +148,8 @@ pub fn extract_matching(scores: &SimMatrix, threshold: f64) -> Vec<(NodeId, Node
 
 /// End-to-end SF match quality: flooded scores drive the *alignment*
 /// (which pairs correspond), the seed similarity judges whether each
-/// aligned pair is actually a match (`seed ≥ threshold`). Returns the
+/// aligned pair is actually a match (a seed candidate at `threshold`,
+/// [`candidate_floor`]). Returns the
 /// matched fraction of `G1`, comparable with `qualCard`.
 ///
 /// Judging by raw flooded scores would be meaningless here: they are
@@ -165,10 +166,10 @@ pub fn flooding_match_quality<L>(
         return 0.0;
     }
     let flooded = similarity_flooding(g1, g2, seed, cfg);
-    let matching = extract_matching(&flooded, f64::MIN_POSITIVE);
+    let matching = extract_matching(&flooded, 0.0);
     let good = matching
         .iter()
-        .filter(|&&(v, u)| seed.score(v, u) >= threshold)
+        .filter(|&&(v, u)| seed.score(v, u) >= candidate_floor(threshold))
         .count();
     good as f64 / g1.node_count() as f64
 }

@@ -26,7 +26,7 @@ pub struct McsResult {
 /// Finds a maximum common induced subgraph between `g1` and `g2`:
 /// an injective partial mapping `σ` with
 /// `(v, v') ∈ E1 ⟺ (σ(v), σ(v')) ∈ E2` for all mapped pairs, maximizing
-/// the number of mapped nodes. Node compatibility is `mat(v, u) ≥ xi`.
+/// the number of mapped nodes. Node compatibility is candidacy at `xi`.
 pub fn maximum_common_subgraph<L>(
     g1: &DiGraph<L>,
     g2: &DiGraph<L>,

@@ -40,7 +40,7 @@ impl SimulationResult {
 }
 
 /// Computes the maximal simulation of `g1` by `g2` with node compatibility
-/// `mat(v, u) ≥ xi` (use a label-equality matrix for the classical
+/// candidacy at `xi` (use a label-equality matrix for the classical
 /// notion). Worklist fixpoint, `O(|V1||V2|(|E1| + |E2|))` worst case.
 ///
 /// ```

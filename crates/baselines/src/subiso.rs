@@ -7,7 +7,7 @@ use phom_graph::{DiGraph, NodeId};
 use phom_sim::SimMatrix;
 
 /// Finds a subgraph-isomorphism embedding of `g1` into `g2` (injective,
-/// edge-to-edge, node compatibility `mat(v,u) ≥ xi`), or `None`.
+/// edge-to-edge, node compatibility candidacy at `xi`), or `None`.
 ///
 /// Exponential worst case (NP-complete); candidate lists are pruned by
 /// degree and refined by 1-step arc consistency before search.

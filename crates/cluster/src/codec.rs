@@ -408,7 +408,7 @@ pub fn encode(msg: &WireMessage, cfg: &FrameConfig) -> Result<Vec<u8>, CodecErro
                 None => buf.put_u8(0),
                 Some(c) => {
                     buf.put_u8(1);
-                    buf.put_u8(compression_tag(*c));
+                    buf.put_u8(c.tag());
                 }
             }
         }
@@ -492,46 +492,21 @@ pub fn decode(payload: &[u8], cfg: &FrameConfig) -> Result<WireMessage, CodecErr
 // Enum tags.
 // ---------------------------------------------------------------------
 
-fn compression_tag(c: CompressionPolicy) -> u8 {
-    match c {
-        CompressionPolicy::Auto => 0,
-        CompressionPolicy::Always => 1,
-        CompressionPolicy::Never => 2,
-    }
-}
-
 fn compression_from_tag(tag: u8) -> Result<CompressionPolicy, CodecError> {
-    match tag {
-        0 => Ok(CompressionPolicy::Auto),
-        1 => Ok(CompressionPolicy::Always),
-        2 => Ok(CompressionPolicy::Never),
-        tag => Err(CodecError::BadTag {
-            what: "compression",
-            tag,
-        }),
-    }
-}
-
-fn plan_kind_tag(k: PlanKind) -> u8 {
-    match k {
-        PlanKind::Exact => 0,
-        PlanKind::Approx => 1,
-        PlanKind::Bounded => 2,
-        PlanKind::Baseline => 3,
-    }
+    CompressionPolicy::from_tag(tag).ok_or(CodecError::BadTag {
+        what: "compression",
+        tag,
+    })
 }
 
 fn plan_kind_from_tag(tag: u8) -> Result<PlanKind, CodecError> {
-    match tag {
-        0 => Ok(PlanKind::Exact),
-        1 => Ok(PlanKind::Approx),
-        2 => Ok(PlanKind::Bounded),
-        3 => Ok(PlanKind::Baseline),
-        tag => Err(CodecError::BadTag {
+    PlanKind::ALL
+        .get(usize::from(tag))
+        .copied()
+        .ok_or(CodecError::BadTag {
             what: "plan kind",
             tag,
-        }),
-    }
+        })
 }
 
 fn algorithm_tag(a: Algorithm) -> u8 {
@@ -584,7 +559,7 @@ fn encode_query_config(buf: &mut BytesMut, c: &QueryConfig) {
         None => buf.put_u8(0),
         Some(k) => {
             buf.put_u8(1);
-            buf.put_u8(plan_kind_tag(k));
+            buf.put_u8(k.index() as u8);
         }
     }
     put_opt_duration(buf, c.timeout);
@@ -749,7 +724,7 @@ fn decode_query(d: &mut Dec) -> Result<Query<String>, CodecError> {
 }
 
 fn encode_plan(buf: &mut BytesMut, p: &Plan) {
-    buf.put_u8(plan_kind_tag(p.kind));
+    buf.put_u8(p.kind.index() as u8);
     put_usize(buf, p.restarts);
     put_str(buf, p.reason);
 }

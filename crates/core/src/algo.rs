@@ -40,7 +40,8 @@ pub enum Selection {
 /// Configuration shared by the four algorithms.
 #[derive(Debug, Clone, Copy)]
 pub struct AlgoConfig {
-    /// Similarity threshold `ξ`.
+    /// Similarity threshold `ξ`: `(v, u)` is a candidate iff
+    /// `mat(v, u) ≥ ξ` and `mat(v, u) > 0` ([`phom_sim::candidate_floor`]).
     pub xi: f64,
     /// Pivot selection strategy.
     pub selection: Selection,

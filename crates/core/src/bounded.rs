@@ -141,7 +141,7 @@ pub fn comp_max_sim_1_1_bounded<L>(
     comp_max_sim_with(g1, &closure, mat, weights, cfg, true)
 }
 
-/// Verifies `mapping` under bounded-stretch semantics: `mat(v, σ(v)) ≥ ξ`
+/// Verifies `mapping` under bounded-stretch semantics: `(v, σ(v))` is a candidate at ξ
 /// and every mapped pattern edge has an image path of ≤ `k` edges
 /// (injectivity too when `injective`).
 pub fn verify_phom_bounded<L>(

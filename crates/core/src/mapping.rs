@@ -2,7 +2,7 @@
 //! maximum cardinality `qualCard` and overall similarity `qualSim`.
 
 use phom_graph::{DiGraph, NodeId, ReachabilityIndex};
-use phom_sim::{NodeWeights, SimMatrix};
+use phom_sim::{candidate_floor, NodeWeights, SimMatrix};
 
 /// A (partial) mapping `σ` from nodes of the pattern `G1` to nodes of the
 /// data graph `G2`. `assign[v] = Some(u)` means `σ(v) = u`; unassigned
@@ -112,7 +112,7 @@ impl PHomMapping {
 /// A reason why a candidate mapping is *not* a valid (1-1) p-hom mapping.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
-    /// `mat(v, σ(v)) < ξ`.
+    /// `mat(v, σ(v))` is below `ξ` or not above 0.
     SimilarityBelowThreshold {
         /// Pattern node.
         v: NodeId,
@@ -141,7 +141,8 @@ pub enum Violation {
 }
 
 /// Checks the p-hom conditions of §3.2 for `σ` restricted to its domain:
-/// (1) `mat(v, σ(v)) ≥ ξ` for every mapped `v`; (2) every edge `(v, v')`
+/// (1) `(v, σ(v))` is a candidate at `ξ` ([`candidate_floor`]) for every
+/// mapped `v`; (2) every edge `(v, v')`
 /// of `G1` with both ends mapped has a nonempty path
 /// `σ(v) ⇝ σ(v')` in `G2`; and, when `injective`, (3) σ is 1-1.
 ///
@@ -155,9 +156,10 @@ pub fn verify_phom<L>(
     closure: &dyn ReachabilityIndex,
     injective: bool,
 ) -> Result<(), Violation> {
+    let floor = candidate_floor(xi);
     for (v, u) in mapping.pairs() {
         let score = mat.score(v, u);
-        if score < xi {
+        if score < floor {
             return Err(Violation::SimilarityBelowThreshold { v, u, score });
         }
     }

@@ -26,7 +26,7 @@ pub struct MatchList {
 }
 
 impl MatchList {
-    /// Initial `H` (Fig. 3 line 4): `H[v].good = {u | mat(v,u) ≥ ξ}`,
+    /// Initial `H` (Fig. 3 line 4): `H[v].good = {u | mat(v,u) ≥ ξ, > 0}`,
     /// `H[v].minus = ∅`. Pattern nodes without candidates are omitted.
     pub fn initial(n1: usize, mat: &SimMatrix, xi: f64) -> Self {
         let mut entries = Vec::with_capacity(n1);

@@ -57,7 +57,8 @@ impl Algorithm {
 pub struct MatcherConfig {
     /// Problem/algorithm selector.
     pub algorithm: Algorithm,
-    /// Similarity threshold `ξ`.
+    /// Similarity threshold `ξ`: `v` may map to `u` iff `mat(v, u) ≥ ξ`
+    /// and `mat(v, u) > 0` ([`phom_sim::candidate_floor`]).
     pub xi: f64,
     /// `greedyMatch` pivot strategy.
     pub selection: Selection,
@@ -88,10 +89,9 @@ pub struct MatcherConfig {
     /// With more than one worker every component is first solved unmasked
     /// on a scoped work-stealing pool. The merge then walks the components
     /// in order and keeps each unmasked answer, unless the mode is 1-1 and
-    /// a claimed image scores in the component's rows (above 0, or at
-    /// least the threshold the component is solved at), checked at merge
-    /// time; such a component is solved again under the mask. The result
-    /// is identical for every worker count.
+    /// a claimed image scores above 0 in the component's rows, checked at
+    /// merge time; such a component is solved again under the mask. The
+    /// result is identical for every worker count.
     pub intra_workers: usize,
 }
 
@@ -381,9 +381,9 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
     let budget_polls = AtomicUsize::new(0);
     let restart_micros: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
-    let run_algorithm = |g: &DiGraph<L>, m: &SimMatrix, w: &NodeWeights, xi: f64| -> PHomMapping {
+    let run_algorithm = |g: &DiGraph<L>, m: &SimMatrix, w: &NodeWeights| -> PHomMapping {
         let algo_cfg = AlgoConfig {
-            xi,
+            xi: cfg.xi,
             selection: cfg.selection,
             budget,
         };
@@ -450,15 +450,7 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
         // Proposition 1 makes components independent for p-hom, but 1-1
         // components compete for data nodes: each one is solved with the
         // images earlier components claimed masked out (their columns
-        // zeroed). Singletons pick at ξ; a multi-node 1-1 component runs
-        // above 0, so a masked image cannot re-enter at ξ = 0.
-        let xi_of = |comp: &[NodeId]| {
-            if injective && comp.len() > 1 {
-                cfg.xi.max(f64::MIN_POSITIVE)
-            } else {
-                cfg.xi
-            }
-        };
+        // zeroed, and a zero score is never a candidate).
         // One component under a mask: its `(v, u)` pairs in G1 ids, or
         // `None` once the deadline has expired.
         let solve = |comp: &[NodeId], claimed: &HashSet<NodeId>| -> Option<Vec<(NodeId, NodeId)>> {
@@ -490,20 +482,15 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
                 }
             }
             let sub_w = NodeWeights::from_vec(orig.iter().map(|&v| weights.get(v)).collect());
-            let part = run_algorithm(&sub, &sub_mat, &sub_w, xi_of(comp));
+            let part = run_algorithm(&sub, &sub_mat, &sub_w);
             Some(part.pairs().map(|(nv, u)| (orig[nv.index()], u)).collect())
         };
         // Whether masking `claimed` changes what `solve` sees of `comp`:
-        // a claimed image scores above 0 in one of its rows, or is a
-        // candidate at the component's threshold (at ξ = 0 a zero-score
-        // node is a singleton's candidate).
+        // a claimed image scores above 0 in one of its rows.
         let conflicts = |comp: &[NodeId], claimed: &HashSet<NodeId>| {
-            claimed.iter().any(|&u| {
-                comp.iter().any(|&v| {
-                    let s = data.mat.score(v, u);
-                    s > 0.0 || s >= xi_of(comp)
-                })
-            })
+            claimed
+                .iter()
+                .any(|&u| comp.iter().any(|&v| data.mat.score(v, u) > 0.0))
         };
 
         // With more than one worker, every component is first solved
@@ -543,7 +530,7 @@ fn match_graphs_inner<L: Clone + Send + Sync>(
         whole
     } else {
         stats.components = 1;
-        run_algorithm(g1, &data.mat, weights, cfg.xi)
+        run_algorithm(g1, &data.mat, weights)
     };
 
     // One clock sample decides both whether the greedy extension may
@@ -1303,9 +1290,10 @@ mod tests {
                 }
             }
 
-            /// At ξ = 0 a 1-1 singleton's candidates include zero-score
-            /// nodes, so the merge must count a claimed zero-score image
-            /// as a conflict; restarts run through the same re-solve.
+            /// At ξ = 0 a zero score is still never a candidate, so the
+            /// merge's conflict test (a claimed image scoring above 0 in
+            /// the component's rows) is sound and no zero-score pair is
+            /// mapped; restarts run through the same re-solve.
             #[test]
             fn prop_injective_merge_sound_at_zero_xi((g1, g2) in arb_pair()) {
                 let mat = SimMatrix::label_equality(&g1, &g2);
@@ -1329,6 +1317,7 @@ mod tests {
                             "algorithm={:?} restarts={}", algorithm, restarts
                         );
                         prop_assert!(par.mapping.is_injective());
+                        prop_assert!(par.mapping.pairs().all(|(v, u)| mat.score(v, u) > 0.0));
                     }
                 }
             }

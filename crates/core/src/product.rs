@@ -1,7 +1,7 @@
 //! The product-graph construction behind Theorems 4.3 and 5.1.
 //!
 //! Algorithm `f` of the AFP-reduction from SPH to WIS builds an undirected
-//! graph `G` on candidate pairs `[v, u]` (`mat(v, u) ≥ ξ`) where an edge
+//! graph `G` on candidate pairs `[v, u]` (`mat(v, u) ≥ ξ`, `> 0`) where an edge
 //! means *compatibility*:
 //!
 //! * (a) `v1 ≠ v2`;

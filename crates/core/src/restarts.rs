@@ -17,7 +17,7 @@ use crate::algo::{comp_max_card_with, comp_max_sim_with, AlgoConfig, Selection};
 use crate::budget::MatchBudget;
 use crate::mapping::PHomMapping;
 use phom_graph::{DiGraph, ReachabilityIndex, TransitiveClosure};
-use phom_sim::{NodeWeights, SimMatrix};
+use phom_sim::{candidate_floor, NodeWeights, SimMatrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,22 +45,24 @@ impl Default for RestartConfig {
     }
 }
 
-/// Tie-break perturbation of `mat`: squeezes every at-or-above-threshold
-/// score slightly toward `xi` and adds seeded noise smaller than the
-/// squeeze, so the perturbed score stays in `[xi, 1]` — candidacy
-/// (`score ≥ xi`) is exactly preserved and the matrix invariant
-/// `s ∈ [0, 1]` holds. Sub-threshold pairs are untouched.
+/// Tie-break perturbation of `mat`: squeezes every candidate's score
+/// slightly toward the candidate floor `f` ([`candidate_floor`]) and
+/// adds seeded noise smaller than the squeeze, so the perturbed score
+/// stays in `[f, 1]` — candidacy is exactly preserved and the matrix
+/// invariant `s ∈ [0, 1]` holds. Other pairs are untouched.
 fn perturb(mat: &SimMatrix, xi: f64, seed: u64) -> SimMatrix {
     const SQUEEZE: f64 = 1e-6;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let span = (1.0 - xi).max(1e-9);
+    let floor = candidate_floor(xi);
+    let span = (1.0 - floor).max(1e-9);
     SimMatrix::from_fn(mat.n1(), mat.n2(), |v, u| {
         let s = mat.score(v, u);
-        if s < xi {
-            return s;
+        if s >= floor {
+            let squeezed = floor + (s - floor) * (1.0 - SQUEEZE);
+            (squeezed + rng.random::<f64>() * span * SQUEEZE).min(1.0)
+        } else {
+            s
         }
-        let squeezed = xi + (s - xi) * (1.0 - SQUEEZE);
-        (squeezed + rng.random::<f64>() * span * SQUEEZE).min(1.0)
     })
 }
 
@@ -399,14 +401,17 @@ mod tests {
     #[test]
     fn perturbation_preserves_candidacy() {
         let (_, _, mat) = setup();
-        let noisy = perturb(&mat, 0.5, 42);
-        for v in 0..mat.n1() {
-            for u in 0..mat.n2() {
-                let v = phom_graph::NodeId(v as u32);
-                let u = phom_graph::NodeId(u as u32);
-                assert_eq!(mat.score(v, u) >= 0.5, noisy.score(v, u) >= 0.5);
-                assert!((noisy.score(v, u) - mat.score(v, u)).abs() < 1e-5);
-                assert!((0.0..=1.0).contains(&noisy.score(v, u)));
+        for xi in [0.5, 0.0] {
+            let floor = candidate_floor(xi);
+            let noisy = perturb(&mat, xi, 42);
+            for v in 0..mat.n1() {
+                for u in 0..mat.n2() {
+                    let v = phom_graph::NodeId(v as u32);
+                    let u = phom_graph::NodeId(u as u32);
+                    assert_eq!(mat.score(v, u) >= floor, noisy.score(v, u) >= floor);
+                    assert!((noisy.score(v, u) - mat.score(v, u)).abs() < 1e-5);
+                    assert!((0.0..=1.0).contains(&noisy.score(v, u)));
+                }
             }
         }
     }

@@ -12,7 +12,7 @@
 
 use crate::mapping::{verify_phom, PHomMapping};
 use phom_graph::{DiGraph, NodeId, TransitiveClosure};
-use phom_sim::SimMatrix;
+use phom_sim::{candidate_floor, SimMatrix};
 
 /// Result of a composition.
 #[derive(Debug, Clone)]
@@ -43,9 +43,10 @@ pub fn compose_mappings<L>(
     // Optimistic composition, with threshold and injectivity screening.
     let mut assign: Vec<Option<NodeId>> = vec![None; g0.node_count()];
     let mut used: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+    let floor = candidate_floor(xi);
     for (v, mid) in sigma1.pairs() {
         let Some(u) = sigma2.get(mid) else { continue };
-        if mat02.score(v, u) < xi {
+        if mat02.score(v, u) < floor {
             continue;
         }
         if injective && !used.insert(u) {

@@ -11,8 +11,7 @@
 //! the BFS for exactly those sources, against the post-update graph, is
 //! therefore exact.
 
-use phom_graph::{BitSet, DiGraph, NodeId, TransitiveClosure};
-use std::sync::Arc;
+use phom_graph::{DiGraph, NodeId, TransitiveClosure};
 
 /// Rebuilds the hop-`k` closure after updates whose edge *sources* are
 /// `touched`, given the pre-update bounded closure `old` and the
@@ -26,48 +25,18 @@ pub fn refresh_bounded_closure<L>(
     k: usize,
     touched: &[NodeId],
 ) -> (TransitiveClosure, usize) {
-    let n = g.node_count();
-    debug_assert_eq!(old.node_count(), n);
-    let mut rows: Vec<Arc<BitSet>> = Vec::with_capacity(n);
+    debug_assert_eq!(old.node_count(), g.node_count());
     let mut recomputed = 0;
-    let mut frontier: Vec<NodeId> = Vec::new();
-    let mut next: Vec<NodeId> = Vec::new();
-    for x in g.nodes() {
+    let fresh = TransitiveClosure::bounded_reusing(g, k, |x| {
         let affected = touched
             .iter()
             .any(|&t| t == x || old.reachable_set(x).contains(t.index()));
-        if !affected {
-            // Unaffected rows are shared with the old closure, not copied
-            // (bounded closures are per-node: component = node index).
-            rows.push(old.component_row_shared(old.component_of(x)));
-            continue;
-        }
-        recomputed += 1;
-        // Depth-limited BFS, mirroring `TransitiveClosure::bounded`.
-        let mut row = BitSet::new(n);
-        frontier.clear();
-        frontier.push(x);
-        for _ in 0..k {
-            next.clear();
-            for &y in &frontier {
-                for &w in g.post(y) {
-                    if row.insert(w.index()) {
-                        next.push(w);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        rows.push(Arc::new(row));
-    }
-    let comp: Vec<u32> = (0..n as u32).collect();
-    (
-        TransitiveClosure::from_shared_parts(comp, rows, n),
-        recomputed,
-    )
+        recomputed += usize::from(affected);
+        // Unaffected rows are shared with the old closure, not copied
+        // (bounded closures are per-node: component = node index).
+        (!affected).then(|| old.component_row_shared(old.component_of(x)))
+    });
+    (fresh, recomputed)
 }
 
 #[cfg(test)]

@@ -374,8 +374,6 @@ impl<L> SemiDynamicChain<L> {
             .collect();
         let count = affected.len();
         self.recompute_cone(&affected);
-        self.stats.scc_merges += 1;
-        self.stats.incremental_inserts += 1;
         UpdateEffect::Incremental {
             affected_components: count,
         }
@@ -419,17 +417,14 @@ impl Cover for ChainCover {
 
     fn insert<L>(m: &mut Maintainer<L, Self>, u: NodeId, v: NodeId) -> UpdateEffect {
         if !m.graph.add_edge(u, v) {
-            m.stats.noops += 1;
             return UpdateEffect::NoOp;
         }
         let ca = m.comp[u.index()] as usize;
         if u == v {
             if m.cyclic[ca] {
-                m.stats.unchanged += 1;
                 return UpdateEffect::Unchanged;
             }
             m.cyclic[ca] = true;
-            m.stats.incremental_inserts += 1;
             return UpdateEffect::Incremental {
                 affected_components: 1,
             };
@@ -438,7 +433,6 @@ impl Cover for ChainCover {
         if ca == cb || m.comp_probe(ca, cb) {
             // Same SCC, or u already reached v: every path through the
             // new edge was already witnessed.
-            m.stats.unchanged += 1;
             return UpdateEffect::Unchanged;
         }
         if m.comp_probe(cb, ca) {
@@ -457,7 +451,6 @@ impl Cover for ChainCover {
         let affected = m.affected_cone(ca);
         let count = affected.len();
         m.recompute_cone(&affected);
-        m.stats.incremental_inserts += 1;
         UpdateEffect::Incremental {
             affected_components: count,
         }
@@ -465,18 +458,15 @@ impl Cover for ChainCover {
 
     fn remove<L>(m: &mut Maintainer<L, Self>, u: NodeId, v: NodeId) -> UpdateEffect {
         if !m.graph.remove_edge(u, v) {
-            m.stats.noops += 1;
             return UpdateEffect::NoOp;
         }
         let ca = m.comp[u.index()] as usize;
         let cb = m.comp[v.index()] as usize;
         if u == v {
             if m.members[ca].len() > 1 {
-                m.stats.unchanged += 1;
                 return UpdateEffect::Unchanged;
             }
             m.cyclic[ca] = false;
-            m.stats.incremental_removals += 1;
             return UpdateEffect::Incremental {
                 affected_components: 1,
             };
@@ -486,10 +476,8 @@ impl Cover for ChainCover {
             // reaches v inside it (any escape path would contradict the
             // condensation's acyclicity).
             if m.intra_still_reaches(ca, u, v) {
-                m.stats.unchanged += 1;
                 return UpdateEffect::Unchanged;
             }
-            m.stats.scc_splits += 1;
             m.rebuild(Fallback::Unsupported);
             return UpdateEffect::Rebuilt;
         }
@@ -512,7 +500,6 @@ impl Cover for ChainCover {
             .into_iter()
             .any(|d| d == cb || m.comp_probe(d, cb))
         {
-            m.stats.unchanged += 1;
             return UpdateEffect::Unchanged;
         }
         let affected = m.affected_cone(ca);
@@ -610,11 +597,11 @@ mod tests {
         );
         let mut dyc = SemiDynamicChain::new(&g0);
         let mut g = structure(&g0);
+        assert_eq!(dyc.component_count(), 5);
         let eff = dyc.insert_edge(NodeId(4), NodeId(1));
         g.add_edge(NodeId(4), NodeId(1));
         assert!(matches!(eff, UpdateEffect::Incremental { .. }));
         assert_eq!(dyc.component_count(), 2, "cycle collapsed to one SCC");
-        assert_eq!(dyc.stats().scc_merges, 1);
         assert_eq!(dyc.stats().rebuilds, 0);
         assert!(dyc.reaches(NodeId(0), NodeId(4)));
         assert!(!dyc.reaches(NodeId(1), NodeId(0)));
@@ -659,10 +646,15 @@ mod tests {
         );
         let mut dyc = SemiDynamicChain::new(&g0);
         let mut g = structure(&g0);
+        assert_eq!(dyc.component_count(), 2);
         let eff = dyc.remove_edge(NodeId(2), NodeId(0));
         g.remove_edge(NodeId(2), NodeId(0));
         assert_eq!(eff, UpdateEffect::Rebuilt);
-        assert_eq!(dyc.stats().scc_splits, 1);
+        assert_eq!(
+            dyc.component_count(),
+            4,
+            "the 3-cycle split into singletons"
+        );
         assert_eq!(dyc.stats().fallback_unsupported, 1);
         assert_eq!(dyc.stats().fallback_damage, 0);
         assert_matches_scratch(&dyc, &g);
@@ -759,8 +751,9 @@ mod tests {
         }
 
         /// Applies `seq` step by step, comparing every prefix with a
-        /// from-scratch closure; returns the maintainer's counters.
-        fn check_sequence(seq: &OpSeq) -> Result<DynamicStats, TestCaseError> {
+        /// from-scratch closure; returns the maintainer's counters and
+        /// each update's effect.
+        fn check_sequence(seq: &OpSeq) -> Result<(DynamicStats, Vec<UpdateEffect>), TestCaseError> {
             let mut g: DiGraph<()> = DiGraph::with_capacity(seq.n);
             for _ in 0..seq.n {
                 g.add_node(());
@@ -769,15 +762,16 @@ mod tests {
                 g.add_edge(NodeId((a % seq.n) as u32), NodeId((b % seq.n) as u32));
             }
             let mut dyc = SemiDynamicChain::new(&g);
+            let mut effects = Vec::new();
             for &(insert, a, b) in &seq.ops {
                 let a = NodeId((a % seq.n) as u32);
                 let b = NodeId((b % seq.n) as u32);
                 if insert {
                     g.add_edge(a, b);
-                    dyc.insert_edge(a, b);
+                    effects.push(dyc.insert_edge(a, b));
                 } else {
                     g.remove_edge(a, b);
-                    dyc.remove_edge(a, b);
+                    effects.push(dyc.remove_edge(a, b));
                 }
                 let scratch = TransitiveClosure::new(&g);
                 for x in g.nodes() {
@@ -813,7 +807,7 @@ mod tests {
                 idx.validate_against(&g_back, g_back.node_count()).err(),
                 None
             );
-            Ok(stats)
+            Ok((stats, effects))
         }
 
         /// The property's checks reach both sides of the damage budget:
@@ -827,8 +821,12 @@ mod tests {
                 edges: (0..9).map(|i| (i, i + 1)).collect(),
                 ops: vec![(false, 0, 1), (false, 8, 9)],
             };
-            let stats = check_sequence(&seq).expect("maintained index matches");
-            assert_eq!(stats.incremental_removals, 1, "cone recompute");
+            let (stats, effects) = check_sequence(&seq).expect("maintained index matches");
+            assert!(
+                matches!(effects[0], UpdateEffect::Incremental { .. }),
+                "cone recompute"
+            );
+            assert_eq!(effects[1], UpdateEffect::Rebuilt);
             assert_eq!(stats.rebuilds, 1, "damage rebuild");
             assert_eq!(stats.fallback_damage, 1);
         }

@@ -159,8 +159,6 @@ impl<L> SemiDynamicClosure<L> {
                 affected += 1;
             }
         }
-        self.stats.scc_merges += 1;
-        self.stats.incremental_inserts += 1;
         UpdateEffect::Incremental {
             affected_components: affected,
         }
@@ -224,19 +222,16 @@ impl Cover for DenseRows {
 
     fn insert<L>(m: &mut Maintainer<L, Self>, u: NodeId, v: NodeId) -> UpdateEffect {
         if !m.graph.add_edge(u, v) {
-            m.stats.noops += 1;
             return UpdateEffect::NoOp;
         }
         let cu = m.comp[u.index()] as usize;
         if u == v {
             // Self-loop: the only candidate new pair is (u, u).
             if m.cover.rows[cu].contains(u.index()) {
-                m.stats.unchanged += 1;
                 return UpdateEffect::Unchanged;
             }
             m.cyclic[cu] = true;
             Arc::make_mut(&mut m.cover.rows[cu]).insert(u.index());
-            m.stats.incremental_inserts += 1;
             return UpdateEffect::Incremental {
                 affected_components: 1,
             };
@@ -244,7 +239,6 @@ impl Cover for DenseRows {
         if m.cover.rows[cu].contains(v.index()) {
             // u already reached v: any path through the new edge was
             // already witnessed (x ⇝ u ⇝ v ⇝ y).
-            m.stats.unchanged += 1;
             return UpdateEffect::Unchanged;
         }
         let cv = m.comp[v.index()] as usize;
@@ -267,7 +261,6 @@ impl Cover for DenseRows {
                 affected += 1;
             }
         }
-        m.stats.incremental_inserts += 1;
         UpdateEffect::Incremental {
             affected_components: affected,
         }
@@ -275,14 +268,12 @@ impl Cover for DenseRows {
 
     fn remove<L>(m: &mut Maintainer<L, Self>, u: NodeId, v: NodeId) -> UpdateEffect {
         if !m.graph.remove_edge(u, v) {
-            m.stats.noops += 1;
             return UpdateEffect::NoOp;
         }
         // Fast path: if u still reaches v, every old path through the
         // deleted edge has a substitute (x ⇝ u ⇝ v ⇝ y), so neither the
         // closure nor the SCC structure changed.
         if m.still_reaches(u, v) {
-            m.stats.unchanged += 1;
             return UpdateEffect::Unchanged;
         }
         let cu = m.comp[u.index()] as usize;
@@ -300,12 +291,10 @@ impl Cover for DenseRows {
             // Self-loop removal: a larger SCC stays cyclic; a singleton
             // loses exactly the pair (u, u).
             if m.members[cu].len() > 1 {
-                m.stats.unchanged += 1;
                 return UpdateEffect::Unchanged;
             }
             m.cyclic[cu] = false;
             Arc::make_mut(&mut m.cover.rows[cu]).remove(u.index());
-            m.stats.incremental_removals += 1;
             return UpdateEffect::Incremental {
                 affected_components: 1,
             };
@@ -330,11 +319,9 @@ impl Cover for DenseRows {
         if scc.count() == 1 {
             // Still strongly connected: cyclic stays true, and no
             // cross-component reachability changed.
-            m.stats.unchanged += 1;
             return UpdateEffect::Unchanged;
         }
         // Split: reuse the old slot for one fragment, append the rest.
-        m.stats.scc_splits += 1;
         let mut fragments: Vec<usize> = Vec::with_capacity(scc.count());
         for c in 0..scc.count() {
             let slot = if c == 0 { cu } else { m.push_slot() };
@@ -498,6 +485,7 @@ mod tests {
         );
         let mut dyc = SemiDynamicClosure::new(&g0);
         let mut g = structure(&g0);
+        assert_eq!(dyc.component_count(), 5);
         let eff = dyc.insert_edge(NodeId(4), NodeId(1));
         g.add_edge(NodeId(4), NodeId(1));
         assert!(matches!(eff, UpdateEffect::Incremental { .. }));
@@ -505,7 +493,6 @@ mod tests {
         assert!(dyc.reaches(NodeId(1), NodeId(1)), "on cycle");
         assert!(dyc.reaches(NodeId(0), NodeId(4)), "p sees whole cycle");
         assert!(!dyc.reaches(NodeId(1), NodeId(0)));
-        assert_eq!(dyc.stats().scc_merges, 1);
         assert_matches_scratch(&dyc, &g);
     }
 
@@ -548,13 +535,18 @@ mod tests {
         );
         let mut dyc = SemiDynamicClosure::new(&g0);
         let mut g = structure(&g0);
+        assert_eq!(dyc.component_count(), 2);
         let eff = dyc.remove_edge(NodeId(2), NodeId(0));
         g.remove_edge(NodeId(2), NodeId(0));
         assert!(matches!(
             eff,
             UpdateEffect::Incremental { .. } | UpdateEffect::Rebuilt
         ));
-        assert_eq!(dyc.stats().scc_splits, 1);
+        assert_eq!(
+            dyc.component_count(),
+            4,
+            "the 3-cycle split into singletons"
+        );
         assert!(!dyc.reaches(NodeId(0), NodeId(0)));
         assert!(dyc.reaches(NodeId(0), NodeId(3)));
         assert_matches_scratch(&dyc, &g);
@@ -663,8 +655,9 @@ mod tests {
         }
 
         /// Applies `seq` step by step, comparing every prefix with a
-        /// from-scratch closure; returns the maintainer's counters.
-        fn check_sequence(seq: &OpSeq) -> Result<DynamicStats, TestCaseError> {
+        /// from-scratch closure; returns the maintainer's counters and
+        /// each update's effect.
+        fn check_sequence(seq: &OpSeq) -> Result<(DynamicStats, Vec<UpdateEffect>), TestCaseError> {
             let mut g: DiGraph<()> = DiGraph::with_capacity(seq.n);
             for _ in 0..seq.n {
                 g.add_node(());
@@ -673,15 +666,16 @@ mod tests {
                 g.add_edge(NodeId((a % seq.n) as u32), NodeId((b % seq.n) as u32));
             }
             let mut dyc = SemiDynamicClosure::new(&g);
+            let mut effects = Vec::new();
             for &(insert, a, b) in &seq.ops {
                 let a = NodeId((a % seq.n) as u32);
                 let b = NodeId((b % seq.n) as u32);
                 if insert {
                     g.add_edge(a, b);
-                    dyc.insert_edge(a, b);
+                    effects.push(dyc.insert_edge(a, b));
                 } else {
                     g.remove_edge(a, b);
-                    dyc.remove_edge(a, b);
+                    effects.push(dyc.remove_edge(a, b));
                 }
                 let scratch = TransitiveClosure::new(&g);
                 let (_, snap) = dyc.clone().into_parts();
@@ -704,7 +698,7 @@ mod tests {
             // The maintainer's own validator (the audit surface) must
             // accept the maintained state after the full sequence.
             prop_assert_eq!(dyc.validate(g.node_count()).err(), None);
-            Ok(*dyc.stats())
+            Ok((*dyc.stats(), effects))
         }
 
         /// The property's checks reach both sides of the damage budget:
@@ -718,8 +712,12 @@ mod tests {
                 edges: (0..9).map(|i| (i, i + 1)).collect(),
                 ops: vec![(false, 0, 1), (false, 8, 9)],
             };
-            let stats = check_sequence(&seq).expect("maintained closure matches");
-            assert_eq!(stats.incremental_removals, 1, "cone recompute");
+            let (stats, effects) = check_sequence(&seq).expect("maintained closure matches");
+            assert!(
+                matches!(effects[0], UpdateEffect::Incremental { .. }),
+                "cone recompute"
+            );
+            assert_eq!(effects[1], UpdateEffect::Rebuilt);
             assert_eq!(stats.rebuilds, 1, "damage rebuild");
             assert_eq!(stats.fallback_damage, 1);
         }

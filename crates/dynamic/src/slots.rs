@@ -287,7 +287,6 @@ impl<L, C: Cover> Maintainer<L, C> {
             return UpdateEffect::Rebuilt;
         }
         C::recompute(self, &affected);
-        self.stats.incremental_removals += 1;
         UpdateEffect::Incremental {
             affected_components: affected.len(),
         }

@@ -81,19 +81,6 @@ pub enum UpdateEffect {
 /// Monotone counters of what a maintainer has done since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynamicStats {
-    /// Updates that left the graph unchanged (duplicate insert / absent
-    /// delete).
-    pub noops: usize,
-    /// Updates that changed the graph but not the closure.
-    pub unchanged: usize,
-    /// Insertions patched incrementally.
-    pub incremental_inserts: usize,
-    /// Deletions patched by a bounded cone recompute.
-    pub incremental_removals: usize,
-    /// Back-edge insertions that merged SCCs.
-    pub scc_merges: usize,
-    /// Intra-SCC deletions that split a component.
-    pub scc_splits: usize,
     /// Full from-scratch rebuilds: always
     /// [`DynamicStats::fallback_damage`] +
     /// [`DynamicStats::fallback_unsupported`].

@@ -132,6 +132,19 @@ pub enum CompressionPolicy {
 }
 
 impl CompressionPolicy {
+    /// Every policy, in tag order (declaration order).
+    const ALL: [CompressionPolicy; 3] = [Self::Auto, Self::Always, Self::Never];
+
+    /// The policy's one-byte tag in service snapshots and wire frames.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The policy behind a [`CompressionPolicy::tag`], if any.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(tag)).copied()
+    }
+
     /// Resolves the policy for a graph of `nodes` nodes condensing to
     /// `scc_count` components: true = keep the compressed graph.
     pub fn keep(self, nodes: usize, scc_count: usize) -> bool {
@@ -285,7 +298,8 @@ impl PlannerConfigBuilder {
 /// whenever its prepared graph kept one ([`CompressionPolicy`]).
 #[derive(Debug, Clone)]
 pub struct QueryConfig {
-    /// Similarity threshold `ξ`.
+    /// Similarity threshold `ξ`: `v` may map to `u` iff `mat(v, u) ≥ ξ`
+    /// and `mat(v, u) > 0` ([`phom_sim::candidate_floor`]), at ξ = 0 too.
     pub xi: f64,
     /// Which of the four Table-1 problems to solve.
     pub algorithm: Algorithm,
@@ -423,6 +437,15 @@ pub enum PlanKind {
 }
 
 impl PlanKind {
+    /// Every plan kind, in slot order: a kind's position here is its
+    /// [`PlanKind::index`], its slot in per-plan tables and its wire tag.
+    pub const ALL: [PlanKind; 4] = [Self::Exact, Self::Approx, Self::Bounded, Self::Baseline];
+
+    /// This kind's position in [`PlanKind::ALL`] (declaration order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -522,6 +545,18 @@ mod tests {
         // count = n_labels * 40.
         let matrix = SimMatrix::from_fn(n_labels, 40, |_, _| 1.0);
         Query::new(g1, matrix)
+    }
+
+    #[test]
+    fn enum_tables_list_each_variant_at_its_index() {
+        for (i, kind) in PlanKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
+        for (i, policy) in CompressionPolicy::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(policy.tag()), i);
+            assert_eq!(CompressionPolicy::from_tag(policy.tag()), Some(policy));
+        }
+        assert_eq!(CompressionPolicy::from_tag(3), None);
     }
 
     #[test]

@@ -89,17 +89,6 @@ impl ReachIndex {
         }
     }
 
-    /// The dense closure, when that is the active backend (the
-    /// semi-dynamic dense maintenance path needs concrete rows to seed
-    /// from).
-    // phom-lint: allow(concrete-closure, "backend downcast accessor: the dense maintenance path seeds from concrete rows; not a matching API")
-    pub fn dense(&self) -> Option<&Arc<TransitiveClosure>> {
-        match self {
-            ReachIndex::Dense(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Cheap structural self-check of the active backend: dispatches to
     /// the per-backend `validate` in `phom_graph` (shape, CSR structure,
     /// composition/label invariants). Does not need the graph.

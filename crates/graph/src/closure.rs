@@ -45,12 +45,28 @@ impl TransitiveClosure {
     /// bound, so rows are stored per node (one breadth-first layering per
     /// source, `O(k·(n + m))` each with early exit on a stable frontier).
     pub fn bounded<L>(g: &DiGraph<L>, k: usize) -> Self {
+        Self::bounded_reusing(g, k, |_| None)
+    }
+
+    /// [`TransitiveClosure::bounded`], except that a source `v` for which
+    /// `reuse(v)` returns a row takes that row as is instead of running
+    /// its breadth-first layering (a refresh after updates reuses the
+    /// rows they cannot have changed).
+    pub fn bounded_reusing<L>(
+        g: &DiGraph<L>,
+        k: usize,
+        mut reuse: impl FnMut(NodeId) -> Option<Arc<BitSet>>,
+    ) -> Self {
         let n = g.node_count();
         let comp: Vec<u32> = (0..n as u32).collect();
         let mut rows = Vec::with_capacity(n);
         let mut frontier: Vec<NodeId> = Vec::new();
         let mut next: Vec<NodeId> = Vec::new();
         for v in g.nodes() {
+            if let Some(row) = reuse(v) {
+                rows.push(row);
+                continue;
+            }
             let mut row = BitSet::new(n);
             frontier.clear();
             frontier.push(v);

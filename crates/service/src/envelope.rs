@@ -9,6 +9,7 @@ use phom_core::PHomMapping;
 use phom_dynamic::GraphUpdate;
 use phom_engine::{Plan, PrepareStats, Query, QueryTrace, UpdateStats};
 use phom_graph::DiGraph;
+use phom_trace::json_escape;
 use std::sync::Arc;
 
 /// One operation against the service, addressed to a named graph where
@@ -180,24 +181,6 @@ pub struct GraphInfo {
     pub prepare_micros: u128,
     /// The compression policy pinned onto the shards.
     pub compression: String,
-}
-
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl GraphInfo {

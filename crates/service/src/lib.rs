@@ -78,7 +78,7 @@ pub use envelope::{GraphInfo, QueryResponse, Request, Response, UpdateSummary};
 pub use error::ServiceError;
 pub use label::ServiceLabel;
 pub use registry::{GraphEntry, GraphRegistry};
-pub use service::{plan_name_of, Service, ServiceConfig, ServiceConfigBuilder};
+pub use service::{latency_key, plan_name_of, Service, ServiceConfig, ServiceConfigBuilder};
 pub use shard_map::{RoutedUpdates, ShardAnswer, ShardMap, ShardingConfig};
 pub use stats::{LatencyHistogram, PlanHistograms, ServiceStats};
 

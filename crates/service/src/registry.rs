@@ -217,18 +217,6 @@ impl<L: ServiceLabel> GraphEntry<L> {
 const SERVICE_MAGIC: u32 = 0x7048_5376;
 /// Service snapshot format version.
 const SERVICE_SNAPSHOT_VERSION: u8 = 1;
-/// Compression-policy tags in the snapshot header.
-const COMPRESSION_AUTO: u8 = 0;
-const COMPRESSION_ALWAYS: u8 = 1;
-const COMPRESSION_NEVER: u8 = 2;
-
-fn compression_tag(policy: CompressionPolicy) -> u8 {
-    match policy {
-        CompressionPolicy::Auto => COMPRESSION_AUTO,
-        CompressionPolicy::Always => COMPRESSION_ALWAYS,
-        CompressionPolicy::Never => COMPRESSION_NEVER,
-    }
-}
 
 impl<L: ServiceLabel> GraphEntry<L> {
     /// Serializes every shard (node lists + prepared snapshots with warm
@@ -240,7 +228,7 @@ impl<L: ServiceLabel> GraphEntry<L> {
         let mut buf = BytesMut::with_capacity(64);
         buf.put_u32(SERVICE_MAGIC);
         buf.put_u8(SERVICE_SNAPSHOT_VERSION);
-        buf.put_u8(compression_tag(self.map.compression()));
+        buf.put_u8(self.map.compression().tag());
         buf.put_u32(self.graph().node_count() as u32);
         buf.put_u32(self.shards.len() as u32);
         for (si, prepared) in self.shards.iter().enumerate() {
@@ -286,16 +274,10 @@ impl<L: ServiceLabel> GraphEntry<L> {
                 supported: SERVICE_SNAPSHOT_VERSION as u32,
             });
         }
-        let compression = match data.get_u8() {
-            COMPRESSION_AUTO => CompressionPolicy::Auto,
-            COMPRESSION_ALWAYS => CompressionPolicy::Always,
-            COMPRESSION_NEVER => CompressionPolicy::Never,
-            other => {
-                return Err(ServiceError::SnapshotCorrupt(format!(
-                    "unknown compression-policy tag {other}"
-                )))
-            }
-        };
+        let tag = data.get_u8();
+        let compression = CompressionPolicy::from_tag(tag).ok_or_else(|| {
+            ServiceError::SnapshotCorrupt(format!("unknown compression-policy tag {tag}"))
+        })?;
         let n = data.get_u32() as usize;
         let shard_count = data.get_u32() as usize;
         // Every node appears in exactly one shard's node list at 4 bytes

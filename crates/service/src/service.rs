@@ -17,7 +17,7 @@ use phom_trace::{
     SloStatus, SlowTraceRing, Span, SpanKind, TraceSink, FLIGHT_DEFAULT_CAPACITY,
 };
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Service construction knobs.
@@ -188,24 +188,19 @@ pub struct Service<L> {
     slo_breached: Mutex<BTreeSet<String>>,
 }
 
-/// The plan name behind a flight record's plan index (the
-/// [`PlanHistograms`] slot order; anything out of range is `"unknown"`).
+/// The plan name behind a flight record's plan index
+/// ([`PlanKind::index`]; anything out of range is `"unknown"`).
 pub fn plan_name_of(index: u8) -> &'static str {
-    if (index as usize) < 4 {
-        PlanHistograms::kind_of(index as usize).name()
-    } else {
-        "unknown"
-    }
+    PlanKind::ALL
+        .get(usize::from(index))
+        .map_or("unknown", |kind| kind.name())
 }
 
-/// The metrics-registry histogram name of one plan kind's latency.
-fn latency_key(kind: PlanKind) -> &'static str {
-    match kind {
-        PlanKind::Exact => "latency_exact",
-        PlanKind::Approx => "latency_approx",
-        PlanKind::Bounded => "latency_bounded",
-        PlanKind::Baseline => "latency_baseline",
-    }
+/// The metrics-registry histogram of one plan kind's latency:
+/// `latency_<name>`.
+pub fn latency_key(kind: PlanKind) -> &'static str {
+    static KEYS: OnceLock<[String; PlanKind::ALL.len()]> = OnceLock::new();
+    &KEYS.get_or_init(|| PlanKind::ALL.map(|k| format!("latency_{}", k.name())))[kind.index()]
 }
 
 impl<L: ServiceLabel> Default for Service<L> {
@@ -238,15 +233,12 @@ impl<L: ServiceLabel> Service<L> {
         }
         // Same for the histogram families: the per-plan latency series
         // and the update phase timings exist from the first scrape.
-        for name in [
-            "latency_exact",
-            "latency_approx",
-            "latency_bounded",
-            "latency_baseline",
+        let updates = [
             "update_apply_micros",
             "closure_maintain_micros",
             "bounded_refresh_micros",
-        ] {
+        ];
+        for name in PlanKind::ALL.map(latency_key).into_iter().chain(updates) {
             metrics.histogram_touch(name);
         }
         Service {
@@ -581,7 +573,7 @@ impl<L: ServiceLabel> Service<L> {
             self.metrics.counter_add("queries_timed_out", 1);
         }
         self.flight.record(
-            PlanHistograms::index_of(response.plan.kind) as u8,
+            response.plan.kind.index() as u8,
             response.shards_consulted.min(u16::MAX as usize) as u16,
             response.micros,
             response.cache_hit,
@@ -771,8 +763,8 @@ impl<L: ServiceLabel> Service<L> {
         let (lifetime_ratio, windowed_ratio) = self.cache_hit_ratios(&engine);
         let mut plan_histograms = PlanHistograms::default();
         let mut plan_histograms_windowed = PlanHistograms::default();
-        for i in 0..plan_histograms.by_plan.len() {
-            let key = latency_key(PlanHistograms::kind_of(i));
+        for (i, kind) in PlanKind::ALL.into_iter().enumerate() {
+            let key = latency_key(kind);
             plan_histograms.by_plan[i] =
                 LatencyHistogram::from_buckets(self.metrics.histogram_lifetime(key));
             plan_histograms_windowed.by_plan[i] =

@@ -50,7 +50,7 @@ use phom_engine::{
 use phom_graph::{
     component_groups, tarjan_scc, weakly_connected_components, DiGraph, NodeId, Violation,
 };
-use phom_sim::{NodeWeights, SimMatrix, SparseSim};
+use phom_sim::{candidate_floor, NodeWeights, SimMatrix, SparseSim};
 use phom_trace::{QueryTrace, SpanKind};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -338,11 +338,11 @@ impl<L: ServiceLabel> ShardMap<L> {
     /// merges per pattern component.
     ///
     /// The query's `n1 × n2` matrix is read once, into its non-zero
-    /// cells ([`SparseSim`]); planning counts the cells scoring at least
-    /// `ξ`, routing sorts them by shard through the locator (a shard
-    /// holding one of them that scores at least `ξ` is consulted), and
-    /// each consulted shard's matrix is its own cells scattered into a
-    /// zeroed `n1 × |shard|` matrix, bit-identical to the dense columns.
+    /// cells ([`SparseSim`]); planning counts the candidates among them,
+    /// routing sorts them by shard through the locator (a shard holding
+    /// a candidate is consulted), and each consulted shard's matrix is
+    /// its own cells scattered into a zeroed `n1 × |shard|` matrix,
+    /// bit-identical to the dense columns.
     /// Slicing costs O(non-zero cells) in all, however many shards run.
     ///
     /// `run_shard(shard, sub_query, traced)` gets the sub-query over the
@@ -390,22 +390,16 @@ impl<L: ServiceLabel> ShardMap<L> {
 
         // Routing: one pass over the cells sorts them by shard (in
         // shard-local ids) and marks the shards that hold at least one
-        // candidate pair. At ξ ≤ 0 every pair is one, zero cells
-        // included, so every non-empty shard is (given a pattern node);
-        // above 0 only a stored cell can be.
+        // candidate pair (a zero cell never is one, whatever ξ).
         let route_open = tr.as_ref().map(|t| t.begin());
         let shards = self.layout.nodes.len();
         let mut shard_cells: Vec<Vec<(NodeId, NodeId, f64)>> = vec![Vec::new(); shards];
         let mut relevant = vec![false; shards];
+        let floor = candidate_floor(xi);
         for (v, u, s) in cells.iter() {
             let (shard, local) = self.layout.locator[u.index()];
             shard_cells[shard as usize].push((v, NodeId(local), s));
-            relevant[shard as usize] |= s >= xi;
-        }
-        if xi <= 0.0 {
-            for (r, nodes) in relevant.iter_mut().zip(&self.layout.nodes) {
-                *r = n1 > 0 && !nodes.is_empty();
-            }
+            relevant[shard as usize] |= s >= floor;
         }
         if let (Some(t), Some(open)) = (tr.as_mut(), route_open) {
             t.end(SpanKind::Route, open);

@@ -78,40 +78,19 @@ impl LatencyHistogram {
 /// baseline).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PlanHistograms {
-    /// Per-plan histograms, indexed by [`PlanHistograms::index_of`].
-    pub by_plan: [LatencyHistogram; 4],
+    /// Per-plan histograms, indexed by [`PlanKind::index`].
+    pub by_plan: [LatencyHistogram; PlanKind::ALL.len()],
 }
 
 impl PlanHistograms {
-    /// The array slot of a plan kind.
-    pub fn index_of(kind: PlanKind) -> usize {
-        match kind {
-            PlanKind::Exact => 0,
-            PlanKind::Approx => 1,
-            PlanKind::Bounded => 2,
-            PlanKind::Baseline => 3,
-        }
-    }
-
-    /// The plan kind of an array slot (inverse of
-    /// [`PlanHistograms::index_of`]).
-    pub fn kind_of(index: usize) -> PlanKind {
-        [
-            PlanKind::Exact,
-            PlanKind::Approx,
-            PlanKind::Bounded,
-            PlanKind::Baseline,
-        ][index]
-    }
-
     /// Records one observation under `kind`.
     pub fn record(&mut self, kind: PlanKind, micros: u128) {
-        self.by_plan[Self::index_of(kind)].record(micros);
+        self.by_plan[kind.index()].record(micros);
     }
 
     /// The histogram of one plan kind.
     pub fn of(&self, kind: PlanKind) -> &LatencyHistogram {
-        &self.by_plan[Self::index_of(kind)]
+        &self.by_plan[kind.index()]
     }
 
     /// All plans folded together.
@@ -125,14 +104,10 @@ impl PlanHistograms {
 
     /// JSON object keyed by plan name, bucket arrays as values.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = (0..4)
-            .map(|i| {
-                format!(
-                    "\"{}\":{}",
-                    Self::kind_of(i).name(),
-                    self.by_plan[i].to_json()
-                )
-            })
+        let cells: Vec<String> = PlanKind::ALL
+            .iter()
+            .zip(&self.by_plan)
+            .map(|(kind, h)| format!("\"{}\":{}", kind.name(), h.to_json()))
             .collect();
         format!("{{{}}}", cells.join(","))
     }
@@ -394,9 +369,6 @@ mod tests {
     #[test]
     fn plan_histograms_round_trip_plan_kinds() {
         let mut p = PlanHistograms::default();
-        for i in 0..4 {
-            assert_eq!(PlanHistograms::index_of(PlanHistograms::kind_of(i)), i);
-        }
         p.record(PlanKind::Approx, 100);
         p.record(PlanKind::Exact, 5);
         assert_eq!(p.of(PlanKind::Approx).count(), 1);

@@ -3,7 +3,7 @@
 //! Node-similarity substrate for the `p-hom` workspace (paper §3.1):
 //!
 //! * [`SimMatrix`] — the `mat()` similarity matrix with threshold-`ξ`
-//!   candidate queries;
+//!   candidate queries under one rule, [`candidate_floor`];
 //! * [`SparseSim`] — a matrix's non-zero cells, one list per pattern row,
 //!   for passes that read only those;
 //! * [`shingle`] — w-shingling + Jaccard resemblance (Broder \[8\]), the
@@ -30,7 +30,7 @@ pub mod tfidf;
 pub mod weights;
 
 pub use hits::{hits_scores, top_hits_nodes, HitsScores};
-pub use matrix::{matrix_from_label_fn, SimMatrix, SimMatrixBuilder};
+pub use matrix::{candidate_floor, matrix_from_label_fn, SimMatrix, SimMatrixBuilder};
 pub use minhash::{minhash_matrix, MinHashSketch};
 pub use pagerank::{pagerank, top_pagerank_nodes, PageRankConfig};
 pub use shingle::{jaccard, shingle_similarity, shingles, text_similarity, tokenize};

@@ -1,9 +1,22 @@
 //! The similarity matrix `mat()` of §3.1: for each node pair
 //! `(v, u) ∈ V1 × V2`, `mat(v, u) ∈ [0, 1]` says how close the labels are.
-//! A node `v` may be mapped to `u` only when `mat(v, u) ≥ ξ`.
+//! A node `v` may be mapped to `u` only when `mat(v, u) ≥ ξ` and `mat(v, u) > 0`.
 
 use phom_graph::{DiGraph, NodeId};
 use serde::{Deserialize, Serialize};
+
+/// The one candidate rule: `(v, u)` is a candidate at threshold `xi` iff
+/// `mat(v, u) ≥ candidate_floor(xi)`, that is iff `mat(v, u) > 0` and
+/// `mat(v, u) ≥ xi` (§3.2 condition (1), `H[v].good` in Fig. 3). A zero
+/// score never matches; above 0 the floor is `xi`; a NaN `xi` admits nothing.
+pub fn candidate_floor(xi: f64) -> f64 {
+    // The smallest positive f64: `s ≥ it` iff `s > 0`.
+    if xi <= 0.0 {
+        f64::from_bits(1)
+    } else {
+        xi
+    }
+}
 
 /// Dense `|V1| × |V2|` similarity matrix.
 ///
@@ -37,11 +50,8 @@ impl SimMatrix {
         let mut m = Self::new(n1, n2);
         for v in 0..n1 {
             for u in 0..n2 {
-                m.set(
-                    NodeId(v as u32),
-                    NodeId(u as u32),
-                    f(NodeId(v as u32), NodeId(u as u32)),
-                );
+                let (v, u) = (NodeId(v as u32), NodeId(u as u32));
+                m.set(v, u, f(v, u));
             }
         }
         m
@@ -90,32 +100,29 @@ impl SimMatrix {
         self.data[v.index() * self.n2 + u.index()] = s;
     }
 
-    /// Data-side candidates of `v` at threshold `xi` — the initial
+    /// Data-side candidates of `v` at threshold `xi`, the columns scoring
+    /// above 0 and at least `xi` ([`candidate_floor`]): the initial
     /// `H[v].good` of algorithm `compMaxCard` (Fig. 3 line 4).
     pub fn candidates(&self, v: NodeId, xi: f64) -> impl Iterator<Item = NodeId> + '_ {
+        let floor = candidate_floor(xi);
         self.row(v.index())
             .iter()
             .enumerate()
-            .filter(move |&(_, &s)| s >= xi)
+            .filter(move |&(_, &s)| s >= floor)
             .map(|(u, _)| NodeId(u as u32))
     }
 
-    /// Count of `(v, u)` pairs at or above `xi` (the candidate-pair budget
+    /// Count of candidate pairs at `xi` (the candidate-pair budget
     /// `P ≤ |V1||V2|` that bounds the `greedyMatch` recursion).
     pub fn candidate_pair_count(&self, xi: f64) -> usize {
-        self.data.iter().filter(|&&s| s >= xi).count()
+        let floor = candidate_floor(xi);
+        self.data.iter().filter(|&&s| s >= floor).count()
     }
 
     /// The transposed matrix (swaps pattern and data sides) — used by the
     /// symmetric-matching helper of §3.2's Remark.
     pub fn transposed(&self) -> SimMatrix {
-        let mut t = SimMatrix::new(self.n2, self.n1);
-        for v in 0..self.n1 {
-            for u in 0..self.n2 {
-                t.data[u * self.n1 + v] = self.data[v * self.n2 + u];
-            }
-        }
-        t
+        SimMatrix::from_fn(self.n2, self.n1, |u, v| self.score(v, u))
     }
 }
 
@@ -204,7 +211,8 @@ mod tests {
 
     #[test]
     fn candidates_respect_threshold() {
-        let mut m = SimMatrix::new(1, 3);
+        // Column 3 scores 0: never a candidate, at ξ ≤ 0 either.
+        let mut m = SimMatrix::new(1, 4);
         m.set(NodeId(0), NodeId(0), 0.6);
         m.set(NodeId(0), NodeId(1), 0.59);
         m.set(NodeId(0), NodeId(2), 1.0);
@@ -212,6 +220,20 @@ mod tests {
         assert_eq!(c, vec![NodeId(0), NodeId(2)]);
         assert_eq!(m.candidate_pair_count(0.6), 2);
         assert_eq!(m.candidate_pair_count(0.0), 3);
+        assert_eq!(m.candidates(NodeId(0), -1.0).count(), 3);
+        assert_eq!(m.candidate_pair_count(f64::NAN), 0);
+    }
+
+    #[test]
+    fn candidate_floor_admits_positive_scores_at_or_above_xi() {
+        let xis = [f64::NAN, -1.0, 0.0, f64::MIN_POSITIVE, 0.5, 1.0, 1.5];
+        let scores = [0.0, -0.0, f64::MIN_POSITIVE, 0.5, 1.0];
+        for xi in xis {
+            for s in scores {
+                let expected = !xi.is_nan() && s > 0.0 && s >= xi;
+                assert_eq!(s >= candidate_floor(xi), expected, "xi {xi}, s {s}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! [`SparseSim`]: the non-zero cells of a [`SimMatrix`], row by row.
 //!
 //! A query's matrix is mostly zeros: a pattern node scores above 0
-//! against few data nodes, and only pairs scoring at least `ξ` are
-//! candidates (§3.1). Passes that read only those cells (counting
+//! against few data nodes, and only those pairs can be candidates
+//! ([`candidate_floor`]). Passes that read only those cells (counting
 //! candidates, routing a query to the shards that hold them, slicing the
 //! matrix per shard, putting it on the wire) read this list instead of
 //! the `n1 × n2` cells.
 
-use crate::matrix::SimMatrix;
+use crate::matrix::{candidate_floor, SimMatrix};
 use phom_graph::NodeId;
 
 /// Cells per chunk of the build pass: a chunk whose bit patterns OR to 0
@@ -23,7 +23,6 @@ const CHUNK: usize = 16;
 /// for bit.
 #[derive(Debug)]
 pub struct SparseSim {
-    n2: usize,
     /// Row `v`'s cells are `cells[row_ends[v - 1]..row_ends[v]]` (from 0
     /// for row 0).
     row_ends: Vec<usize>,
@@ -48,11 +47,7 @@ impl SparseSim {
             push_non_zero(&mut cells, row.len() - tail.len(), tail);
             row_ends.push(cells.len());
         }
-        SparseSim {
-            n2: m.n2(),
-            row_ends,
-            cells,
-        }
+        SparseSim { row_ends, cells }
     }
 
     /// Row `v`'s non-zero cells, `(column, score)` in ascending column
@@ -71,16 +66,11 @@ impl SparseSim {
         })
     }
 
-    /// Count of `(v, u)` pairs at or above `xi`: the same count
-    /// [`SimMatrix::candidate_pair_count`] gives on the dense matrix. At
-    /// `xi ≤ 0` every zero cell counts too.
+    /// Count of candidate pairs at `xi`: the same count
+    /// [`SimMatrix::candidate_pair_count`] gives on the dense matrix.
     pub fn candidate_pair_count(&self, xi: f64) -> usize {
-        let zeros = if xi <= 0.0 {
-            self.row_ends.len() * self.n2 - self.cells.len()
-        } else {
-            0
-        };
-        zeros + self.cells.iter().filter(|&&(_, s)| s >= xi).count()
+        let floor = candidate_floor(xi);
+        self.cells.iter().filter(|&&(_, s)| s >= floor).count()
     }
 }
 
@@ -132,14 +122,14 @@ mod tests {
     fn counts_candidates_like_the_dense_matrix() {
         let m = dense(2, 20, &[(0, 0, 0.6), (0, 19, 0.59), (1, 7, 1.0)]);
         let s = SparseSim::from_dense(&m);
-        for xi in [-1.0, 0.0, 0.3, 0.59, 0.6, 1.0, 1.5] {
+        for xi in [f64::NAN, -1.0, 0.0, 0.3, 0.59, 0.6, 1.0, 1.5] {
             assert_eq!(
                 s.candidate_pair_count(xi),
                 m.candidate_pair_count(xi),
                 "xi {xi}"
             );
         }
-        assert_eq!(s.candidate_pair_count(0.0), 40);
+        assert_eq!(s.candidate_pair_count(0.0), 3);
     }
 
     #[test]

@@ -49,6 +49,7 @@
 use phom::engine::{Plan, PrepareStats};
 use phom::graph::serialize::from_text;
 use phom::prelude::*;
+use phom::service::latency_key;
 use phom::workloads::synthetic::{Label, LabelPool};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -983,15 +984,11 @@ fn service_config(f: &Flags, sharding: ShardingConfig) -> ServiceConfig {
 fn slo_config(f: &Flags) -> SloConfig {
     let mut slo = SloConfig::default();
     if let Some(target) = f.slo_p99_micros {
-        for kind in [
-            PlanKind::Exact,
-            PlanKind::Approx,
-            PlanKind::Bounded,
-            PlanKind::Baseline,
-        ] {
+        for kind in PlanKind::ALL {
+            let histogram = latency_key(kind);
             slo.latency.push(LatencyObjective {
-                name: format!("latency_{}_p99", kind.name()),
-                histogram: format!("latency_{}", kind.name()),
+                name: format!("{histogram}_p99"),
+                histogram: histogram.to_owned(),
                 percentile: 99,
                 target_micros: target,
             });
@@ -1536,18 +1533,17 @@ fn serve_sim_local(f: &Flags, work: &Workload<String>, arrivals: Arrivals) -> Ex
         stats.update_batches,
         stats.reshards,
     );
-    let hist = &stats.plan_histograms;
+    let per_plan: Vec<String> = PlanKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let h = stats.plan_histograms.of(kind);
+            let p99 = h.percentile_upper_micros(99);
+            format!("{} = {p99} us ({})", kind.name(), h.count())
+        })
+        .collect();
     println!(
-        "per-plan p99 (histogram upper bound): exact = {} us ({}), approx = {} us ({}), \
-         bounded = {} us ({}), baseline = {} us ({})",
-        hist.of(PlanKind::Exact).percentile_upper_micros(99),
-        hist.of(PlanKind::Exact).count(),
-        hist.of(PlanKind::Approx).percentile_upper_micros(99),
-        hist.of(PlanKind::Approx).count(),
-        hist.of(PlanKind::Bounded).percentile_upper_micros(99),
-        hist.of(PlanKind::Bounded).count(),
-        hist.of(PlanKind::Baseline).percentile_upper_micros(99),
-        hist.of(PlanKind::Baseline).count(),
+        "per-plan p99 (histogram upper bound): {}",
+        per_plan.join(", ")
     );
     println!(
         "cache hit ratio = {:.3} lifetime / {:.3} windowed ({} graphs, {} shards)",

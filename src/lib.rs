@@ -116,8 +116,8 @@ pub mod prelude {
         ServiceConfig, ServiceError, ServiceLabel, ServiceStats, ShardingConfig, UpdateSummary,
     };
     pub use phom_sim::{
-        hits_scores, matrix_from_label_fn, text_similarity, NodeWeights, SimMatrix,
-        SimMatrixBuilder,
+        candidate_floor, hits_scores, matrix_from_label_fn, text_similarity, NodeWeights,
+        SimMatrix, SimMatrixBuilder,
     };
     pub use phom_trace::{
         LatencyObjective, MetricsRegistry, QueryTrace, RateObjective, SloConfig, SlowTraceRing,

@@ -7,7 +7,8 @@
 //!    `PreparedGraph`, across the four algorithms and a stretch-bounded
 //!    row, including after `ApplyUpdates` batches. Property-tested over random
 //!    multi-part graphs and patterns, under label equality and under a
-//!    graded matrix with scores at ξ and between 0 and ξ.
+//!    graded matrix with scores at ξ and between 0 and ξ, at ξ = 0.5 and
+//!    at ξ = 0 (where a zero score still never matches).
 //! 2. **Cache-hit accounting** — the engine's `cache_hits` counts the
 //!    queries that built no hop-bounded closure, on unsharded and
 //!    sharded graphs alike, the service's hit ratios read
@@ -21,14 +22,15 @@ use phom::prelude::*;
 use phom::service::ShardMap;
 use std::sync::Arc;
 
-/// Grid of query configurations: the four Table-1 algorithms, plus one
-/// bounded-stretch row. Restarts pinned to 1 (the paper's algorithm):
+/// Grid of query configurations at threshold `xi`: the four Table-1
+/// algorithms, plus one bounded-stretch row. Restarts pinned to 1 (the
+/// paper's algorithm):
 /// randomized restarts perturb the matrix with an RNG stream over all
 /// data nodes, which is deliberately not shard-local (see the
 /// `phom_service::shard_map` docs). The p-hom rows use `G2*` wherever
 /// the prepared graph kept it; the 1-1 rows and the stretch row run the
 /// uncompressed kernel.
-fn config_grid() -> Vec<QueryConfig> {
+fn config_grid(xi: f64) -> Vec<QueryConfig> {
     let mut grid = Vec::new();
     for algorithm in [
         Algorithm::MaxCard,
@@ -37,7 +39,7 @@ fn config_grid() -> Vec<QueryConfig> {
         Algorithm::MaxSim1to1,
     ] {
         let mut config = QueryConfig::builder()
-            .xi(0.5)
+            .xi(xi)
             .algorithm(algorithm)
             .restarts(1)
             .build();
@@ -153,7 +155,7 @@ fn assert_identical(
     context: &str,
 ) {
     let matrix = SimMatrix::label_equality(pattern, prepared.graph());
-    assert_identical_on(service, engine, prepared, pattern, &matrix, context);
+    assert_identical_on(service, engine, prepared, pattern, &matrix, 0.5, context);
 }
 
 /// A graded similarity over an [`instance`]'s labels (part `p` uses
@@ -185,39 +187,71 @@ fn graded_matrix(pattern: &DiGraph<u8>, data: &DiGraph<u8>, dimmed: Option<u8>) 
     })
 }
 
-/// [`assert_identical`] with the given similarity matrix; returns each
-/// grid configuration's consulted shard count.
+/// [`assert_identical`] with the given similarity matrix on the grid at
+/// `xi`; returns each grid configuration's consulted shard count.
+///
+/// At ξ = 0 the graded matrix's scores below 0.5 are candidates too, and
+/// an exact plan may then pick another of several equal optima than the
+/// unsharded run (the exact search breaks ties by candidate order, and
+/// 1-1 components share one search there but not across shards). An
+/// exact plan at ξ = 0 must reach the unsharded objective: qualCard for
+/// the MaxCard algorithms, qualSim for the MaxSim ones.
 fn assert_identical_on(
     service: &Service<u8>,
     engine: &Engine<u8>,
     prepared: &PreparedGraph<u8>,
     pattern: &Arc<DiGraph<u8>>,
     matrix: &SimMatrix,
+    xi: f64,
     context: &str,
 ) -> Vec<usize> {
     let mut consulted = Vec::new();
-    for (ci, config) in config_grid().into_iter().enumerate() {
+    for (ci, config) in config_grid(xi).into_iter().enumerate() {
+        let similarity = config.algorithm.similarity();
         let mut query = Query::new(Arc::clone(pattern), matrix.clone());
         query.config = config;
         let sharded = service
             .query("g", &query)
-            .unwrap_or_else(|e| panic!("{context} config {ci}: {e}"));
+            .unwrap_or_else(|e| panic!("{context} xi {xi} config {ci}: {e}"));
         let reference = engine.execute(prepared, &query);
-        assert_eq!(
-            pairs(&sharded.mapping),
-            pairs(&reference.outcome.mapping),
-            "{context} config {ci}: mapping diverged (plan {:?}, {} shards consulted)",
-            sharded.plan.kind,
-            sharded.shards_consulted,
-        );
-        assert_eq!(
-            sharded.qual_card, reference.outcome.qual_card,
-            "{context} config {ci}: qualCard diverged"
-        );
-        assert_eq!(
-            sharded.qual_sim, reference.outcome.qual_sim,
-            "{context} config {ci}: qualSim diverged"
-        );
+        // Neither run maps a zero-score pair, at any ξ.
+        for (v, u) in sharded
+            .mapping
+            .pairs()
+            .chain(reference.outcome.mapping.pairs())
+        {
+            assert!(
+                matrix.score(v, u) > 0.0,
+                "{context} xi {xi} config {ci}: mapped zero-score pair {v:?} -> {u:?}"
+            );
+        }
+        if xi == 0.0 && sharded.plan.kind == PlanKind::Exact {
+            let (ours, theirs) = if similarity {
+                (sharded.qual_sim, reference.outcome.qual_sim)
+            } else {
+                (sharded.qual_card, reference.outcome.qual_card)
+            };
+            assert!(
+                (ours - theirs).abs() < 1e-12,
+                "{context} xi {xi} config {ci}: exact objective {ours} vs unsharded {theirs}"
+            );
+        } else {
+            assert_eq!(
+                pairs(&sharded.mapping),
+                pairs(&reference.outcome.mapping),
+                "{context} xi {xi} config {ci}: mapping diverged (plan {:?}, {} shards consulted)",
+                sharded.plan.kind,
+                sharded.shards_consulted,
+            );
+            assert_eq!(
+                sharded.qual_card, reference.outcome.qual_card,
+                "{context} xi {xi} config {ci}: qualCard diverged"
+            );
+            assert_eq!(
+                sharded.qual_sim, reference.outcome.qual_sim,
+                "{context} xi {xi} config {ci}: qualSim diverged"
+            );
+        }
         consulted.push(sharded.shards_consulted);
     }
     consulted
@@ -269,11 +303,12 @@ mod prop {
         }
 
         /// Sharded ≡ unsharded on the same instances and grid under the
-        /// graded matrix, whose scores sit at ξ and between 0 and ξ:
-        /// fresh (also with the last part dimmed below ξ), after the
-        /// instance's update batch, and after an insert that bridges the
-        /// first and last parts. Fresh, the query consults exactly the
-        /// shards that hold a pair scoring at least ξ.
+        /// graded matrix, whose scores sit at ξ and between 0 and ξ, with
+        /// the grid at ξ = 0.5 and at ξ = 0: fresh (also with the last
+        /// part dimmed below 0.5), after the instance's update batch, and
+        /// after an insert that bridges the first and last parts. Fresh,
+        /// the query consults exactly the shards that hold a candidate
+        /// pair (at ξ = 0, a pair scoring above 0).
         #[test]
         fn prop_sharded_identical_to_unsharded_at_boundary_scores(
             seed in any::<u64>(),
@@ -293,7 +328,9 @@ mod prop {
             };
             let (map, _) =
                 ShardMap::split(Arc::clone(&inst.data), &sharding, CompressionPolicy::Auto);
-            for dimmed in [None, Some((parts - 1) as u8)] {
+            let xis = [0.5, 0.0];
+            let dims = [None, Some((parts - 1) as u8)];
+            for (xi, dimmed) in xis.into_iter().flat_map(|xi| dims.map(|d| (xi, d))) {
                 let matrix = graded_matrix(&inst.pattern, &inst.data, dimmed);
                 let consulted = assert_identical_on(
                     &service,
@@ -301,18 +338,21 @@ mod prop {
                     &prepared,
                     &inst.pattern,
                     &matrix,
+                    xi,
                     "fresh",
                 );
+                let floor = candidate_floor(xi);
                 let holding = (0..map.shard_count())
                     .filter(|&si| {
                         map.shard_nodes(si).iter().any(|&u| {
-                            inst.pattern.nodes().any(|v| matrix.score(v, u) >= 0.5)
+                            inst.pattern.nodes().any(|v| matrix.score(v, u) >= floor)
                         })
                     })
                     .count();
                 prop_assert!(
                     consulted.iter().all(|&c| c == holding),
-                    "dimmed part {:?}: consulted {:?}, {} shards hold a pair at or above xi",
+                    "xi {} dimmed part {:?}: consulted {:?}, {} shards hold a candidate pair",
+                    xi,
                     dimmed,
                     consulted,
                     holding
@@ -324,7 +364,10 @@ mod prop {
             if !inst.updates.is_empty() {
                 service.apply_updates("g", &inst.updates).expect("apply");
                 reference = engine.apply_updates(&reference, &inst.updates).prepared;
-                assert_identical_on(&service, &engine, &reference, &inst.pattern, &matrix, "post-update");
+                for xi in xis {
+                    let (pattern, context) = (&inst.pattern, "post-update");
+                    assert_identical_on(&service, &engine, &reference, pattern, &matrix, xi, context);
+                }
             }
             let last = NodeId((inst.data.node_count() - 1) as u32);
             let bridge = [
@@ -333,7 +376,10 @@ mod prop {
             ];
             service.apply_updates("g", &bridge).expect("apply");
             reference = engine.apply_updates(&reference, &bridge).prepared;
-            assert_identical_on(&service, &engine, &reference, &inst.pattern, &matrix, "post-bridge");
+            for xi in xis {
+                let (pattern, context) = (&inst.pattern, "post-bridge");
+                assert_identical_on(&service, &engine, &reference, pattern, &matrix, xi, context);
+            }
         }
     }
 }
@@ -483,7 +529,7 @@ fn mixed_backend_entry_restores_through_the_gate() {
         &["a0", "a5", "a3", "b0", "b2"],
         &[("a0", "a5"), ("a5", "a3"), ("b0", "b2")],
     ));
-    for (ci, config) in config_grid().into_iter().enumerate() {
+    for (ci, config) in config_grid(0.5).into_iter().enumerate() {
         let mut query = Query::new(
             Arc::clone(&pattern),
             SimMatrix::label_equality(&pattern, &data),
