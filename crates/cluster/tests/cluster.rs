@@ -168,7 +168,7 @@ fn instance(seed: u64, parts: usize) -> Instance {
     }
 }
 
-/// The four algorithms at one restart (the deterministic greedy run
+/// The four algorithms as serving runs them (the deterministic greedy run
 /// both sides must reproduce bit-for-bit).
 fn queries_for(inst: &Instance) -> Vec<Query<String>> {
     let matrix = SimMatrix::label_equality(&inst.pattern, &inst.data);
@@ -181,11 +181,7 @@ fn queries_for(inst: &Instance) -> Vec<Query<String>> {
     .into_iter()
     .map(|algorithm| {
         let mut q = Query::new(Arc::clone(&inst.pattern), matrix.clone());
-        q.config = QueryConfig::builder()
-            .xi(0.5)
-            .algorithm(algorithm)
-            .restarts(1)
-            .build();
+        q.config = QueryConfig::builder().xi(0.5).algorithm(algorithm).build();
         q
     })
     .collect()

@@ -22,9 +22,13 @@ use crate::mapping::PHomMapping;
 use crate::matchlist::{Entry, MatchList};
 use phom_graph::{BitSet, DiGraph, NodeId, ReachabilityIndex, TransitiveClosure};
 use phom_sim::{NodeWeights, SimMatrix};
+use std::cmp::Ordering;
 
 /// Pivot selection strategy for `greedyMatch` (Fig. 4 line 2 just says
 /// "pick a node v of H"; §5's prose picks one with maximal `H[v].good`).
+/// The strategy picks the pivot `v`; every strategy then gives `v` the
+/// image `select_pivot` ranks first: highest `mat(v, u)`, then the
+/// look-ahead of `trimMatching`, then the smallest id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Selection {
     /// Pick the node with the largest `good` list (paper's description).
@@ -114,7 +118,15 @@ impl<'a> Ctx<'a> {
 type Pairs = Vec<(NodeId, NodeId)>;
 
 /// Picks the pivot entry index per the configured strategy, and the
-/// candidate `u` with the highest `mat(v, u)` (ties to the smallest id).
+/// candidate `u` with the highest `mat(v, u)`. Candidates tied on the top
+/// score are ranked by what `trim_matching` would leave behind them
+/// ([`look_ahead`]): first the most of `v`'s parents and children left
+/// with a candidate, then the most of their candidates kept, then the
+/// smallest id. Under label similarity every equal label scores alike,
+/// so without the look-ahead the answer would follow node numbering.
+/// Fig. 4 line 2 leaves the choice open, and the `Ramsey` procedure
+/// `greedyMatch` simulates may pivot on any vertex, so every rank keeps
+/// the Theorem 5.1 guarantee. The look-ahead runs only on ties.
 fn select_pivot(ctx: &Ctx<'_>, h: &MatchList) -> Option<(usize, NodeId)> {
     let mut pick: Option<usize> = None;
     for (i, e) in h.entries.iter().enumerate() {
@@ -140,18 +152,65 @@ fn select_pivot(ctx: &Ctx<'_>, h: &MatchList) -> Option<(usize, NodeId)> {
     }
     let i = pick?;
     let e = &h.entries[i];
-    let u = *e
+    let (&first, rest) = e
         .good
-        .iter()
-        .max_by(|&&a, &&b| {
-            ctx.mat
-                .score(e.v, a)
-                .total_cmp(&ctx.mat.score(e.v, b))
-                .then(b.cmp(&a))
-        })
+        .split_first()
         // phom-lint: allow(unwrap, "the selection loop skips entries with empty good sets, so the picked entry has a candidate")
         .expect("good is nonempty");
+    let (mut u, mut top) = (first, ctx.mat.score(e.v, first));
+    // `u`'s look-ahead, once a tie has needed it.
+    let mut u_look: Option<(usize, usize)> = None;
+    for &cand in rest {
+        let s = ctx.mat.score(e.v, cand);
+        match s.total_cmp(&top) {
+            Ordering::Less => {}
+            Ordering::Greater => (u, top, u_look) = (cand, s, None),
+            Ordering::Equal => {
+                let held = *u_look.get_or_insert_with(|| look_ahead(ctx, h, i, u));
+                let look = look_ahead(ctx, h, i, cand);
+                if look.cmp(&held).then(u.cmp(&cand)).is_gt() {
+                    (u, u_look) = (cand, Some(look));
+                }
+            }
+        }
+    }
     Some((i, u))
+}
+
+/// What `trim_matching` would leave of the pivot's neighborhood if entry
+/// `pivot_idx` of `h` mapped to `u`: how many of the pivot's parents and
+/// children keep at least one candidate, and how many candidates they
+/// keep in all.
+fn look_ahead(ctx: &Ctx<'_>, h: &MatchList, pivot_idx: usize, u: NodeId) -> (usize, usize) {
+    let v = h.entries[pivot_idx].v;
+    let prev_v = &ctx.prev[v.index()];
+    let post_v = &ctx.post[v.index()];
+    let (mut live, mut kept) = (0, 0);
+    for (i, e) in h.entries.iter().enumerate() {
+        let is_parent = prev_v.contains(e.v.index());
+        let is_child = post_v.contains(e.v.index());
+        if i == pivot_idx || !(is_parent || is_child) {
+            continue;
+        }
+        let k = e
+            .good
+            .iter()
+            .filter(|&&cand| compatible(ctx, is_parent, is_child, u, cand))
+            .count();
+        live += usize::from(k > 0);
+        kept += k;
+    }
+    (live, kept)
+}
+
+/// Whether `cand` may still match a pattern node once the pivot maps to
+/// `u`: a parent's candidate must reach `u`, a child's must be reached
+/// from `u`, and under injectivity no candidate may be `u` itself. The
+/// one test of `trim_matching` and [`look_ahead`].
+fn compatible(ctx: &Ctx<'_>, is_parent: bool, is_child: bool, u: NodeId, cand: NodeId) -> bool {
+    (!ctx.injective || cand != u)
+        && (!is_parent || ctx.closure.reaches(cand, u))
+        && (!is_child || ctx.closure.reaches(u, cand))
 }
 
 /// `trimMatching` (Fig. 4): assuming `(v, u)` is a match, moves candidates
@@ -170,13 +229,9 @@ fn trim_matching(ctx: &Ctx<'_>, h: &mut MatchList, pivot_idx: usize, v: NodeId, 
         if !is_parent && !is_child && !ctx.injective {
             continue;
         }
-        let closure = ctx.closure;
-        let injective = ctx.injective;
         let minus = &mut e.minus;
         e.good.retain(|&cand| {
-            let ok = (!injective || cand != u)
-                && (!is_parent || closure.reaches(cand, u))
-                && (!is_child || closure.reaches(u, cand));
+            let ok = compatible(ctx, is_parent, is_child, u, cand);
             if !ok {
                 minus.push(cand);
             }
@@ -858,6 +913,45 @@ mod tests {
             m.get(n(0)) == Some(n(1)) || m.get(n(0)) == Some(n(2)),
             "self-loop must land on the cycle, got {m:?}"
         );
+    }
+
+    #[test]
+    fn tied_images_rank_by_look_ahead_then_id() {
+        // Pattern a -> b, a -> c. Data: A0 -> B3; A1 -> B3, B4; A2 and
+        // its twin A6 -> B3, C5.
+        let g1 = graph_from_labels(&["a", "b", "c"], &[("a", "b"), ("a", "c")]);
+        let mut g2: DiGraph<String> = DiGraph::new();
+        for label in ["A", "A", "A", "B", "B", "C", "A"] {
+            g2.add_node(label.into());
+        }
+        for (x, y) in [(0, 3), (1, 3), (1, 4), (2, 3), (2, 5), (6, 3), (6, 5)] {
+            g2.add_edge(n(x), n(y));
+        }
+        let closure = TransitiveClosure::new(&g2);
+        let cfg = AlgoConfig::default();
+        // The image `a` gets when it scores `a_scores` against A nodes.
+        let image = |a_scores: &[(u32, f64)]| {
+            let mat = SimMatrix::from_fn(3, 7, |v, u| match v.index() {
+                0 => a_scores
+                    .iter()
+                    .find(|&&(x, _)| n(x) == u)
+                    .map_or(0.0, |&(_, s)| s),
+                1 if matches!(u.index(), 3 | 4) => 1.0,
+                2 if u.index() == 5 => 1.0,
+                _ => 0.0,
+            });
+            let ctx = Ctx::new(&g1, &closure, &mat, false, &cfg);
+            let h = MatchList::initial(3, &mat, cfg.xi);
+            let (i, u) = select_pivot(&ctx, &h).expect("a pivot");
+            assert_eq!(h.entries[i].v, n(0), "`a` has the most candidates");
+            u
+        };
+        // A2 and A6 leave both children a candidate; the smaller id wins.
+        assert_eq!(image(&[(0, 1.0), (1, 1.0), (2, 1.0), (6, 1.0)]), n(2));
+        // Without them, A1 keeps two candidates of `b` where A0 keeps one.
+        assert_eq!(image(&[(0, 1.0), (1, 1.0)]), n(1));
+        // A higher score outranks any look-ahead.
+        assert_eq!(image(&[(0, 1.0), (1, 0.9), (2, 0.9), (6, 0.9)]), n(0));
     }
 
     mod prop {

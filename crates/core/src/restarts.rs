@@ -1,17 +1,23 @@
 //! Multi-restart randomized matching: best-of-`r` runs of the paper's
-//! greedy kernel under seeded tie-break perturbation.
+//! greedy kernel under seeded tie-break perturbation. Restarts are
+//! opt-in (`MatcherConfig::restarts`, the engine's
+//! `QueryConfig::restarts`, `phom match --restarts`); a query that does
+//! not ask for them runs the kernel once.
 //!
 //! `greedyMatch` (Fig. 4, line 2) underdetermines which node `v` and
-//! candidate `u` to pick; §5's prose fixes one heuristic. Different picks
-//! explore different branches of the conflict recursion and can return
+//! candidate `u` to pick; §5's prose fixes one heuristic for `v`, and
+//! the kernel gives `v` its best-scoring candidate, ranking tied ones by
+//! a look-ahead of `trimMatching`, then by id. Different picks explore
+//! different branches of the conflict recursion and can return
 //! different-quality mappings — the classic cheap remedy is randomized
 //! restarts. Each restart `i > 0` perturbs the similarity scores of the
-//! *already-eligible* candidate pairs by a seeded `+ε` (with
-//! `ε < 10⁻⁹`), which permutes tie-breaking without ever changing the
+//! *already-eligible* candidate pairs by at most `10⁻⁶`, which
+//! replaces tie-breaking with a seeded order without ever changing the
 //! candidate sets, and cycles through the three pivot [`Selection`]
-//! strategies. Restart 0 is the unperturbed paper configuration, so the
-//! best-of run **never does worse** than the deterministic algorithm,
-//! and every run retains the Theorem 5.1 guarantee.
+//! strategies. Restart 0 is the unperturbed look-ahead run, the one a
+//! query without restarts makes, so the best-of run **never does
+//! worse** than the deterministic algorithm, and every run retains the
+//! Theorem 5.1 guarantee.
 
 use crate::algo::{comp_max_card_with, comp_max_sim_with, AlgoConfig, Selection};
 use crate::budget::MatchBudget;

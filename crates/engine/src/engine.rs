@@ -26,7 +26,8 @@ use std::time::Instant;
 pub struct EngineConfig {
     /// Batch worker threads; `0` = available parallelism.
     pub threads: usize,
-    /// Query-routing cutoffs (exact/approx/restart decisions).
+    /// Engine-wide query settings (backend, compression, deadline,
+    /// intra-query workers).
     pub planner: PlannerConfig,
 }
 

@@ -175,21 +175,12 @@ impl CompressionPolicy {
     }
 }
 
-/// Candidate-pair count at or below which unbounded approximate plans
-/// default to multiple randomized restarts (restarts are cheap when the
-/// product graph is small).
-const RESTART_FRIENDLY_PAIRS: usize = 2_048;
-
-/// Restarts granted to restart-friendly plans when the query does not pin
-/// a count itself.
-const DEFAULT_RESTARTS: usize = 4;
-
 /// Engine settings: how prepared graphs are built (reachability backend,
 /// compression) and the per-query execution defaults (deadline,
 /// intra-query workers). Routing takes no settings: [`plan_query`] sends
 /// queries with at most 64 candidate pairs to exact branch-and-bound
-/// (`phom_core::prefer_exact`) and grants restarts to small ones by fixed
-/// cutoffs.
+/// (`phom_core::prefer_exact`), and a plan runs the restarts its query
+/// asks for, one greedy pass by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// Reachability-backend policy for prepared graphs.
@@ -305,7 +296,8 @@ pub struct QueryConfig {
     pub algorithm: Algorithm,
     /// Bounded-stretch matching: image paths of at most this many edges.
     pub max_stretch: Option<usize>,
-    /// Randomized restarts; `None` lets the planner choose.
+    /// Randomized restarts (`phom_core::restarts`), best of this many
+    /// greedy runs; `None` runs the paper's algorithm once.
     pub restarts: Option<usize>,
     /// Bypass the planner and force a strategy. `PlanKind::Baseline` is
     /// only sound for edgeless patterns (the planner never picks it
@@ -468,42 +460,30 @@ pub struct Plan {
     pub reason: &'static str,
 }
 
-/// The restarts a plan runs: the query's own count, else a default by
-/// candidate-pair count (read only then).
-fn pick_restarts(requested: Option<usize>, candidate_pairs: impl FnOnce() -> usize) -> usize {
-    requested.unwrap_or_else(|| {
-        if candidate_pairs() <= RESTART_FRIENDLY_PAIRS {
-            DEFAULT_RESTARTS
-        } else {
-            1
-        }
-    })
-}
-
 /// Routes a query. Deterministic in the query alone (the prepared data
 /// graph's artifacts do not change the choice, only its cost).
 ///
 /// The candidate-pair count scans the query's whole `n1 × n2` matrix. A
-/// query that forces both its plan and its restarts (every shard
-/// sub-query does) needs no count, so it scans nothing; a caller that
-/// already holds the count plans through [`plan_query_with_count`].
+/// query that forces its plan (every shard sub-query does) needs no
+/// count, so it scans nothing; a caller that already holds the count
+/// plans through [`plan_query_with_count`].
 pub fn plan_query<L>(query: &Query<L>) -> Plan {
     plan_query_with_count(query, || query.matrix.candidate_pair_count(query.config.xi))
 }
 
-/// [`plan_query`] with the query's candidate-pair count (pairs scoring at
-/// least `ξ`) taken from `candidate_pairs`, which is called at most once
-/// and not at all when the query forces both its plan and its restarts.
+/// [`plan_query`] with the query's candidate-pair count (pairs scoring
+/// above 0 and at least `ξ`) taken from `candidate_pairs`, which is
+/// called at most once and not at all when the query forces its plan.
 pub fn plan_query_with_count<L>(query: &Query<L>, candidate_pairs: impl FnOnce() -> usize) -> Plan {
+    let restarts = query.config.restarts.unwrap_or(1);
     if let Some(kind) = query.config.force_plan {
         return Plan {
             kind,
-            restarts: pick_restarts(query.config.restarts, candidate_pairs),
+            restarts,
             reason: "forced by query config",
         };
     }
     let candidate_pairs = candidate_pairs();
-    let restarts = pick_restarts(query.config.restarts, || candidate_pairs);
     if query.config.max_stretch.is_some() {
         return Plan {
             kind: PlanKind::Bounded,
@@ -593,7 +573,7 @@ mod tests {
         let q = query_for(10, &[("n0", "n1"), ("n1", "n2")]);
         let plan = plan_query(&q);
         assert_eq!(plan.kind, PlanKind::Approx);
-        assert_eq!(plan.restarts, 4, "400 candidate pairs: restart-friendly");
+        assert_eq!(plan.restarts, 1, "no restarts unless the query asks");
     }
 
     #[test]
@@ -612,20 +592,18 @@ mod tests {
     }
 
     #[test]
-    fn forced_plan_and_restarts_skip_the_count() {
+    fn forced_plan_reads_no_count_with_or_without_restarts() {
         // 8 candidate pairs: unforced, this plans Exact with 1 restart.
         let mut q = query_for(2, &[("n0", "n1")]);
         q.matrix = SimMatrix::from_fn(2, 40, |_, u| if u.index() < 4 { 1.0 } else { 0.0 });
         assert_eq!(plan_query(&q).kind, PlanKind::Exact);
         q.config.force_plan = Some(PlanKind::Approx);
-        q.config.restarts = Some(3);
-        let plan = plan_query_with_count(&q, || panic!("a forced plan reads no count"));
-        assert_eq!((plan.kind, plan.restarts), (PlanKind::Approx, 3));
-        assert_eq!(plan_query(&q), plan);
-        // Forcing only the kind still reads the count for its restarts.
-        q.config.restarts = None;
-        assert_eq!(plan_query_with_count(&q, || 8).restarts, 4);
-        assert_eq!(plan_query_with_count(&q, || 5_000).restarts, 1);
+        for (requested, runs) in [(Some(3), 3), (None, 1)] {
+            q.config.restarts = requested;
+            let plan = plan_query_with_count(&q, || panic!("a forced plan reads no count"));
+            assert_eq!((plan.kind, plan.restarts), (PlanKind::Approx, runs));
+            assert_eq!(plan_query(&q), plan);
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   `PreparedGraph`s; queries route to the shards that can contain a
 //!   match (a connected pattern component never matches across WCCs) and
 //!   merge per pattern component, answering **identically** to an
-//!   unsharded run for deterministic plans. Updates route to the owning
+//!   unsharded run when each pattern component's candidates lie on one
+//!   shard and the query asks for no restarts. Updates route to the owning
 //!   shard; cross-shard edge inserts re-split the entry.
 //! * [`ShardMap`] — that split and its routing rules, written once and
 //!   shared by the registry and the cluster router, which pass in how

@@ -3,7 +3,7 @@
 //!
 //! The split, query routing and merging, and update routing belong to
 //! the entry's [`ShardMap`], shared with the cluster router; its module
-//! docs explain why the sharded answer is identical to an unsharded
+//! docs explain when the sharded answer is identical to an unsharded
 //! run. What stays here is what only the in-process tier does: prepare
 //! each shard through the engine, run a shard's sub-query or update
 //! batch on its prepared graph, and snapshot and restore the prepared

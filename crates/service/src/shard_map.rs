@@ -9,34 +9,45 @@
 //! pin, the query check, routing, the forced sub-query, the
 //! per-component merge, update routing and the info fold exist once.
 //!
-//! ## Why WCC sharding is exact
+//! ## When WCC sharding is exact
 //!
 //! A p-hom witness path lives inside one weakly connected component of
-//! the data graph, so a *connected* pattern component can only map into
-//! one WCC (Proposition 1: pattern components are independent). Queries
-//! therefore route to the shards that hold at least one candidate pair
-//! and merge per pattern component. Two things make the sharded answer
-//! **identical** to an unsharded run (property-tested in
+//! the data graph, so a *connected* pattern component can only map whole
+//! into one WCC (Proposition 1: pattern components are independent).
+//! Queries therefore route to the shards that hold at least one
+//! candidate pair and merge per pattern component. When each pattern
+//! component's candidates lie on one shard, three things make the
+//! sharded answer **identical** to an unsharded run (property-tested in
 //! `tests/service.rs` and in the cluster crate), not merely of equal
 //! quality:
 //!
-//! 1. **Monotone ids** — shard node lists ascend in global id order
-//!    ([`phom_graph::component_groups`]), so every smallest-id tie-break
-//!    in the matching kernels picks the same node on a shard as on the
-//!    full graph; when two shards answer a pattern component equally
-//!    well, the merge keeps the answer with the smaller global ids.
+//! 1. **Shard-local tie-breaks** — `greedyMatch` ranks a pivot's tied
+//!    candidates by a look-ahead that only counts candidates in the
+//!    image's own WCC, then by the smallest id; shard node lists ascend
+//!    in global id order ([`phom_graph::component_groups`]), so both
+//!    ranks order a shard's candidates as on the full graph.
 //! 2. **Pinned decisions** — the query is planned once against the full
 //!    graph and the plan forced onto every shard, and the Appendix-B
 //!    compression decision the *whole graph* would make is pinned onto
 //!    every shard via [`CompressionPolicy`] (compressed and uncompressed
 //!    runs are different greedy runs; letting each shard decide for
 //!    itself would diverge from the unsharded answer).
+//! 3. **Determinism** — every query that does not ask for restarts runs
+//!    the paper's algorithm once. Randomized restarts are opt-in
+//!    (`restarts > 1`): they perturb the similarity matrix with an RNG
+//!    stream over *all* data nodes, so their perturbations are not
+//!    shard-local, and a query that asks for them gets a valid best-of
+//!    mapping that may differ from the unsharded one.
 //!
-//! Randomized restarts (`restarts > 1`) perturb the similarity matrix
-//! with an RNG stream over *all* data nodes, so their perturbations are
-//! not shard-local; sharded answers match unsharded ones exactly for
-//! deterministic plans (`restarts <= 1`, i.e. the paper's algorithm) and
-//! remain valid best-of mappings otherwise.
+//! A component whose candidates lie on two or more shards is answered
+//! on each of them, and the merge keeps the best answer, ties to the
+//! smaller global ids. The unsharded kernel answers it in one run over
+//! all its candidates, so the two answers can differ. Tied images on
+//! different shards go to the smaller ids in the merge but to the
+//! better look-ahead in the kernel (see
+//! `tied_shard_answers_merge_to_the_smallest_ids` in
+//! `tests/service.rs`), and the kernel orders its pivots by candidate
+//! counts summed over every shard.
 
 use crate::envelope::{GraphInfo, QueryResponse, UpdateSummary};
 use crate::error::ServiceError;
@@ -381,9 +392,9 @@ impl<L: ServiceLabel> ShardMap<L> {
             .or(planner.timeout)
             // phom-lint: allow(clock, "monotonic deadline for the per-request time budget; no wall-clock semantics")
             .map(|t| Instant::now() + t);
-        // The plan (and its restart grant) was decided on the full
-        // candidate set; shards execute it verbatim so the sharded run
-        // answers exactly like the unsharded one.
+        // The plan was decided on the full candidate set; shards execute
+        // it verbatim so the sharded run answers exactly like the
+        // unsharded one.
         let mut sub_config = query.config.clone();
         sub_config.force_plan = Some(plan.kind);
         sub_config.restarts = Some(plan.restarts);
@@ -764,9 +775,10 @@ impl<L> RoutedUpdates<L> {
 /// best shard's assignment — by `qualCard` then `qualSim` (the reverse
 /// for similarity algorithms). Shards that tie on both are told apart by
 /// the component's images as global ids, the smallest winning (see
-/// [`smaller_images`]), which is the node the unsharded kernels'
-/// smallest-id tie-breaks pick; shard order is not id order, since
-/// [`component_groups`] packs the largest WCCs first. A component
+/// [`smaller_images`]), so the answer does not depend on shard order,
+/// which is not id order ([`component_groups`] packs the largest WCCs
+/// first). An unsharded run may settle such a tie on another shard's
+/// images (see the module docs). A component
 /// chosen from one shard run is internally consistent (same joint run),
 /// and components from different shards have disjoint images, so the
 /// merge preserves validity and injectivity.

@@ -1,9 +1,11 @@
 //! Integration: the quality guarantees of §5, measured — approximation
 //! vs. exact optimum across workload families, plus the bound arithmetic
-//! of `phom_core::bounds`.
+//! of `phom_core::bounds` — and answers that do not hinge on how the data
+//! graph happens to be numbered.
 
 use phom::core::bounds::guarantee_factor;
 use phom::prelude::*;
+use phom::workloads::SyntheticInstance;
 
 fn small_synthetic(seed: u64) -> (DiGraph<u8>, DiGraph<u8>) {
     // Small hand-rolled instances keep the exact oracle fast.
@@ -158,6 +160,129 @@ fn prefilter_preserves_decision_on_gadgets() {
         assert_eq!(
             decide_phom(&inst.g1, &inst.g2, &filtered, inst.xi, false).is_some(),
             expect_sat
+        );
+    }
+}
+
+/// The §6 grid the numbering tests walk: `generate_instance` at
+/// m ∈ {20, 40} and noise 0.1 and 0.3, seeds 1–30, one cell per
+/// `(m, noise)`.
+fn section6_cells() -> Vec<((usize, f64), Vec<SyntheticInstance>)> {
+    [(20, 0.1), (20, 0.3), (40, 0.1), (40, 0.3)]
+        .into_iter()
+        .map(|(m, noise)| {
+            let cell = (1..=30u64)
+                .map(|seed| generate_instance(&SyntheticConfig { m, noise, seed }, 1))
+                .collect();
+            ((m, noise), cell)
+        })
+        .collect()
+}
+
+/// The same data graph under another numbering: node ids shuffled by a
+/// seeded Fisher–Yates pass, labels and edges carried along.
+fn renumbered(inst: &SyntheticInstance, seed: u64) -> SyntheticInstance {
+    let n = inst.g2.node_count();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut rng = phom::graph::XorShift64::new(seed);
+    for i in (1..n).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    let mut new_id = vec![NodeId(0); n];
+    let mut g2 = DiGraph::with_capacity(n);
+    for &old in &order {
+        new_id[old] = g2.add_node(*inst.g2.label(NodeId(old as u32)));
+    }
+    for (a, b) in inst.g2.edges() {
+        g2.add_edge(new_id[a.index()], new_id[b.index()]);
+    }
+    SyntheticInstance {
+        g1: inst.g1.clone(),
+        g2,
+        pool: inst.pool.clone(),
+    }
+}
+
+/// Mean quality of `match_graphs` over `cell` at ξ = 0.5 under the
+/// pool's similarity: `qualSim` for the similarity problems, `qualCard`
+/// for the cardinality ones.
+fn mean_quality(cell: &[SyntheticInstance], algorithm: Algorithm, compress_g2: bool) -> f64 {
+    let cfg = MatcherConfig {
+        algorithm,
+        xi: 0.5,
+        compress_g2,
+        ..Default::default()
+    };
+    let total: f64 = cell
+        .iter()
+        .map(|inst| {
+            let w = NodeWeights::uniform(inst.g1.node_count());
+            let out = match_graphs(&inst.g1, &inst.g2, &inst.similarity_matrix(), &w, &cfg);
+            if algorithm.similarity() {
+                out.qual_sim
+            } else {
+                out.qual_card
+            }
+        })
+        .sum();
+    total / cell.len() as f64
+}
+
+#[test]
+fn compression_does_not_cost_quality() {
+    // `G2*` keeps every p-hom mapping but numbers its nodes in Tarjan
+    // order, so only a tie-break that ignores numbering scores it alike.
+    for ((m, noise), cell) in section6_cells() {
+        for algorithm in [Algorithm::MaxCard, Algorithm::MaxSim] {
+            let compressed = mean_quality(&cell, algorithm, true);
+            let plain = mean_quality(&cell, algorithm, false);
+            assert!(
+                (compressed - plain).abs() <= 0.005,
+                "m {m}, noise {noise}, {algorithm:?}: compressed {compressed:.4} vs uncompressed {plain:.4}"
+            );
+        }
+    }
+}
+
+#[test]
+fn renumbering_the_data_graph_does_not_cost_quality() {
+    // The generator copies G1 to data ids 0..m-1, so a smallest-id
+    // tie-break lands on the planted answer in generated order only.
+    for ((m, noise), cell) in section6_cells() {
+        let shuffled: Vec<SyntheticInstance> = cell
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| renumbered(inst, 0x5eed + i as u64))
+            .collect();
+        // The 1-1 problems never compress.
+        for (algorithm, compress_g2) in [
+            (Algorithm::MaxCard, true),
+            (Algorithm::MaxCard, false),
+            (Algorithm::MaxSim, true),
+            (Algorithm::MaxSim, false),
+            (Algorithm::MaxCard1to1, false),
+            (Algorithm::MaxSim1to1, false),
+        ] {
+            let generated = mean_quality(&cell, algorithm, compress_g2);
+            let renumbered = mean_quality(&shuffled, algorithm, compress_g2);
+            assert!(
+                (generated - renumbered).abs() <= 0.01,
+                "m {m}, noise {noise}, {algorithm:?}, compress {compress_g2}: generated order {generated:.4} vs shuffled {renumbered:.4}"
+            );
+        }
+    }
+}
+
+#[test]
+fn phom_maps_at_least_what_one_one_maps() {
+    // Every 1-1 p-hom mapping is a p-hom mapping, so on average the
+    // unrestricted problem should not score below the injective one.
+    for ((m, noise), cell) in section6_cells() {
+        let phom = mean_quality(&cell, Algorithm::MaxCard, true);
+        let one_one = mean_quality(&cell, Algorithm::MaxCard1to1, true);
+        assert!(
+            phom >= one_one,
+            "m {m}, noise {noise}: MaxCard {phom:.4} below MaxCard1to1 {one_one:.4}"
         );
     }
 }

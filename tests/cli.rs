@@ -303,6 +303,23 @@ fn generate_roundtrips_through_match() {
 }
 
 #[test]
+fn phom_maps_what_one_one_maps_on_the_compression_instance() {
+    // The default p-hom run matches on `G2*`, numbered in Tarjan order;
+    // with ties broken toward the smallest id it mapped 25 of 30 nodes
+    // here while both 1-1 runs mapped all 30.
+    let p = temp_path("tie-p.g");
+    let d = temp_path("tie-d.g");
+    let (p, d) = (p.to_str().unwrap(), d.to_str().unwrap());
+    run_ok(&[
+        "generate", p, d, "--nodes", "30", "--noise", "0.3", "--seed", "1",
+    ]);
+    for algorithm in ["card", "sim", "card11", "sim11"] {
+        let out = run_ok(&["match", p, d, "--xi", "0.5", "--algorithm", algorithm]);
+        assert!(out.contains("mapped 30/30"), "{algorithm}: {out}");
+    }
+}
+
+#[test]
 fn generate_rejects_bad_noise() {
     let dir = std::env::temp_dir().join("phom-cli-tests");
     let p = dir.join("bad_p.graph");

@@ -63,11 +63,7 @@ fn queries(pattern: &Arc<DiGraph<String>>, data: &DiGraph<String>) -> Vec<Query<
         Algorithm::MaxSim1to1,
     ] {
         let mut q = Query::new(Arc::clone(pattern), matrix.clone());
-        q.config = QueryConfig::builder()
-            .xi(0.5)
-            .algorithm(algorithm)
-            .restarts(1)
-            .build();
+        q.config = QueryConfig::builder().xi(0.5).algorithm(algorithm).build();
         out.push(q);
     }
     let mut bounded = out[0].clone();

@@ -2,13 +2,16 @@
 //! service redesign.
 //!
 //! 1. **Sharded-vs-unsharded result identity** — a registry that split a
-//!    multi-WCC graph into shards must answer every query *identically*
+//!    multi-WCC graph into shards must answer every query whose pattern
+//!    components each have their candidates on one shard *identically*
 //!    (same mapping, same qualities) to a single unsharded
 //!    `PreparedGraph`, across the four algorithms and a stretch-bounded
 //!    row, including after `ApplyUpdates` batches. Property-tested over random
 //!    multi-part graphs and patterns, under label equality and under a
 //!    graded matrix with scores at ξ and between 0 and ξ, at ξ = 0.5 and
-//!    at ξ = 0 (where a zero score still never matches).
+//!    at ξ = 0 (where a zero score still never matches). A component with
+//!    candidates on two shards keeps its quality, not always its mapping
+//!    (`tied_shard_answers_merge_to_the_smallest_ids`).
 //! 2. **Cache-hit accounting** — the engine's `cache_hits` counts the
 //!    queries that built no hop-bounded closure, on unsharded and
 //!    sharded graphs alike, the service's hit ratios read
@@ -23,12 +26,9 @@ use phom::service::ShardMap;
 use std::sync::Arc;
 
 /// Grid of query configurations at threshold `xi`: the four Table-1
-/// algorithms, plus one bounded-stretch row. Restarts pinned to 1 (the
-/// paper's algorithm):
-/// randomized restarts perturb the matrix with an RNG stream over all
-/// data nodes, which is deliberately not shard-local (see the
-/// `phom_service::shard_map` docs). The p-hom rows use `G2*` wherever
-/// the prepared graph kept it; the 1-1 rows and the stretch row run the
+/// algorithms, plus one bounded-stretch row, each as serving runs it (no
+/// restarts unless asked). The p-hom rows use `G2*` wherever the
+/// prepared graph kept it; the 1-1 rows and the stretch row run the
 /// uncompressed kernel.
 fn config_grid(xi: f64) -> Vec<QueryConfig> {
     let mut grid = Vec::new();
@@ -38,11 +38,7 @@ fn config_grid(xi: f64) -> Vec<QueryConfig> {
         Algorithm::MaxSim,
         Algorithm::MaxSim1to1,
     ] {
-        let mut config = QueryConfig::builder()
-            .xi(xi)
-            .algorithm(algorithm)
-            .restarts(1)
-            .build();
+        let mut config = QueryConfig::builder().xi(xi).algorithm(algorithm).build();
         grid.push(config.clone());
         if algorithm == Algorithm::MaxCard {
             config.max_stretch = Some(2);
@@ -427,55 +423,108 @@ fn cross_shard_insert_stays_identical_after_resharding() {
     }
 }
 
-/// Shards that answer a pattern component equally well merge to the
-/// smallest global ids, as the unsharded kernels' tie-breaks pick. Three
-/// 2-node WCCs, `z0 → z1` and two `x → y` (nodes 2, 3 and 4, 5), pack
-/// into two shards as {0, 1, 4, 5} and {2, 3}: the first shard holds the
-/// larger ids of the tie.
+/// Shards that answer the pattern `x → y` equally well merge to the
+/// smallest global ids, under the default plan and a forced greedy one.
+/// A greedy run over the whole graph ranks tied images by look-ahead
+/// first, so it picks the same ids only where the tied images look ahead
+/// alike (see the `phom_service::shard_map` module docs); both answers
+/// map the whole pattern at full similarity either way.
+///
+/// 1. Three 2-node WCCs, `z0 → z1` and two `x → y` (nodes 2, 3 and 4,
+///    5), pack into shards {0, 1, 4, 5} and {2, 3}: the first shard
+///    holds the larger ids of the tie, and both images of `x` look ahead
+///    alike.
+/// 2. `0:x → 1:y` and `2:x → 3:y, 2:x → 4:y, 5:x → 3:y` sit on separate
+///    shards. Image 2 of `x` leaves `y` two candidates where 0 and 5
+///    leave one, so the greedy unsharded run answers `{x→2, y→3}`; the
+///    default plan is exact (6 candidate pairs) and agrees with the
+///    merge.
 #[test]
 fn tied_shard_answers_merge_to_the_smallest_ids() {
-    let mut data: DiGraph<String> = DiGraph::new();
-    for label in ["z0", "z1", "x", "y", "x", "y"] {
-        data.add_node(label.to_owned());
-    }
-    for (a, b) in [(0, 1), (2, 3), (4, 5)] {
-        data.add_edge(NodeId(a), NodeId(b));
-    }
-    let data = Arc::new(data);
-    let service: Service<String> = sharded_service(2);
-    service
-        .register("g".into(), Arc::clone(&data))
-        .expect("register");
-    let (map, _) = ShardMap::split(
-        Arc::clone(&data),
-        &ShardingConfig {
-            max_shards: 2,
-            min_shard_nodes: 0,
-        },
-        CompressionPolicy::Auto,
+    // (data labels, data edges, the first shard's nodes, the smallest
+    // tied images, the greedy unsharded run's images)
+    type Case = (
+        &'static [&'static str],
+        &'static [(u32, u32)],
+        &'static [u32],
+        [u32; 2],
+        [u32; 2],
     );
-    assert_eq!(map.shard_nodes(0), [0, 1, 4, 5].map(NodeId));
-    assert_eq!(map.shard_nodes(1), [2, 3].map(NodeId));
-    let engine: Engine<String> = Engine::default();
-    let prepared = engine.prepare(&data);
+    let cases: [Case; 2] = [
+        (
+            &["z0", "z1", "x", "y", "x", "y"],
+            &[(0, 1), (2, 3), (4, 5)],
+            &[0, 1, 4, 5],
+            [2, 3],
+            [2, 3],
+        ),
+        (
+            &["x", "y", "x", "y", "y", "x"],
+            &[(0, 1), (2, 3), (2, 4), (5, 3)],
+            &[0, 1],
+            [0, 1],
+            [2, 3],
+        ),
+    ];
     let pattern = Arc::new(graph_from_labels(&["x", "y"], &[("x", "y")]));
-    for algorithm in [
-        Algorithm::MaxCard,
-        Algorithm::MaxCard1to1,
-        Algorithm::MaxSim,
-        Algorithm::MaxSim1to1,
-    ] {
-        let mut query = Query::new(
-            Arc::clone(&pattern),
-            SimMatrix::label_equality(&pattern, &data),
+    let images = |[x, y]: [u32; 2]| vec![(NodeId(0), NodeId(x)), (NodeId(1), NodeId(y))];
+    for (ci, (labels, edges, first_shard, smallest, greedy)) in cases.into_iter().enumerate() {
+        let mut data: DiGraph<String> = DiGraph::new();
+        for &label in labels {
+            data.add_node(label.to_owned());
+        }
+        for &(a, b) in edges {
+            data.add_edge(NodeId(a), NodeId(b));
+        }
+        let data = Arc::new(data);
+        let service: Service<String> = sharded_service(2);
+        service
+            .register("g".into(), Arc::clone(&data))
+            .expect("register");
+        let (map, _) = ShardMap::split(
+            Arc::clone(&data),
+            &ShardingConfig {
+                max_shards: 2,
+                min_shard_nodes: 0,
+            },
+            CompressionPolicy::Auto,
         );
-        query.config.algorithm = algorithm;
-        let sharded = service.query("g", &query).expect("query");
-        let unsharded = engine.execute(&prepared, &query);
-        let want = vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(3))];
-        assert_eq!(sharded.shards_consulted, 2, "{algorithm:?}");
-        assert_eq!(pairs(&unsharded.outcome.mapping), want, "{algorithm:?}");
-        assert_eq!(pairs(&sharded.mapping), want, "{algorithm:?}");
+        let first_shard: Vec<NodeId> = first_shard.iter().map(|&u| NodeId(u)).collect();
+        assert_eq!(map.shard_nodes(0), first_shard, "case {ci}");
+        let engine: Engine<String> = Engine::default();
+        let prepared = engine.prepare(&data);
+        for algorithm in [
+            Algorithm::MaxCard,
+            Algorithm::MaxCard1to1,
+            Algorithm::MaxSim,
+            Algorithm::MaxSim1to1,
+        ] {
+            for (force_plan, unsharded_images) in
+                [(None, smallest), (Some(PlanKind::Approx), greedy)]
+            {
+                let mut query = Query::new(
+                    Arc::clone(&pattern),
+                    SimMatrix::label_equality(&pattern, &data),
+                );
+                query.config.algorithm = algorithm;
+                query.config.force_plan = force_plan;
+                let sharded = service.query("g", &query).expect("query");
+                let unsharded = engine.execute(&prepared, &query);
+                let context = format!("case {ci}, {algorithm:?}, forced plan {force_plan:?}");
+                assert_eq!(sharded.shards_consulted, 2, "{context}");
+                assert_eq!(pairs(&sharded.mapping), images(smallest), "{context}");
+                assert_eq!(
+                    pairs(&unsharded.outcome.mapping),
+                    images(unsharded_images),
+                    "{context}"
+                );
+                assert_eq!(
+                    (sharded.qual_card, sharded.qual_sim),
+                    (unsharded.outcome.qual_card, unsharded.outcome.qual_sim),
+                    "{context}"
+                );
+            }
+        }
     }
 }
 

@@ -233,16 +233,10 @@ fn window_queries(
 }
 
 /// A 7-node window of each part, asked with a cardinality and a
-/// similarity algorithm (one restart, so the sharded answer is the
-/// unsharded one).
+/// similarity algorithm.
 fn queries(data: &DiGraph<String>, ranges: &[(usize, usize)]) -> Vec<Query<String>> {
-    let configs = [Algorithm::MaxCard, Algorithm::MaxSim1to1].map(|algorithm| {
-        QueryConfig::builder()
-            .xi(0.5)
-            .algorithm(algorithm)
-            .restarts(1)
-            .build()
-    });
+    let configs = [Algorithm::MaxCard, Algorithm::MaxSim1to1]
+        .map(|algorithm| QueryConfig::builder().xi(0.5).algorithm(algorithm).build());
     window_queries(data, ranges, 7, &configs)
 }
 
